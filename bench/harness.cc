@@ -11,7 +11,6 @@
 #include "src/fault/invariant_checker.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace_export.h"
-#include "src/sim/parallel.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
 
@@ -659,19 +658,6 @@ void ApplyScenarioTenants(Cluster* cluster, const ScenarioSpec& scenario) {
       [&scenario](IndexNodeRig& node) { StartScenarioOnRig(&node, scenario); });
 }
 
-int SimThreads() {
-  // Read each call (not cached): determinism tests flip the variable at
-  // runtime to compare thread counts against each other.
-  const char* env = std::getenv("PERFISO_SIM_THREADS");
-  if (env != nullptr && env[0] != '\0') {
-    const int threads = std::atoi(env);
-    if (threads > 0) {
-      return std::min(threads, 256);
-    }
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 ClusterRunResult RunClusterScenario(const ScenarioSpec& input) {
   if (Status status = input.Validate(); !status.ok()) {
     std::fprintf(stderr, "invalid scenario %s: %s\n", input.name.c_str(),
@@ -686,49 +672,13 @@ ClusterRunResult RunClusterScenario(const ScenarioSpec& input) {
   const ScenarioSpec scenario = ScaleScenarioForBench(input);
   const ClusterOptions options = MakeClusterOptions(scenario);
 
-  // Decide the execution mode. The partitioned engine does not support fault
-  // injection (crash routing mutates shared state mid-run), tracing (one
-  // tracer, one clock), or a fabric with no positive cross-partition latency
-  // floor (base_latency is the PDES lookahead; zero would livelock the
-  // window loop) — those run sequentially, with a warning so a benchmark
-  // invocation can't silently measure the wrong engine.
-  int partitions = scenario.sim_partitions;
-  const char* fallback_reason = nullptr;
-  if (partitions >= 2) {
-    if (scenario.fault.enabled) {
-      fallback_reason = "fault injection is sequential-only";
-    } else if (scenario.obs.enabled) {
-      fallback_reason = "tracing/observability is sequential-only";
-    } else if (options.fabric.base_latency <= 0) {
-      fallback_reason =
-          "net.base_latency must be positive to serve as the cross-partition lookahead";
-    }
-  }
-  if (fallback_reason != nullptr) {
-    std::fprintf(stderr, "scenario %s: %s; falling back to a sequential run\n",
-                 scenario.name.c_str(), fallback_reason);
-    partitions = 0;
-  }
-  // More partitions than rows+1 would leave simulators idle; clamp.
-  partitions = std::min(partitions, scenario.topology.rows + 1);
-  const bool parallel = partitions >= 2;
-
-  ParallelSimulation::Options popt;
-  popt.partitions = parallel ? partitions : 1;
-  popt.window = parallel ? options.fabric.base_latency : 0;
-  popt.threads = parallel ? SimThreads() : 1;
-  ParallelSimulation psim(popt);
-  Simulator& sim = psim.sim(0);
-
-  // Sequential runs use the plain single-Simulator constructor so they stay
-  // bit-identical to pre-partitioning builds (and keep tracing available).
-  auto cluster = parallel ? std::make_unique<Cluster>(&psim, options)
-                          : std::make_unique<Cluster>(&sim, options);
-  ApplyScenarioTenants(cluster.get(), scenario);
+  Simulator sim;
+  Cluster cluster(&sim, options);
+  ApplyScenarioTenants(&cluster, scenario);
 
   std::unique_ptr<FaultInjector> injector;
   if (scenario.fault.enabled) {
-    injector = std::make_unique<FaultInjector>(&sim, scenario.fault, cluster.get());
+    injector = std::make_unique<FaultInjector>(&sim, scenario.fault, &cluster);
     injector->Arm();
   }
 
@@ -741,28 +691,28 @@ ClusterRunResult RunClusterScenario(const ScenarioSpec& input) {
   if (scenario.client == ClientKind::kOpenLoop) {
     open_client.emplace(&sim, std::move(trace), scenario.load, Rng(scenario.client_seed),
                         [&cluster](const QueryWork& work, SimTime) {
-                          cluster->SubmitQuery(work);
+                          cluster.SubmitQuery(work);
                         });
     open_client->Run(0, scenario.warmup + measure);
   } else {
     closed_client.emplace(&sim, std::move(trace), scenario.closed.outstanding,
                           scenario.closed.think_time, Rng(scenario.client_seed),
                           [&cluster, &closed_client](const QueryWork& work, SimTime) {
-                            cluster->SubmitQuery(work, [&closed_client](const QueryResult&) {
+                            cluster.SubmitQuery(work, [&closed_client](const QueryResult&) {
                               closed_client->OnComplete();
                             });
                           });
     closed_client->Run(0, scenario.warmup + measure);
   }
 
-  psim.RunUntil(scenario.warmup);
-  cluster->ResetStats();
-  const auto snaps = cluster->SnapshotAll();
-  psim.RunUntil(scenario.warmup + measure);
+  sim.RunUntil(scenario.warmup);
+  cluster.ResetStats();
+  const auto snaps = cluster.SnapshotAll();
+  sim.RunUntil(scenario.warmup + measure);
 
   if (scenario.fault.enabled) {
     InvariantReport report;
-    InvariantChecker::CheckCluster(*cluster, /*expect_drained=*/false, &report);
+    InvariantChecker::CheckCluster(cluster, /*expect_drained=*/false, &report);
     if (!report.ok()) {
       std::fprintf(stderr, "cluster invariant violations:\n%s", report.ToString().c_str());
       std::abort();
@@ -770,21 +720,18 @@ ClusterRunResult RunClusterScenario(const ScenarioSpec& input) {
   }
 
   ClusterRunResult result;
-  result.leaf_digest = cluster->MergedLeafLatency().Digest();
-  result.mla_digest = cluster->MlaLatency().Digest();
-  result.tla_digest = cluster->TlaLatency().Digest();
-  result.flow_digest = cluster->fabric().FlowLatencyMs(NetClass::kPrimary).Digest();
-  result.completed = cluster->queries_completed();
-  result.failed = cluster->queries_failed();
-  result.degraded = cluster->queries_degraded();
-  result.tla_p99_ms = cluster->TlaLatency().P99();
-  result.tla_mean_ms = cluster->TlaLatency().Mean();
-  result.mean_busy = cluster->MeanBusyFractionSince(snaps);
+  result.leaf_digest = cluster.MergedLeafLatency().Digest();
+  result.mla_digest = cluster.MlaLatency().Digest();
+  result.tla_digest = cluster.TlaLatency().Digest();
+  result.flow_digest = cluster.fabric().FlowLatencyMs(NetClass::kPrimary).Digest();
+  result.completed = cluster.queries_completed();
+  result.failed = cluster.queries_failed();
+  result.degraded = cluster.queries_degraded();
+  result.tla_p99_ms = cluster.TlaLatency().P99();
+  result.tla_mean_ms = cluster.TlaLatency().Mean();
+  result.mean_busy = cluster.MeanBusyFractionSince(snaps);
   result.faults_injected = injector != nullptr ? injector->stats().injected : 0;
-  result.events_executed = psim.TotalEventsExecuted();
-  result.partitions_used = parallel ? partitions : 1;
-  result.threads_used = parallel ? psim.num_threads() : 1;
-  result.fell_back_sequential = fallback_reason != nullptr;
+  result.events_executed = sim.EventsExecuted();
   return result;
 }
 

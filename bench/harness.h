@@ -151,27 +151,17 @@ ClusterOptions MakeClusterOptions(const ScenarioSpec& scenario);
 // Aborts if PerfIso fails to start (mirrors RunSingleBox).
 void ApplyScenarioTenants(Cluster* cluster, const ScenarioSpec& scenario);
 
-// --- Partition-parallel cluster runner ----------------------------------------
+// --- Cluster runner ------------------------------------------------------------
 //
-// RunClusterScenario drives one cluster spec end to end. When the spec sets
-// sim_partitions >= 2 the cluster is sharded across that many simulator
-// partitions (src/sim/parallel.h) running in conservative lockstep windows of
-// width net.base_latency — the cross-partition latency floor, i.e. the PDES
-// lookahead. Results are a pure function of (spec, partition count):
-// bit-identical digests at any worker thread count (pinned by
-// tests/cluster_partition_determinism_test.cc). Specs that need features the
-// partitioned engine does not support — fault injection, tracing/obs, or a
-// non-positive latency floor — fall back to a sequential run with a warning
-// (fell_back_sequential below).
-
-// Worker threads for partitioned runs: PERFISO_SIM_THREADS when set
-// (1 = single-threaded lockstep), otherwise the hardware concurrency. Read
-// each call so determinism tests can flip it at runtime.
-int SimThreads();
+// RunClusterScenario drives one cluster spec end to end on a single
+// Simulator: tenants and PerfIso on every index node, the spec's fault plan
+// when enabled (checked by InvariantChecker at the end), warmup, a stats
+// reset, then the measurement window. The result is a pure function of the
+// spec (pinned by tests/bench_determinism_test.cc).
 
 struct ClusterRunResult {
   // Order-sensitive digests of the per-layer latency recorders — the
-  // partition-determinism anchors.
+  // rerun-determinism anchors.
   uint64_t leaf_digest = 0;
   uint64_t mla_digest = 0;
   uint64_t tla_digest = 0;
@@ -184,9 +174,6 @@ struct ClusterRunResult {
   double mean_busy = 0;
   int64_t faults_injected = 0;
   uint64_t events_executed = 0;
-  int partitions_used = 1;  // 1 = sequential
-  int threads_used = 1;
-  bool fell_back_sequential = false;  // partitioning requested but unsupported
 };
 
 ClusterRunResult RunClusterScenario(const ScenarioSpec& scenario);

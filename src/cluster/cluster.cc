@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "src/sim/parallel.h"
-
 namespace perfiso {
 
 struct Cluster::PendingQuery {
@@ -21,41 +19,18 @@ struct Cluster::PendingQuery {
 };
 
 Cluster::Cluster(Simulator* sim, const ClusterOptions& options)
-    : Cluster(sim, nullptr, options) {}
-
-Cluster::Cluster(ParallelSimulation* psim, const ClusterOptions& options)
-    : Cluster(&psim->sim(0), psim, options) {}
-
-int Cluster::PartitionForRow(int row) const {
-  if (psim_ == nullptr || psim_->num_partitions() <= 1) {
-    return 0;
-  }
-  // Partition 0 is reserved for the TLAs and the submitting client; rows
-  // round-robin across the rest.
-  return 1 + row % (psim_->num_partitions() - 1);
-}
-
-Cluster::Cluster(Simulator* sim, ParallelSimulation* psim, const ClusterOptions& options)
-    : sim_(sim), psim_(psim), options_(options), rng_(options.seed) {
+    : sim_(sim), options_(options), rng_(options.seed) {
   const ClusterTopology& topo = options_.topology;
   assert(topo.columns > 0 && topo.rows > 0 && topo.tla_machines > 0);
-  fabric_ = psim_ != nullptr ? std::make_unique<Fabric>(psim_, options_.fabric)
-                             : std::make_unique<Fabric>(sim_, options_.fabric);
+  fabric_ = std::make_unique<Fabric>(sim_, options_.fabric);
   index_nodes_.reserve(static_cast<size_t>(topo.columns * topo.rows));
   for (int row = 0; row < topo.rows; ++row) {
-    // Every machine of a row shares the row's partition, so leaf fan-out and
-    // fan-in stay on one simulator.
-    const int partition = PartitionForRow(row);
-    Simulator* row_sim = psim_ != nullptr ? &psim_->sim(partition) : sim_;
     for (int col = 0; col < topo.columns; ++col) {
       IndexNodeOptions node = options_.node;
-      // Seeds are drawn in row-major construction order regardless of
-      // partitioning, so node behavior is identical at any partition count
-      // modulo the cross-partition hop timing.
       node.seed = rng_.Next();
       auto rig = std::make_unique<IndexNodeRig>(
-          row_sim, node, "is-r" + std::to_string(row) + "c" + std::to_string(col));
-      const int endpoint = fabric_->AttachMachine(rig->machine().name(), partition);
+          sim_, node, "is-r" + std::to_string(row) + "c" + std::to_string(col));
+      const int endpoint = fabric_->AttachMachine(rig->machine().name());
       assert(endpoint == static_cast<int>(index_nodes_.size()));
       (void)endpoint;
       // Secondary flows leaving this machine drain its PerfIso egress bucket.
@@ -69,10 +44,9 @@ Cluster::Cluster(Simulator* sim, ParallelSimulation* psim, const ClusterOptions&
   for (int i = 0; i < topo.tla_machines; ++i) {
     tla_machines_.push_back(
         std::make_unique<SimMachine>(sim_, options_.node.machine, "tla-" + std::to_string(i)));
-    fabric_->AttachMachine(tla_machines_.back()->name(), /*partition=*/0);
+    fabric_->AttachMachine(tla_machines_.back()->name());
   }
   next_mla_in_row_.assign(static_cast<size_t>(topo.rows), 0);
-  mla_latency_rows_.assign(static_cast<size_t>(topo.rows), LatencyRecorder{});
   crashed_.assign(index_nodes_.size(), false);
 }
 
@@ -122,14 +96,14 @@ void Cluster::SubmitQuery(const QueryWork& work, IndexServer::QueryDoneFn done) 
         fabric_->Send(tla_endpoint(pending->tla_machine),
                       index_endpoint(pending->mla_node),
                       options_.fabric.request_bytes, NetClass::kPrimary,
-                      [this, pending](SimTime arrival) { RunMla(pending, arrival); },
+                      [this, pending](SimTime) { RunMla(pending); },
                       pending->work.trace_ctx);
       },
       pending->work.trace_ctx);
 }
 
-void Cluster::RunMla(const std::shared_ptr<PendingQuery>& pending, SimTime now) {
-  pending->mla_arrival = now;
+void Cluster::RunMla(const std::shared_ptr<PendingQuery>& pending) {
+  pending->mla_arrival = sim_->Now();
   const int cols = options_.topology.columns;
   pending->leaves_left = cols;
   IndexNodeRig& mla = *index_nodes_[static_cast<size_t>(pending->mla_node)];
@@ -173,9 +147,7 @@ void Cluster::RunMla(const std::shared_ptr<PendingQuery>& pending, SimTime now) 
               pending->work.trace_ctx);
         };
         if (local) {
-          // merge() ignores its timestamp; the leaf's own finish time is the
-          // correct clock here either way (sim_ would be partition 0's).
-          merge(leaf_result.finish_time);
+          merge(sim_->Now());
         } else {
           // Leaf response travels back over the fabric (MLA fan-in: all
           // columns' responses converge on the MLA's RX link — incast).
@@ -202,9 +174,7 @@ void Cluster::FinalizeMla(const std::shared_ptr<PendingQuery>& pending) {
       "mla-final", TenantClass::kPrimary, mla.server().job(),
       FromMicros(options_.mla_finalize_cpu_us),
       [this, pending](SimTime now) {
-        // Recorded per row: this runs on the MLA's partition.
-        mla_latency_rows_[static_cast<size_t>(pending->row)].Add(
-            ToMillis(now - pending->mla_arrival));
+        mla_latency_ms_.Add(ToMillis(now - pending->mla_arrival));
         fabric_->Send(
             index_endpoint(pending->mla_node), tla_endpoint(pending->tla_machine),
             options_.fabric.final_response_bytes, NetClass::kPrimary,
@@ -296,14 +266,6 @@ void Cluster::EnableTracing(Tracer* tracer) {
   }
 }
 
-LatencyRecorder Cluster::MlaLatency() const {
-  LatencyRecorder merged;
-  for (const auto& row : mla_latency_rows_) {
-    merged.Merge(row);
-  }
-  return merged;
-}
-
 LatencyRecorder Cluster::MergedLeafLatency() const {
   LatencyRecorder merged;
   for (const auto& node : index_nodes_) {
@@ -322,9 +284,7 @@ int64_t Cluster::leaf_drops() const {
 
 void Cluster::ResetStats() {
   inflight_at_reset_ = queries_inflight();
-  for (auto& row : mla_latency_rows_) {
-    row.Clear();
-  }
+  mla_latency_ms_.Clear();
   tla_latency_ms_.Clear();
   coverage_fraction_.Clear();
   queries_submitted_ = 0;

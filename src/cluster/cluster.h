@@ -54,15 +54,6 @@ struct ClusterOptions {
 class Cluster {
  public:
   Cluster(Simulator* sim, const ClusterOptions& options);
-  // Partitioned cluster: partition 0 hosts the TLAs (and the submitting
-  // client); row r's machines live on partition 1 + (r % (K-1)) of `psim`'s
-  // K partitions. Row-granular sharding keeps the leaf fan-out/fan-in — the
-  // overwhelming majority of cluster traffic — partition-local; only the
-  // TLA<->MLA request/response pairs cross partitions, and those pay the
-  // fabric propagation delay, which is exactly the PDES lookahead
-  // (DESIGN.md §10). Unsupported in this mode: tracing and fault injection
-  // (callers fall back to a sequential run for those).
-  Cluster(ParallelSimulation* psim, const ClusterOptions& options);
 
   // Submits a query to a TLA (round-robin); `done` fires with the end-to-end
   // result at the TLA.
@@ -102,11 +93,9 @@ class Cluster {
   int64_t SecondaryEgressBytes() const;
 
   // --- Per-layer latency distributions (ms), as reported in Fig. 9 ----------
-  // Merged across all leaves / MLAs / TLAs. MLA samples are recorded per row
-  // (rows on different partitions never share a recorder) and merged in row
-  // order here; call only while the simulation is quiescent.
+  // Merged across all leaves / MLAs / TLAs.
   LatencyRecorder MergedLeafLatency() const;
-  LatencyRecorder MlaLatency() const;
+  const LatencyRecorder& MlaLatency() const { return mla_latency_ms_; }
   const LatencyRecorder& TlaLatency() const { return tla_latency_ms_; }
   int64_t queries_submitted() const { return queries_submitted_; }
   int64_t queries_completed() const { return queries_completed_; }
@@ -138,22 +127,14 @@ class Cluster {
  private:
   struct PendingQuery;
 
-  Cluster(Simulator* sim, ParallelSimulation* psim, const ClusterOptions& options);
-
-  // Partition hosting row `row`'s machines (0 when not partitioned).
-  int PartitionForRow(int row) const;
-
-  // `now` is the MLA-side arrival time from the fabric delivery callback
-  // (sim_->Now() would read the wrong partition's clock here).
-  void RunMla(const std::shared_ptr<PendingQuery>& pending, SimTime now);
+  void RunMla(const std::shared_ptr<PendingQuery>& pending);
   // All leaf slots accounted for: finalize on the MLA and reply to the TLA,
   // completing (possibly degraded) or failing on leaf coverage.
   void FinalizeMla(const std::shared_ptr<PendingQuery>& pending);
   // Terminal failure before any MLA was reachable (whole row crashed).
   void FailAtTla(const std::shared_ptr<PendingQuery>& pending, SimTime now);
 
-  Simulator* sim_;                      // partition 0's simulator
-  ParallelSimulation* psim_ = nullptr;  // null in sequential mode
+  Simulator* sim_;
   ClusterOptions options_;
   Rng rng_;
   Tracer* tracer_ = nullptr;
@@ -163,7 +144,7 @@ class Cluster {
   size_t next_tla_ = 0;
   int next_row_ = 0;
   std::vector<size_t> next_mla_in_row_;
-  std::vector<LatencyRecorder> mla_latency_rows_;  // one per row (per partition)
+  LatencyRecorder mla_latency_ms_;
   LatencyRecorder tla_latency_ms_;
   LatencyRecorder coverage_fraction_;
   int64_t queries_submitted_ = 0;

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/sim/parallel.h"
-
 namespace perfiso {
 
 Status FabricConfig::Validate() const {
@@ -20,8 +18,7 @@ Status FabricConfig::Validate() const {
   if (base_latency <= 0) {
     return InvalidArgumentError(
         "net.base_latency_us must be positive: it is the fabric's one-way "
-        "propagation delay and the PDES lookahead for partitioned runs "
-        "(zero lookahead means zero-width lockstep windows)");
+        "propagation plus switching delay, and no physical hop is free");
   }
   if (chunk_bytes <= 0) {
     return InvalidArgumentError("net.chunk_bytes must be positive");
@@ -40,51 +37,31 @@ Fabric::Fabric(Simulator* sim, const FabricConfig& config) : sim_(sim), config_(
   assert(config_.chunk_bytes > 0);
 }
 
-Fabric::Fabric(ParallelSimulation* psim, const FabricConfig& config)
-    : Fabric(&psim->sim(0), config) {
-  psim_ = psim;
-}
-
-Simulator* Fabric::SimFor(int partition) {
-  if (psim_ == nullptr) {
-    assert(partition == 0 && "partitions require the ParallelSimulation constructor");
-    return sim_;
-  }
-  return &psim_->sim(partition);
-}
-
-int Fabric::AttachMachine(const std::string& name, int partition) {
+int Fabric::AttachMachine(const std::string& name) {
   const int endpoint = static_cast<int>(endpoints_.size());
-  Simulator* sim = SimFor(partition);
   auto ep = std::make_unique<Endpoint>();
   ep->name = name;
-  ep->partition = partition;
-  ep->sim = sim;
-  ep->dev = std::make_unique<NetDev>(sim, config_.link_rate_bps, config_.chunk_bytes, name,
+  ep->rack = endpoint / config_.machines_per_rack;
+  ep->dev = std::make_unique<NetDev>(sim_, config_.link_rate_bps, config_.chunk_bytes, name,
                                      config_.tx_priority);
-  if (static_cast<size_t>(partition) >= open_rack_.size()) {
-    open_rack_.resize(static_cast<size_t>(partition) + 1, -1);
-  }
-  int rack = open_rack_[static_cast<size_t>(partition)];
-  if (rack < 0 || racks_[static_cast<size_t>(rack)]->machines >= config_.machines_per_rack) {
-    rack = static_cast<int>(racks_.size());
+  EnsureRack(ep->rack);
+  endpoints_.push_back(std::move(ep));
+  return endpoint;
+}
+
+void Fabric::EnsureRack(int rack) {
+  while (static_cast<int>(racks_.size()) <= rack) {
     const double uplink_rate = config_.link_rate_bps *
                                static_cast<double>(config_.machines_per_rack) /
                                config_.uplink_oversubscription;
-    const std::string prefix = "rack" + std::to_string(rack);
+    const std::string prefix = "rack" + std::to_string(racks_.size());
     auto r = std::make_unique<Rack>();
-    r->partition = partition;
-    r->up = std::make_unique<Link>(sim, uplink_rate, config_.chunk_bytes,
+    r->up = std::make_unique<Link>(sim_, uplink_rate, config_.chunk_bytes,
                                    Link::Discipline::kFifo, prefix + "-up");
-    r->down = std::make_unique<Link>(sim, uplink_rate, config_.chunk_bytes,
+    r->down = std::make_unique<Link>(sim_, uplink_rate, config_.chunk_bytes,
                                      Link::Discipline::kFifo, prefix + "-down");
     racks_.push_back(std::move(r));
-    open_rack_[static_cast<size_t>(partition)] = rack;
   }
-  ep->rack = rack;
-  ++racks_[static_cast<size_t>(rack)]->machines;
-  endpoints_.push_back(std::move(ep));
-  return endpoint;
 }
 
 void Fabric::SetEgressBucketProvider(int endpoint, Link::EgressBucketFn provider) {
@@ -95,28 +72,25 @@ void Fabric::Send(int src, int dst, int64_t bytes, NetClass net_class,
                   Flow::DeliveredFn done, uint64_t trace_ctx) {
   assert(src >= 0 && src < num_endpoints());
   assert(dst >= 0 && dst < num_endpoints());
-  Endpoint& src_ep = *endpoints_[static_cast<size_t>(src)];
   auto flow = std::make_shared<Flow>();
-  // Flow ids are minted per source endpoint (source id in the high bits) so
-  // they are deterministic under partition-parallel execution: each source's
-  // sequence depends only on that source's own send order.
-  flow->id = (static_cast<uint64_t>(src) + 1) << 40 | ++src_ep.next_flow_seq;
+  flow->id = next_flow_id_++;
   flow->src = src;
   flow->dst = dst;
   flow->bytes = std::max<int64_t>(bytes, 1);
   flow->net_class = net_class;
-  flow->submit_time = src_ep.sim->Now();
+  flow->submit_time = sim_->Now();
   flow->on_delivered = std::move(done);
   flow->trace_ctx = trace_ctx;
-  ++src_ep.lifetime_flows_sent;
+  ++flows_in_flight_;
 
+  auto& src_stats = endpoints_[static_cast<size_t>(src)]->stats;
   const auto cls = static_cast<size_t>(net_class);
-  ++src_ep.stats.flows_sent[cls];
-  src_ep.stats.bytes_sent[cls] += flow->bytes;
+  ++src_stats.flows_sent[cls];
+  src_stats.bytes_sent[cls] += flow->bytes;
 
   if (src == dst) {
     // Loopback: never leaves the machine, no serialization or propagation.
-    src_ep.sim->ScheduleAfter(0, [this, flow, sim = src_ep.sim] { Deliver(flow, sim->Now()); });
+    sim_->ScheduleAfter(0, [this, flow] { Deliver(flow, sim_->Now()); });
     return;
   }
   RunHop(flow, 0);
@@ -126,15 +100,9 @@ void Fabric::RunHop(const std::shared_ptr<Flow>& flow, int hop) {
   const Endpoint& src = *endpoints_[static_cast<size_t>(flow->src)];
   const Endpoint& dst = *endpoints_[static_cast<size_t>(flow->dst)];
   const bool cross_rack = src.rack != dst.rack;
-  // Source-side hops (TX, uplink) run on src's partition; destination-side
-  // hops (downlink, RX) on dst's. In sequential mode these are one simulator.
-  Simulator* sim = hop <= 1 ? src.sim : dst.sim;
 
   // Path: [0] src TX, then (cross-rack only) [1] src rack uplink and [2] dst
-  // rack downlink, then propagation, then [3] dst RX, then delivery. For a
-  // cross-partition flow the propagation delay is paid on the mailbox hop
-  // between [1] and [2] instead (it IS the lookahead), flagged by
-  // flow->propagation_paid.
+  // rack downlink, then propagation, then [3] dst RX, then delivery.
   Link* link = nullptr;
   switch (hop) {
     case 0:
@@ -143,8 +111,7 @@ void Fabric::RunHop(const std::shared_ptr<Flow>& flow, int hop) {
     case 1:
       if (!cross_rack) {
         // Intra-rack: the ToR forwards at line rate; skip to propagation.
-        // Racks never span partitions, so this stays on one simulator.
-        sim->ScheduleAfter(config_.base_latency, [this, flow] { RunHop(flow, 3); });
+        sim_->ScheduleAfter(config_.base_latency, [this, flow] { RunHop(flow, 3); });
         return;
       }
       link = racks_[static_cast<size_t>(src.rack)]->up.get();
@@ -153,11 +120,10 @@ void Fabric::RunHop(const std::shared_ptr<Flow>& flow, int hop) {
       link = racks_[static_cast<size_t>(dst.rack)]->down.get();
       break;
     case 3:
-      if (tracer_ != nullptr && flow->trace_ctx != 0 && config_.base_latency > 0 &&
-          !flow->propagation_paid) {
+      if (tracer_ != nullptr && flow->trace_ctx != 0 && config_.base_latency > 0) {
         // RunHop(3) fires exactly base_latency after the last switch hop.
         tracer_->Span(flow->trace_ctx, "net.propagate", SpanCategory::kNetTransit,
-                      dst.rx_track, sim->Now() - config_.base_latency, sim->Now());
+                      dst.rx_track, sim_->Now() - config_.base_latency, sim_->Now());
       }
       link = &dst.dev->rx();
       break;
@@ -165,7 +131,7 @@ void Fabric::RunHop(const std::shared_ptr<Flow>& flow, int hop) {
       assert(false);
       return;
   }
-  flow->hop_enter = sim->Now();
+  flow->hop_enter = sim_->Now();
   const int next = hop + 1;
   link->Enqueue(flow.get(), [this, flow, hop, next](Flow*, SimTime now) {
     if (tracer_ != nullptr && flow->trace_ctx != 0 && now > flow->hop_enter) {
@@ -173,34 +139,13 @@ void Fabric::RunHop(const std::shared_ptr<Flow>& flow, int hop) {
     }
     switch (next) {
       case 1:
+      case 2:
         RunHop(flow, next);
         return;
-      case 2: {
-        const int src_part = endpoints_[static_cast<size_t>(flow->src)]->partition;
-        const int dst_part = endpoints_[static_cast<size_t>(flow->dst)]->partition;
-        if (src_part == dst_part) {
-          RunHop(flow, next);
-          return;
-        }
-        // Cross-partition handoff: the propagation delay is exactly the
-        // conservative lookahead, so `now + base_latency` always lands at or
-        // beyond the current window's end — the Post is legal by
-        // construction. Propagation is paid here, not after the downlink.
-        psim_->Post(dst_part, now + config_.base_latency, [this, flow] {
-          flow->propagation_paid = true;
-          RunHop(flow, 2);
-        });
-        return;
-      }
       case 3:
-        if (flow->propagation_paid) {
-          RunHop(flow, 3);
-          return;
-        }
         // Last switch hop done: pay propagation, then serialize into the
         // destination NIC (the incast point).
-        endpoints_[static_cast<size_t>(flow->dst)]->sim->ScheduleAfter(
-            config_.base_latency, [this, flow] { RunHop(flow, 3); });
+        sim_->ScheduleAfter(config_.base_latency, [this, flow] { RunHop(flow, 3); });
         return;
       default:
         Deliver(flow, now);
@@ -235,9 +180,6 @@ void Fabric::EmitHopSpan(const Flow& flow, int hop, SimTime now) {
 }
 
 void Fabric::EnableTracing(Tracer* tracer) {
-  // Per-hop spans assume one clock and one single-threaded tracer; the
-  // harness falls back to a sequential run when tracing is requested.
-  assert(psim_ == nullptr && "fabric tracing requires sequential mode");
   tracer_ = tracer;
   const int pid = tracer->RegisterProcess("fabric");
   for (auto& ep : endpoints_) {
@@ -252,12 +194,12 @@ void Fabric::EnableTracing(Tracer* tracer) {
 }
 
 void Fabric::Deliver(const std::shared_ptr<Flow>& flow, SimTime now) {
-  Endpoint& dst_ep = *endpoints_[static_cast<size_t>(flow->dst)];
+  auto& dst_stats = endpoints_[static_cast<size_t>(flow->dst)]->stats;
   const auto cls = static_cast<size_t>(flow->net_class);
-  ++dst_ep.stats.flows_delivered[cls];
-  dst_ep.stats.bytes_received[cls] += flow->bytes;
-  dst_ep.flow_latency_ms[cls].Add(ToMillis(now - flow->submit_time));
-  ++dst_ep.lifetime_flows_delivered;
+  ++dst_stats.flows_delivered[cls];
+  dst_stats.bytes_received[cls] += flow->bytes;
+  flow_latency_ms_[cls].Add(ToMillis(now - flow->submit_time));
+  --flows_in_flight_;
   if (flow->on_delivered) {
     // Move the callback out so its captures die with this scope, not with
     // the last shared_ptr reference to the flow.
@@ -266,37 +208,18 @@ void Fabric::Deliver(const std::shared_ptr<Flow>& flow, SimTime now) {
   }
 }
 
-LatencyRecorder Fabric::FlowLatencyMs(NetClass net_class) const {
-  LatencyRecorder merged;
-  const auto cls = static_cast<size_t>(net_class);
-  for (const auto& ep : endpoints_) {
-    merged.Merge(ep->flow_latency_ms[cls]);
-  }
-  return merged;
-}
-
-int64_t Fabric::flows_in_flight() const {
-  int64_t sent = 0;
-  int64_t delivered = 0;
-  for (const auto& ep : endpoints_) {
-    sent += ep->lifetime_flows_sent;
-    delivered += ep->lifetime_flows_delivered;
-  }
-  return sent - delivered;
-}
-
 void Fabric::ResetStats() {
   for (auto& ep : endpoints_) {
     ep->stats = EndpointStats{};
     ep->dev->tx().ResetStats();
     ep->dev->rx().ResetStats();
-    for (auto& rec : ep->flow_latency_ms) {
-      rec.Clear();
-    }
   }
   for (auto& rack : racks_) {
     rack->up->ResetStats();
     rack->down->ResetStats();
+  }
+  for (auto& rec : flow_latency_ms_) {
+    rec.Clear();
   }
 }
 

@@ -40,10 +40,6 @@ struct Flow {
   // serialization/transit span on the corresponding fabric track.
   uint64_t trace_ctx = 0;
   SimTime hop_enter = 0;  // when the flow entered its current hop
-  // Partitioned runs pay the propagation delay on the cross-partition mailbox
-  // hop (it IS the PDES lookahead), so the downlink->RX transition must not
-  // charge it a second time.
-  bool propagation_paid = false;
 
   // Per-hop serialization state, reset by each link when the flow enters it.
   int64_t remaining_on_link = 0;

@@ -290,7 +290,7 @@ Status PerfIsoConfig::Validate(int num_cores) const {
     return InvalidArgumentError("io_window_polls must be positive");
   }
   // The fabric validates its own tunables (including that base_latency is
-  // strictly positive — it doubles as the PDES lookahead).
+  // strictly positive).
   PERFISO_RETURN_IF_ERROR(net.Validate());
   return OkStatus();
 }

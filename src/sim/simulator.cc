@@ -185,44 +185,6 @@ const Simulator::Event* Simulator::Lookup(EventHandle handle) const {
 
 bool Simulator::Pending(EventHandle handle) const { return Lookup(handle) != nullptr; }
 
-SimTime Simulator::NextEventTime() const {
-  // Undispatched batch entries all carry Now() (one drained slot == one
-  // timestamp); any still-valid one makes Now() the next event time.
-  for (size_t pos = batch_pos_; pos < batch_.size(); ++pos) {
-    const BatchItem& item = batch_[pos];
-    const Event& e = Rec(item.id);
-    if (e.where == kWhereBatch && e.gen == item.gen && e.seq == item.seq) {
-      return now_;
-    }
-  }
-  // Level 0: the next occupied slot at or after the cursor holds the earliest
-  // pending timestamp (everything behind the cursor already fired, and higher
-  // bands only hold later times — the DrainNextSlot argument).
-  int s = NextOccupied(0, static_cast<uint32_t>(now_) & kWheelSlotMask[0]);
-  if (s >= 0) {
-    return (now_ & ~static_cast<SimTime>(kWheelSlotMask[0])) | static_cast<SimTime>(s);
-  }
-  // Levels 1 and 2: within a page slot indexes only increase with time, so
-  // the first occupied bucket after the cursor bounds everything at or above
-  // this level. Its bucket spans more than one timestamp, so walk the list
-  // for the minimum.
-  for (int level = 1; level < kWheelLevels; ++level) {
-    const int shift = kWheelShift[level];
-    const uint32_t cur = static_cast<uint32_t>(now_ >> shift) & kWheelSlotMask[level];
-    s = NextOccupied(level, cur + 1);
-    if (s < 0) {
-      continue;
-    }
-    SimTime bucket_min = kNoPendingEvent;
-    for (uint32_t id = Head(level, static_cast<uint32_t>(s)); id != kNilId; id = Rec(id).next) {
-      bucket_min = std::min(bucket_min, Rec(id).time);
-    }
-    return bucket_min;
-  }
-  // Whole wheel empty: the far-band minimum is the earliest pending event.
-  return heap_.empty() ? kNoPendingEvent : heap_.front().time;
-}
-
 bool Simulator::Cancel(EventHandle handle) {
   Event* e = Lookup(handle);
   if (e == nullptr) {

@@ -54,7 +54,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -230,16 +229,6 @@ class Simulator {
 
   // True while the event is still in the queue.
   bool Pending(EventHandle handle) const;
-
-  // Returned by NextEventTime() when nothing is pending.
-  static constexpr SimTime kNoPendingEvent = std::numeric_limits<SimTime>::max();
-
-  // Timestamp of the earliest pending event (== Now() when an undispatched
-  // batch entry remains), or kNoPendingEvent when the queue is empty. Exact,
-  // not a bound: the parallel window scheduler (src/sim/parallel.h) uses it
-  // to skip idle lockstep windows. O(1) except for one bucket-list walk when
-  // the earliest event sits in a level-1/2 wheel bucket.
-  SimTime NextEventTime() const;
 
   // Runs the earliest pending event. Returns false if none are pending.
   bool Step();

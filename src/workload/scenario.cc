@@ -136,9 +136,6 @@ ConfigMap ScenarioSpec::ToConfigMap() const {
     map.SetInt("workload.topology.rows", topology.rows);
     map.SetInt("workload.topology.tla_machines", topology.tla_machines);
   }
-  if (sim_partitions != 0) {
-    map.SetInt("workload.sim.partitions", sim_partitions);
-  }
 
   map.SetInt("workload.warmup_ns", warmup);
   map.SetInt("workload.measure_ns", measure);
@@ -274,10 +271,6 @@ StatusOr<ScenarioSpec> ScenarioSpec::FromConfigMap(const ConfigMap& map) {
   PERFISO_RETURN_IF_ERROR(tlas.status());
   spec.topology.tla_machines = static_cast<int>(*tlas);
 
-  auto partitions = map.GetInt("workload.sim.partitions", spec.sim_partitions);
-  PERFISO_RETURN_IF_ERROR(partitions.status());
-  spec.sim_partitions = static_cast<int>(*partitions);
-
   auto warmup = map.GetInt("workload.warmup_ns", spec.warmup);
   PERFISO_RETURN_IF_ERROR(warmup.status());
   spec.warmup = *warmup;
@@ -356,14 +349,9 @@ Status ScenarioSpec::Validate() const {
   if (topology.columns > 0 && (topology.rows <= 0 || topology.tla_machines <= 0)) {
     return InvalidArgumentError("cluster topologies need rows and tla_machines >= 1");
   }
-  if (sim_partitions < 0) {
-    return InvalidArgumentError("sim.partitions must be >= 0");
-  }
-  if (sim_partitions == 1) {
-    return InvalidArgumentError("sim.partitions must be 0 (sequential) or >= 2");
-  }
-  if (sim_partitions > 0 && topology.columns <= 0) {
-    return InvalidArgumentError("sim.partitions requires a cluster topology (columns > 0)");
+  if (sim_partitions != 0) {
+    return InvalidArgumentError(
+        "sim_partitions must be 0: partitioned simulation was removed");
   }
   if (warmup < 0) {
     return InvalidArgumentError("warmup must be >= 0");

@@ -72,14 +72,9 @@ struct ScenarioSpec {
   TenantMixSpec tenants;
   TopologySpec topology;
 
-  // Partition-parallel execution (workload.sim.partitions). 0 = sequential
-  // (the default; nothing is serialized, so legacy configs and golden digests
-  // are untouched). N >= 2 shards a cluster topology into N simulator
-  // partitions — partition 0 for the TLAs + client, rows round-robined over
-  // the rest — run in conservative lockstep windows (DESIGN.md §10). Results
-  // are a pure function of (spec, partitions), identical at any worker thread
-  // count; PERFISO_SIM_THREADS picks the thread count at run time. Only
-  // meaningful for cluster topologies (columns > 0).
+  // Must be 0 (Validate() rejects anything else; partitioned simulation was
+  // removed) and is never serialized. Kept only because perfbench/driver.cc,
+  // which is frozen, assigns it 0.
   int sim_partitions = 0;
 
   // nullopt = no isolation (the paper's "No isolation" rows).

@@ -280,6 +280,57 @@ TEST(GoldenDigestTest, DisabledFaultPlanLeavesDigestsUnchanged) {
   }
 }
 
+// --- RunClusterScenario --------------------------------------------------------
+
+// Shrinks a registry spec onto a small cluster (6 rows x 2 columns plus 2
+// TLAs) so the cluster runner can execute it several times per test.
+ScenarioSpec SmallCluster(ScenarioSpec spec) {
+  spec.topology.columns = 2;
+  spec.topology.rows = 6;
+  spec.topology.tla_machines = 2;
+  spec.trace_count = 4000;
+  return spec;
+}
+
+// Exact equality across the board: integer-time simulation, so a rerun that
+// differs in any bit is a determinism bug, not noise.
+void ExpectIdentical(const bench::ClusterRunResult& a, const bench::ClusterRunResult& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.leaf_digest, b.leaf_digest) << what;
+  EXPECT_EQ(a.mla_digest, b.mla_digest) << what;
+  EXPECT_EQ(a.tla_digest, b.tla_digest) << what;
+  EXPECT_EQ(a.flow_digest, b.flow_digest) << what;
+  EXPECT_EQ(a.completed, b.completed) << what;
+  EXPECT_EQ(a.failed, b.failed) << what;
+  EXPECT_EQ(a.degraded, b.degraded) << what;
+  EXPECT_EQ(a.tla_p99_ms, b.tla_p99_ms) << what;
+  EXPECT_EQ(a.tla_mean_ms, b.tla_mean_ms) << what;
+  EXPECT_EQ(a.mean_busy, b.mean_busy) << what;
+  EXPECT_EQ(a.faults_injected, b.faults_injected) << what;
+  EXPECT_EQ(a.events_executed, b.events_executed) << what;
+}
+
+TEST(BenchDeterminismTest, ClusterScenarioRerunIsBitIdentical) {
+  // Scale 0.125 maps the registry's 8 s window onto the 1 s floor.
+  const ScopedEnv scale_guard("PERFISO_BENCH_SCALE", "0.125");
+  const ScenarioSpec spec = SmallCluster(bench::MustFindScenario("diurnal-blind"));
+  const bench::ClusterRunResult first = bench::RunClusterScenario(spec);
+  const bench::ClusterRunResult second = bench::RunClusterScenario(spec);
+  ASSERT_GT(first.completed, 0);
+  ExpectIdentical(first, second, "cluster rerun");
+}
+
+TEST(BenchDeterminismTest, ClusterScenarioInjectsFaultPlan) {
+  // The registry's crash window (t = 3-5 s of a 1 s + 8 s run) remaps to
+  // t = 1.25-1.5 s, inside the scaled 1 s measurement window.
+  const ScopedEnv scale_guard("PERFISO_BENCH_SCALE", "0.125");
+  const ScenarioSpec spec = SmallCluster(bench::MustFindScenario("fault-crash-restart"));
+  ASSERT_TRUE(spec.fault.enabled);
+  const bench::ClusterRunResult result = bench::RunClusterScenario(spec);
+  EXPECT_GT(result.faults_injected, 0);
+  EXPECT_GT(result.completed, 0);
+}
+
 TEST(BenchDeterminismTest, Fig09StyleClusterDigestsAreIdentical) {
   const ClusterDigest first = RunFig09Style();
   const ClusterDigest second = RunFig09Style();

@@ -30,9 +30,9 @@ TEST(NetTest, ConfigValidateAcceptsDefaultsAndTestConfig) {
 }
 
 TEST(NetTest, ConfigValidateRejectsNonPositiveBaseLatency) {
-  // Zero propagation delay would also be a zero PDES lookahead: the
-  // partitioned engine's lockstep windows would have zero width and the
-  // window loop would never advance. Validate must reject it up front.
+  // Every physical hop costs propagation plus switching time; a zero or
+  // negative delay would deliver flows faster than light. Validate must
+  // reject it up front.
   FabricConfig config = TestConfig();
   config.base_latency = 0;
   Status status = config.Validate();

@@ -20,7 +20,6 @@ TEST(ScenarioSpecTest, OpenLoopDiurnalRoundTripsThroughConfigMap) {
   spec.tenants.ml_training = true;
   spec.tenants.ml_worker_threads = 12;
   spec.topology = TopologySpec{6, 3, 5};
-  spec.sim_partitions = 4;
   spec.warmup = 2 * kSecond;
   spec.measure = 12 * kSecond;
   spec.trace_count = 4096;
@@ -50,7 +49,6 @@ TEST(ScenarioSpecTest, OpenLoopDiurnalRoundTripsThroughConfigMap) {
   EXPECT_EQ(back.topology.columns, spec.topology.columns);
   EXPECT_EQ(back.topology.rows, spec.topology.rows);
   EXPECT_EQ(back.topology.tla_machines, spec.topology.tla_machines);
-  EXPECT_EQ(back.sim_partitions, spec.sim_partitions);
   EXPECT_EQ(back.warmup, spec.warmup);
   EXPECT_EQ(back.measure, spec.measure);
   EXPECT_EQ(back.trace_count, spec.trace_count);
@@ -101,25 +99,15 @@ TEST(ScenarioSpecTest, EveryShapeKindRoundTrips) {
   }
 }
 
-TEST(ScenarioSpecTest, SimPartitionsValidation) {
-  // Default stays sequential and serializes nothing, keeping legacy configs
-  // and golden digests untouched.
+TEST(ScenarioSpecTest, NonzeroSimPartitionsIsRejected) {
+  // The partitioned simulator is gone; a spec still asking for it must fail
+  // validation instead of silently running sequentially.
   ScenarioSpec spec;
-  EXPECT_EQ(spec.sim_partitions, 0);
-  EXPECT_FALSE(spec.ToConfigMap().Has("workload.sim.partitions"));
-
-  // Partitioning requires a cluster topology.
-  spec.sim_partitions = 4;
-  EXPECT_FALSE(spec.Validate().ok());
   spec.topology = TopologySpec{4, 6, 3};
-  EXPECT_TRUE(spec.Validate().ok()) << spec.Validate().ToString();
-
-  // 1 partition would be sequential-with-extra-steps; reject it so configs
-  // say what they mean. Negative is nonsense.
-  spec.sim_partitions = 1;
-  EXPECT_FALSE(spec.Validate().ok());
-  spec.sim_partitions = -2;
-  EXPECT_FALSE(spec.Validate().ok());
+  spec.sim_partitions = 4;
+  const Status status = spec.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("partitioned simulation was removed"), std::string::npos);
 }
 
 TEST(ScenarioSpecTest, DefaultsFromEmptyMap) {

@@ -1,10 +1,9 @@
 // Edge-case battery for the timing wheel's horizon boundary (the two-band
-// engine's wheel/overflow split at 2^24 ns) and for NextEventTime(), the
-// skip-ahead probe the parallel window scheduler relies on.
+// engine's wheel/overflow split at 2^24 ns).
 //
 // The wheel covers exactly one level-2 page: an event is wheel-resident iff
 // its timestamp shares the clock's bits above kWheelShift[3] = 24. These
-// tests pin the boundary cases the parallel engine leans on: an event exactly
+// tests pin the boundary cases: an event exactly
 // 2^24 ns ahead must start in the overflow heap and be pulled into the wheel
 // (and cascade down to level 0) when the clock crosses the page; events a
 // single nanosecond to either side of the horizon must land on the right
@@ -202,67 +201,6 @@ TEST(WheelHorizonTest, RunUntilParksExactlyAtPageBoundary) {
   sim2.CheckEngineInvariants();
   sim2.RunUntilEmpty();
   EXPECT_TRUE(early_fired);
-}
-
-// --- NextEventTime(): the parallel scheduler's skip-ahead probe -------------
-
-TEST(NextEventTimeTest, EmptyAndSimpleCases) {
-  Simulator sim;
-  EXPECT_EQ(sim.NextEventTime(), Simulator::kNoPendingEvent);
-  sim.Schedule(500, [] {});
-  EXPECT_EQ(sim.NextEventTime(), 500);
-  sim.RunUntilEmpty();
-  EXPECT_EQ(sim.NextEventTime(), Simulator::kNoPendingEvent);
-}
-
-TEST(NextEventTimeTest, ReportsEarliestAcrossAllBands) {
-  Simulator sim;
-  sim.Schedule(3 * kHorizon + 17, [] {});  // far band
-  EXPECT_EQ(sim.NextEventTime(), 3 * kHorizon + 17);
-  sim.Schedule((SimTime{7} << 18) + 9, [] {});  // level 2
-  EXPECT_EQ(sim.NextEventTime(), (SimTime{7} << 18) + 9);
-  sim.Schedule((SimTime{2} << 12) + 5, [] {});  // level 1
-  EXPECT_EQ(sim.NextEventTime(), (SimTime{2} << 12) + 5);
-  sim.Schedule(99, [] {});  // level 0
-  EXPECT_EQ(sim.NextEventTime(), 99);
-}
-
-TEST(NextEventTimeTest, FindsBucketMinimumNotBucketBase) {
-  Simulator sim;
-  // Two events in the same level-1 bucket: the probe must walk the bucket
-  // and report the earlier timestamp, not just locate the bucket.
-  sim.Schedule((SimTime{2} << 12) + 900, [] {});
-  sim.Schedule((SimTime{2} << 12) + 30, [] {});
-  EXPECT_EQ(sim.NextEventTime(), (SimTime{2} << 12) + 30);
-}
-
-TEST(NextEventTimeTest, TracksCancelAndAdvance) {
-  Simulator sim;
-  EventHandle first = sim.Schedule(1000, [] {});
-  sim.Schedule(2000, [] {});
-  EXPECT_EQ(sim.NextEventTime(), 1000);
-  sim.Cancel(first);
-  EXPECT_EQ(sim.NextEventTime(), 2000);
-  sim.RunUntil(1500);
-  EXPECT_EQ(sim.NextEventTime(), 2000);
-  sim.RunUntilEmpty();
-  EXPECT_EQ(sim.NextEventTime(), Simulator::kNoPendingEvent);
-}
-
-TEST(NextEventTimeTest, AgreesWithActualFireTimeUnderStress) {
-  Simulator sim;
-  Rng rng(7);
-  for (int i = 0; i < 400; ++i) {
-    sim.Schedule(static_cast<SimTime>(rng.Next() % (3 * static_cast<uint64_t>(kHorizon))),
-                 [] {});
-  }
-  while (sim.PendingEvents() > 0) {
-    const SimTime predicted = sim.NextEventTime();
-    ASSERT_NE(predicted, Simulator::kNoPendingEvent);
-    ASSERT_TRUE(sim.Step());
-    EXPECT_EQ(sim.Now(), predicted);
-  }
-  EXPECT_EQ(sim.NextEventTime(), Simulator::kNoPendingEvent);
 }
 
 }  // namespace

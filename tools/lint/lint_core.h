@@ -79,7 +79,7 @@ struct LintOptions {
       "bench/harness.h",         // wall-clock timing of real benches
       "bench/harness.cc",
       "bench/micro_overheads.cc",   // measures the engine with a real clock
-      "bench/fig_cluster_scale.cc",  // measures PDES speedup with a real clock
+      "bench/fig_cluster_scale.cc",  // times the 1,000-leaf day with a real clock
   };
   std::vector<std::string> det002_allowlist = {
       "src/util/rng.h",  // the one sanctioned randomness implementation
