@@ -67,8 +67,8 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
   std::vector<int> freed_cores;
   for (int tid : job.threads) {
     Thread& t = threads_[static_cast<size_t>(tid)];
-    const CpuSet eff = EffectiveAffinity(t);
-    if (t.state == Thread::State::kRunning && !eff.Test(t.core)) {
+    RefreshEff(t);
+    if (t.state == Thread::State::kRunning && !t.eff.Test(t.core)) {
       ChargeRun(t);
       sim_->CancelOwned(t.slice_event);
       ++metrics_.preemptions;
@@ -78,8 +78,8 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
       t.state = Thread::State::kReady;
       t.core = -1;
       displaced.push_back(tid);
-    } else if (t.state == Thread::State::kReady && t.queued && !eff.Test(t.core)) {
-      RemoveFromQueue(t, tid);
+    } else if (t.state == Thread::State::kReady && t.queued && !t.eff.Test(t.core)) {
+      RemoveFromQueue(tid);
       displaced.push_back(tid);
     }
   }
@@ -225,6 +225,7 @@ ThreadId SimMachine::SpawnThread(const std::string& thread_name, TenantClass ten
     assert(jobs_[static_cast<size_t>(t.job)].live);
     jobs_[static_cast<size_t>(t.job)].threads.push_back(tid);
   }
+  RefreshEff(t);
   ++metrics_.threads_spawned;
   t.ready_since = sim_->Now();
   NoteReadyBurst(sim_->Now());
@@ -248,12 +249,12 @@ Status SimMachine::SetThreadAffinity(ThreadId tid, const CpuSet& mask) {
   if (effective.Empty()) {
     return InvalidArgumentError("thread affinity mask has no valid cores");
   }
-  t.affinity = effective;
-  const CpuSet eff = EffectiveAffinity(t);
-  if (eff.Empty()) {
+  if (t.job >= 0 && (effective & jobs_[static_cast<size_t>(t.job)].affinity).Empty()) {
     return FailedPreconditionError("thread mask disjoint from job mask");
   }
-  if (t.state == Thread::State::kRunning && !eff.Test(t.core)) {
+  t.affinity = effective;
+  RefreshEff(t);
+  if (t.state == Thread::State::kRunning && !t.eff.Test(t.core)) {
     const int core = t.core;
     ChargeRun(t);
     sim_->CancelOwned(t.slice_event);
@@ -267,8 +268,8 @@ Status SimMachine::SetThreadAffinity(ThreadId tid, const CpuSet& mask) {
     if (cores_[static_cast<size_t>(core)].running < 0) {
       DispatchNext(core);
     }
-  } else if (t.state == Thread::State::kReady && t.queued && !eff.Test(t.core)) {
-    RemoveFromQueue(t, tid.value);
+  } else if (t.state == Thread::State::kReady && t.queued && !t.eff.Test(t.core)) {
+    RemoveFromQueue(tid.value);
     MakeReady(tid.value);
   }
   return OkStatus();
@@ -287,7 +288,7 @@ Status SimMachine::KillThread(ThreadId tid) {
     cores_[static_cast<size_t>(freed_core)].running = -1;
     idle_mask_.Set(freed_core);
   } else if (t.state == Thread::State::kReady && t.queued) {
-    RemoveFromQueue(t, tid.value);
+    RemoveFromQueue(tid.value);
   }
   FinishThread(tid.value, /*run_callback=*/false);
   if (freed_core >= 0 && cores_[static_cast<size_t>(freed_core)].running < 0) {
@@ -306,11 +307,11 @@ bool SimMachine::ThreadLive(ThreadId tid) const {
 
 // --- Scheduling core ----------------------------------------------------------
 
-CpuSet SimMachine::EffectiveAffinity(const Thread& t) const {
-  if (t.job < 0) {
-    return t.affinity;
+void SimMachine::RefreshEff(Thread& t) {
+  t.eff = t.job < 0 ? t.affinity : t.affinity & jobs_[static_cast<size_t>(t.job)].affinity;
+  if (t.queued) {
+    cores_[static_cast<size_t>(t.core)].reach |= t.eff;
   }
-  return t.affinity & jobs_[static_cast<size_t>(t.job)].affinity;
 }
 
 SimDuration SimMachine::RateBudgetLeft(Job& job) const {
@@ -362,9 +363,8 @@ Status SimMachine::SetJobSuspended(JobId job_id, bool suspended) {
       cores_[static_cast<size_t>(core)].running = -1;
       freed_cores.push_back(core);
       t.state = Thread::State::kReady;
-      t.queued = true;
       t.ready_since = sim_->Now();
-      cores_[static_cast<size_t>(core)].ready.push_back(tid);
+      Enqueue(core, tid);
     }
     for (int core : freed_cores) {
       if (cores_[static_cast<size_t>(core)].running < 0) {
@@ -379,12 +379,12 @@ Status SimMachine::SetJobSuspended(JobId job_id, bool suspended) {
       if (t.state != Thread::State::kReady || !JobDispatchable(t)) {
         continue;
       }
-      const int idle_core = PickIdleCore(EffectiveAffinity(t), -1);
+      const int idle_core = PickIdleCore(t.eff, -1);
       if (idle_core < 0) {
         continue;
       }
       if (t.queued) {
-        RemoveFromQueue(t, tid);
+        RemoveFromQueue(tid);
       }
       Dispatch(idle_core, tid, /*context_switch=*/true);
     }
@@ -444,12 +444,15 @@ int SimMachine::PickIdleCore(const CpuSet& eff, int preferred) const {
 
 int SimMachine::PickQueueCore(const CpuSet& eff) const {
   int best = -1;
-  size_t best_len = 0;
+  int best_len = 0;
   for (int core = eff.Lowest(); core >= 0; core = eff.NextAfter(core)) {
-    const size_t len = cores_[static_cast<size_t>(core)].ready.size();
+    const int len = cores_[static_cast<size_t>(core)].len;
     if (best < 0 || len < best_len) {
       best = core;
       best_len = len;
+      if (len == 0) {
+        break;  // nothing shorter exists, and ties go to the lowest core
+      }
     }
   }
   return best;
@@ -467,24 +470,22 @@ void SimMachine::NoteReadyBurst(SimTime now) {
 void SimMachine::MakeReady(int tid) {
   Thread& t = threads_[static_cast<size_t>(tid)];
   assert(t.state == Thread::State::kReady && !t.queued);
-  CpuSet eff = EffectiveAffinity(t);
-  if (eff.Empty()) {
+  const CpuSet* eff = &t.eff;
+  if (eff->Empty()) {
     // Thread mask became disjoint from its job mask (the job shrank under the
     // thread). Fall back to the job mask — the job's limits take precedence.
-    eff = t.job >= 0 ? jobs_[static_cast<size_t>(t.job)].affinity : all_cores_;
+    eff = t.job >= 0 ? &jobs_[static_cast<size_t>(t.job)].affinity : &all_cores_;
   }
   if (JobDispatchable(t)) {
-    const int idle_core = PickIdleCore(eff, t.core);
+    const int idle_core = PickIdleCore(*eff, t.core);
     if (idle_core >= 0) {
       Dispatch(idle_core, tid, /*context_switch=*/true);
       return;
     }
   }
-  const int queue_core = PickQueueCore(eff);
+  const int queue_core = PickQueueCore(*eff);
   assert(queue_core >= 0);
-  t.core = queue_core;
-  t.queued = true;
-  cores_[static_cast<size_t>(queue_core)].ready.push_back(tid);
+  Enqueue(queue_core, tid);
 }
 
 void SimMachine::Dispatch(int core, int tid, bool context_switch) {
@@ -616,9 +617,9 @@ void SimMachine::OnSliceEnd(int core, int tid) {
   // Quantum expired: yield to a waiting eligible thread if any, else renew.
   Core& c = cores_[static_cast<size_t>(core)];
   bool waiter_exists = false;
-  for (int waiting_tid : c.ready) {
-    const Thread& w = threads_[static_cast<size_t>(waiting_tid)];
-    if (EffectiveAffinity(w).Test(core) && JobDispatchable(w)) {
+  for (int w = c.head; w >= 0; w = threads_[static_cast<size_t>(w)].q_next) {
+    const Thread& waiter = threads_[static_cast<size_t>(w)];
+    if (waiter.eff.Test(core) && JobDispatchable(waiter)) {
       waiter_exists = true;
       break;
     }
@@ -627,10 +628,9 @@ void SimMachine::OnSliceEnd(int core, int tid) {
     ++metrics_.preemptions;
     NoteStopRunning(t);
     t.state = Thread::State::kReady;
-    t.queued = true;
     t.ready_since = sim_->Now();
     c.running = -1;
-    c.ready.push_back(tid);  // t.core stays == core
+    Enqueue(core, tid);
     DispatchNext(core);
   } else {
     Dispatch(core, tid, /*context_switch=*/false);  // fresh quantum, no switch cost
@@ -643,55 +643,54 @@ void SimMachine::DispatchNext(int core) {
   std::vector<int> displaced;  // threads whose affinity no longer allows this core
 
   int chosen = -1;
-  for (auto it = c.ready.begin(); it != c.ready.end();) {
-    const int tid = *it;
+  for (int tid = c.head; tid >= 0;) {
     Thread& t = threads_[static_cast<size_t>(tid)];
-    if (!EffectiveAffinity(t).Test(core)) {
-      it = c.ready.erase(it);
-      t.queued = false;
-      t.core = -1;
+    const int next = t.q_next;
+    if (!t.eff.Test(core)) {
+      RemoveFromQueue(tid);
       displaced.push_back(tid);
-      continue;
+    } else if (JobDispatchable(t)) {
+      chosen = tid;
+      RemoveFromQueue(tid);
+      break;
     }
-    if (!JobDispatchable(t)) {
-      ++it;  // throttled: stays queued until its job is unthrottled
-      continue;
-    }
-    chosen = tid;
-    c.ready.erase(it);
-    t.queued = false;
-    break;
+    // Otherwise throttled: it stays queued until its job is unthrottled.
+    tid = next;
   }
 
   if (chosen < 0) {
     // Work stealing: take the longest-waiting eligible thread from any other
     // core's queue. This keeps the machine approximately work-conserving
-    // while preserving the no-wake-preemption property.
-    int victim_core = -1;
-    std::deque<int>::iterator victim_it;
+    // while preserving the no-wake-preemption property. A core whose `reach`
+    // lacks this core queues no thread allowed here and is skipped.
     SimTime oldest = 0;
     for (int other = 0; other < spec_.num_cores; ++other) {
-      if (other == core) {
+      Core& oc = cores_[static_cast<size_t>(other)];
+      if (other == core || !oc.reach.Test(core)) {
         continue;
       }
-      Core& oc = cores_[static_cast<size_t>(other)];
-      for (auto it = oc.ready.begin(); it != oc.ready.end(); ++it) {
-        Thread& w = threads_[static_cast<size_t>(*it)];
-        if (!EffectiveAffinity(w).Test(core) || !JobDispatchable(w)) {
-          continue;
+      CpuSet walked;  // exact union of the masks passed over
+      int found = -1;
+      for (int w = oc.head; w >= 0; w = threads_[static_cast<size_t>(w)].q_next) {
+        const Thread& waiter = threads_[static_cast<size_t>(w)];
+        if (waiter.eff.Test(core) && JobDispatchable(waiter)) {
+          found = w;  // queues are FIFO; the front-most eligible is the oldest here
+          break;
         }
-        if (victim_core < 0 || w.ready_since < oldest) {
-          victim_core = other;
-          victim_it = it;
-          oldest = w.ready_since;
-        }
-        break;  // queues are FIFO; the front-most eligible is the oldest here
+        walked |= waiter.eff;
+      }
+      if (found < 0) {
+        oc.reach = walked;  // the whole queue was walked: tighten to the exact union
+        continue;
+      }
+      const SimTime since = threads_[static_cast<size_t>(found)].ready_since;
+      if (chosen < 0 || since < oldest) {
+        chosen = found;
+        oldest = since;
       }
     }
-    if (victim_core >= 0) {
-      chosen = *victim_it;
-      cores_[static_cast<size_t>(victim_core)].ready.erase(victim_it);
-      threads_[static_cast<size_t>(chosen)].queued = false;
+    if (chosen >= 0) {
+      RemoveFromQueue(chosen);
       ++metrics_.steals;
     }
   }
@@ -707,12 +706,42 @@ void SimMachine::DispatchNext(int core) {
   }
 }
 
-void SimMachine::RemoveFromQueue(Thread& t, int tid) {
+void SimMachine::Enqueue(int core, int tid) {
+  Thread& t = threads_[static_cast<size_t>(tid)];
+  Core& c = cores_[static_cast<size_t>(core)];
+  assert(!t.queued && t.q_prev < 0 && t.q_next < 0);
+  t.core = core;
+  t.queued = true;
+  t.q_prev = c.tail;
+  if (c.tail >= 0) {
+    threads_[static_cast<size_t>(c.tail)].q_next = tid;
+  } else {
+    c.head = tid;
+  }
+  c.tail = tid;
+  ++c.len;
+  c.reach |= t.eff;
+}
+
+void SimMachine::RemoveFromQueue(int tid) {
+  Thread& t = threads_[static_cast<size_t>(tid)];
   assert(t.queued && t.core >= 0);
   Core& c = cores_[static_cast<size_t>(t.core)];
-  auto it = std::find(c.ready.begin(), c.ready.end(), tid);
-  assert(it != c.ready.end());
-  c.ready.erase(it);
+  if (t.q_prev >= 0) {
+    threads_[static_cast<size_t>(t.q_prev)].q_next = t.q_next;
+  } else {
+    c.head = t.q_next;
+  }
+  if (t.q_next >= 0) {
+    threads_[static_cast<size_t>(t.q_next)].q_prev = t.q_prev;
+  } else {
+    c.tail = t.q_prev;
+  }
+  if (--c.len == 0) {
+    c.reach = CpuSet();
+  }
+  t.q_prev = -1;
+  t.q_next = -1;
   t.queued = false;
   t.core = -1;
 }
@@ -738,9 +767,8 @@ void SimMachine::ThrottleJob(int job_id) {
     cores_[static_cast<size_t>(core)].running = -1;
     freed_cores.push_back(core);
     t.state = Thread::State::kReady;
-    t.queued = true;
     t.ready_since = sim_->Now();
-    cores_[static_cast<size_t>(core)].ready.push_back(tid);  // t.core stays
+    Enqueue(core, tid);
   }
   if (!sim_->Pending(job.unthrottle_event)) {
     const SimTime boundary =
@@ -773,13 +801,12 @@ void SimMachine::UnthrottleJob(int job_id) {
     if (t.state != Thread::State::kReady || !JobDispatchable(t)) {
       continue;
     }
-    const CpuSet eff = EffectiveAffinity(t);
-    const int idle_core = PickIdleCore(eff, -1);
+    const int idle_core = PickIdleCore(t.eff, -1);
     if (idle_core < 0) {
       continue;  // other threads may have wider masks
     }
     if (t.queued) {
-      RemoveFromQueue(t, tid);
+      RemoveFromQueue(tid);
     }
     Dispatch(idle_core, tid, /*context_switch=*/true);
   }
@@ -815,6 +842,7 @@ void SimMachine::FinishThread(int tid, bool run_callback) {
 
 Status SimMachine::CheckInvariants() const {
   // Core / idle-mask agreement, and running threads point back at their core.
+  std::vector<int> queue_appearances(threads_.size(), 0);
   for (int core = 0; core < spec_.num_cores; ++core) {
     const Core& c = cores_[static_cast<size_t>(core)];
     if ((c.running < 0) != idle_mask_.Test(core)) {
@@ -830,20 +858,35 @@ Status SimMachine::CheckInvariants() const {
                              " has no pending slice event");
       }
     }
-    for (int tid : c.ready) {
+    // The FIFO: links agree both ways, tail and len match the walk, and
+    // `reach` covers every queued thread's effective mask. The walk is
+    // bounded so a cycle is reported instead of looping forever.
+    int prev = -1;
+    size_t walked = 0;
+    for (int tid = c.head; tid >= 0; tid = threads_[static_cast<size_t>(tid)].q_next) {
+      if (static_cast<size_t>(tid) >= threads_.size() || ++walked > threads_.size()) {
+        return InternalError("ready FIFO on core " + std::to_string(core) + " is corrupt");
+      }
       const Thread& t = threads_[static_cast<size_t>(tid)];
+      if (t.q_prev != prev) {
+        return InternalError("ready FIFO back link broken at thread " + std::to_string(tid));
+      }
       if (t.state != Thread::State::kReady || !t.queued || t.core != core) {
         return InternalError("queued thread state mismatch on core " + std::to_string(core));
       }
-    }
-  }
-  // Every ready+queued thread appears in exactly one queue; job bookkeeping.
-  std::vector<int> queue_appearances(threads_.size(), 0);
-  for (const Core& c : cores_) {
-    for (int tid : c.ready) {
+      if (!t.eff.Minus(c.reach).Empty()) {
+        return InternalError("reach of core " + std::to_string(core) +
+                             " misses the mask of queued thread " + std::to_string(tid));
+      }
       ++queue_appearances[static_cast<size_t>(tid)];
+      prev = tid;
+    }
+    if (c.tail != prev || static_cast<size_t>(c.len) != walked) {
+      return InternalError("ready FIFO tail/len mismatch on core " + std::to_string(core));
     }
   }
+  // Every ready+queued thread appears in exactly one queue, an unqueued one
+  // has no links, and a live thread's cached mask is current.
   for (size_t tid = 0; tid < threads_.size(); ++tid) {
     const Thread& t = threads_[tid];
     const int expected = t.state == Thread::State::kReady && t.queued ? 1 : 0;
@@ -851,6 +894,17 @@ Status SimMachine::CheckInvariants() const {
       return InternalError("thread " + std::to_string(tid) + " appears in " +
                            std::to_string(queue_appearances[tid]) + " queues, expected " +
                            std::to_string(expected));
+    }
+    if (!t.queued && (t.q_prev >= 0 || t.q_next >= 0)) {
+      return InternalError("unqueued thread " + std::to_string(tid) + " has FIFO links");
+    }
+    if (t.state == Thread::State::kReady || t.state == Thread::State::kRunning) {
+      const CpuSet fresh =
+          t.job < 0 ? t.affinity : t.affinity & jobs_[static_cast<size_t>(t.job)].affinity;
+      if (t.eff != fresh) {
+        return InternalError("cached effective mask of thread " + std::to_string(tid) +
+                             " is stale");
+      }
     }
     if (t.state != Thread::State::kRunning && sim_->Pending(t.slice_event)) {
       return InternalError("non-running thread " + std::to_string(tid) +

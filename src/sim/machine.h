@@ -8,7 +8,9 @@
 //     queues on the allowed core with the shortest queue and waits for that
 //     core's running thread to exhaust its quantum. There is no
 //     same-priority wake preemption — this is why an unrestricted CPU-bound
-//     secondary destroys the primary's tail latency.
+//     secondary destroys the primary's tail latency. A core that goes idle
+//     with nothing eligible in its own queue steals the oldest eligible
+//     front-most waiter from the other cores' queues.
 //   * Job objects (Windows Job Object analogue): a group of threads sharing
 //     an affinity mask and an optional hard CPU-rate cap (duty-cycle
 //     enforcement per accounting interval), the two static isolation knobs
@@ -23,6 +25,13 @@
 // an on-complete callback fires (and may spawn further bursts — that is how
 // workloads express blocking on I/O or fan-out). Loop threads (bullies) have
 // unbounded work; their progress is their accumulated CPU time.
+//
+// Blind isolation re-pins the secondary every poll, so the run queues are
+// built to cost what the eligible work costs (DESIGN.md §2): each thread
+// caches its effective mask (thread mask ∩ job mask), ready queues are
+// intrusive FIFOs linked through the threads (O(1) push and unlink), and each
+// core keeps `reach`, a superset of its queued threads' effective masks, so a
+// steal scan skips every core whose queue cannot hold a candidate.
 #ifndef PERFISO_SRC_SIM_MACHINE_H_
 #define PERFISO_SRC_SIM_MACHINE_H_
 
@@ -136,7 +145,8 @@ class SimMachine {
   ThreadId SpawnLoopThread(const std::string& name, TenantClass tenant, JobId job);
 
   // Restricts a single thread to `mask` (intersected with its job's mask).
-  // Models a primary that affinitizes its own threads (§4.2).
+  // Models a primary that affinitizes its own threads (§4.2). A mask disjoint
+  // from the job's is rejected (FAILED_PRECONDITION) and changes nothing.
   Status SetThreadAffinity(ThreadId tid, const CpuSet& mask);
 
   Status KillThread(ThreadId tid);
@@ -188,7 +198,9 @@ class SimMachine {
   void SettleAccounting();
 
   // Verifies internal consistency (idle mask vs. core state, queue
-  // membership, job thread lists and running counts, accounting bounds).
+  // membership and FIFO links in both directions, queue lengths, cached
+  // effective masks, each core's `reach` covering its queued threads, job
+  // thread lists and running counts, accounting bounds).
   // O(threads + cores); intended for tests and debugging.
   Status CheckInvariants() const;
 
@@ -206,6 +218,9 @@ class SimMachine {
     SimDuration remaining = 0;
     bool loop = false;  // unbounded work
     CpuSet affinity;    // thread-level mask (full by default)
+    // Effective mask = affinity ∩ job mask, cached. Refreshed (RefreshEff)
+    // whenever either mask changes; may be empty if the job shrank under it.
+    CpuSet eff;
     CompletionFn on_complete;
     // The pending end-of-slice event while kRunning. Preemption and kill
     // cancel it eagerly, so a stale slice event never sits in the queue.
@@ -213,6 +228,8 @@ class SimMachine {
     EventHandle slice_event;  // NOLINT(perfiso-LIFE-001)
     int core = -1;         // running core, or queued-on core when kReady in a queue
     bool queued = false;   // kReady and sitting in a core's ready queue
+    int q_prev = -1;       // neighbours in that queue's FIFO (-1: none)
+    int q_next = -1;
     SimTime ready_since = 0;
     SimTime slice_start = 0;
     SimDuration slice_overhead = 0;  // context-switch ns at the head of the slice
@@ -243,11 +260,19 @@ class SimMachine {
 
   struct Core {
     int running = -1;  // thread id or -1
-    std::deque<int> ready;
+    // Ready FIFO, linked through Thread::q_prev/q_next; -1 when empty.
+    int head = -1;
+    int tail = -1;
+    int len = 0;
+    // Always a superset of the union of the queued threads' `eff`: widened on
+    // every push and mask change, narrowed to the exact union when a steal
+    // scan walks the whole queue without finding a candidate, and cleared
+    // when the queue empties.
+    CpuSet reach;
   };
 
-  // Effective affinity of a thread = thread mask ∩ job mask.
-  CpuSet EffectiveAffinity(const Thread& t) const;
+  // Recomputes t.eff; a queued thread's new mask widens its core's `reach`.
+  void RefreshEff(Thread& t);
   bool JobDispatchable(const Thread& t) const;  // job not throttled / over budget
 
   int AllocThreadSlot();
@@ -262,7 +287,10 @@ class SimMachine {
   // Bookkeeping when a running thread stops (completion, preemption, kill):
   // maintains the job's running-thread count for rate-cap math.
   void NoteStopRunning(Thread& t);
-  void RemoveFromQueue(Thread& t, int tid);
+  // The only two operations on the ready FIFOs. Enqueue appends to `core`'s
+  // queue; RemoveFromQueue unlinks a queued thread in O(1) and clears its core.
+  void Enqueue(int core, int tid);
+  void RemoveFromQueue(int tid);
   void ThrottleJob(int job_id);
   void UnthrottleJob(int job_id);
   // Rate-cap machinery: usage is consumed at `running_count` ns of budget per

@@ -1,115 +1,6 @@
 #include "src/util/cpu_set.h"
 
-#include <bit>
-#include <cassert>
-
 namespace perfiso {
-
-CpuSet CpuSet::FirstN(int n) { return Range(0, n); }
-
-CpuSet CpuSet::Range(int begin, int end) {
-  assert(begin >= 0 && end <= kMaxCpus && begin <= end);
-  CpuSet set;
-  for (int cpu = begin; cpu < end; ++cpu) {
-    set.Set(cpu);
-  }
-  return set;
-}
-
-CpuSet CpuSet::Single(int cpu) {
-  CpuSet set;
-  set.Set(cpu);
-  return set;
-}
-
-CpuSet CpuSet::FromMask64(uint64_t mask) {
-  CpuSet set;
-  set.words_[0] = mask;
-  return set;
-}
-
-void CpuSet::Set(int cpu) {
-  assert(cpu >= 0 && cpu < kMaxCpus);
-  words_[cpu / 64] |= uint64_t{1} << (cpu % 64);
-}
-
-void CpuSet::Clear(int cpu) {
-  assert(cpu >= 0 && cpu < kMaxCpus);
-  words_[cpu / 64] &= ~(uint64_t{1} << (cpu % 64));
-}
-
-bool CpuSet::Test(int cpu) const {
-  if (cpu < 0 || cpu >= kMaxCpus) {
-    return false;
-  }
-  return (words_[cpu / 64] >> (cpu % 64)) & 1;
-}
-
-int CpuSet::Count() const {
-  int count = 0;
-  for (uint64_t word : words_) {
-    count += std::popcount(word);
-  }
-  return count;
-}
-
-int CpuSet::Lowest() const {
-  for (int w = 0; w < kWords; ++w) {
-    if (words_[w] != 0) {
-      return w * 64 + std::countr_zero(words_[w]);
-    }
-  }
-  return -1;
-}
-
-int CpuSet::Highest() const {
-  for (int w = kWords - 1; w >= 0; --w) {
-    if (words_[w] != 0) {
-      return w * 64 + 63 - std::countl_zero(words_[w]);
-    }
-  }
-  return -1;
-}
-
-int CpuSet::NextAfter(int cpu) const {
-  for (int candidate = cpu + 1; candidate < kMaxCpus; ++candidate) {
-    const int word = candidate / 64;
-    if (words_[word] == 0) {
-      candidate = word * 64 + 63;  // skip the empty word
-      continue;
-    }
-    if (Test(candidate)) {
-      return candidate;
-    }
-  }
-  return -1;
-}
-
-CpuSet CpuSet::operator|(const CpuSet& other) const {
-  CpuSet out;
-  for (int w = 0; w < kWords; ++w) {
-    out.words_[w] = words_[w] | other.words_[w];
-  }
-  return out;
-}
-
-CpuSet CpuSet::operator&(const CpuSet& other) const {
-  CpuSet out;
-  for (int w = 0; w < kWords; ++w) {
-    out.words_[w] = words_[w] & other.words_[w];
-  }
-  return out;
-}
-
-CpuSet CpuSet::operator~() const {
-  CpuSet out;
-  for (int w = 0; w < kWords; ++w) {
-    out.words_[w] = ~words_[w];
-  }
-  return out;
-}
-
-CpuSet CpuSet::Minus(const CpuSet& other) const { return *this & ~other; }
 
 std::string CpuSet::ToString() const {
   if (Empty()) {

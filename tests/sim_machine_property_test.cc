@@ -1,8 +1,11 @@
 // Property-style sweeps over the scheduler: conservation of CPU time,
-// work-conservation without affinity restrictions, and rate-cap accuracy.
+// work-conservation without affinity restrictions, rate-cap accuracy, and a
+// pinned churn run whose exact scheduling counters must not move.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <tuple>
+#include <vector>
 
 #include "src/sim/machine.h"
 #include "src/sim/simulator.h"
@@ -174,6 +177,96 @@ TEST_P(AffinityChurnTest, AccountingSurvivesRandomMaskChanges) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AffinityChurnTest, ::testing::Values(11, 22, 33, 44));
+
+// --- Pinned scheduling decisions under blind-isolation churn -------------------
+//
+// A fixed, seeded run that exercises every scheduling path at once: a 48-thread
+// secondary whose job mask flaps between seeded masks (and is now and then
+// suspended), seeded primary fan-out bursts, per-thread primary affinity, and
+// a rate-capped job. The expected counters are exact: any change to a
+// placement, steal victim or preemption moves at least one of them,
+// independently of the end-to-end golden digests. Update them only for a
+// deliberate change to the scheduling model.
+
+TEST(SchedulerDecisionPinTest, BlindIsolationChurnIsBitExact) {
+  constexpr int kCores = 48;
+  MachineSpec spec = SpecWith(kCores, FromMillis(3));
+  spec.context_switch = FromMicros(2);
+  Simulator sim;
+  SimMachine machine(&sim, spec, "m0");
+  Rng rng(20180711);
+
+  const JobId secondary = machine.CreateJob("secondary");
+  for (int i = 0; i < 48; ++i) {
+    machine.SpawnLoopThread("bully", TenantClass::kSecondary, secondary);
+  }
+  const JobId capped = machine.CreateJob("capped");
+  ASSERT_TRUE(machine.SetJobCpuRateCap(capped, 0.1).ok());
+  ASSERT_TRUE(machine.SetJobAffinity(capped, CpuSet::Range(8, 40)).ok());
+  for (int i = 0; i < 12; ++i) {
+    machine.SpawnLoopThread("capped", TenantClass::kOs, capped);
+  }
+
+  constexpr int kMasks = 8;
+  std::vector<CpuSet> masks;
+  for (int i = 0; i < kMasks; ++i) {
+    CpuSet mask;
+    while (mask.Empty()) {
+      mask = CpuSet::FromMask64(rng.Next() & ((uint64_t{1} << kCores) - 1));
+    }
+    masks.push_back(mask);
+  }
+
+  // Primary fan-out: each burst wakes several workers at once, some pinned to
+  // a random core range, and some completions spawn a follow-up stage.
+  std::function<void(int)> spawn_worker = [&](int depth) {
+    const SimDuration work = FromMicros(rng.Uniform(20, 900));
+    const ThreadId tid = machine.SpawnThread(
+        "worker", TenantClass::kPrimary, JobId{}, work, [&, depth](SimTime) {
+          if (depth < 2 && rng.Bernoulli(0.3)) {
+            spawn_worker(depth + 1);
+          }
+        });
+    if (machine.ThreadLive(tid) && rng.Bernoulli(0.2)) {
+      const int lo = static_cast<int>(rng.UniformInt(0, kCores - 8));
+      ASSERT_TRUE(machine.SetThreadAffinity(tid, CpuSet::Range(lo, lo + 8)).ok());
+    }
+  };
+
+  constexpr SimDuration kPoll = FromMicros(250);
+  constexpr SimDuration kHorizon = FromMillis(400);
+  for (SimTime t = kPoll; t < kHorizon; t += kPoll) {
+    sim.Schedule(t, [&] {
+      const int burst = static_cast<int>(rng.UniformInt(0, 12));
+      for (int i = 0; i < burst; ++i) {
+        spawn_worker(0);
+      }
+      const int64_t op = rng.UniformInt(0, 19);
+      if (op == 0) {
+        ASSERT_TRUE(machine.SetJobSuspended(secondary, true).ok());
+      } else if (op == 1) {
+        ASSERT_TRUE(machine.SetJobSuspended(secondary, false).ok());
+      } else {
+        const auto pick = static_cast<size_t>(rng.UniformInt(0, kMasks - 1));
+        ASSERT_TRUE(machine.SetJobAffinity(secondary, masks[pick]).ok());
+      }
+      const Status invariants = machine.CheckInvariants();
+      ASSERT_TRUE(invariants.ok()) << invariants.ToString();
+    });
+  }
+  sim.RunUntil(kHorizon);
+  ASSERT_TRUE(machine.CheckInvariants().ok());
+  machine.SettleAccounting();
+
+  const SimMachine::Metrics& m = machine.metrics();
+  EXPECT_EQ(m.dispatches, 23659);
+  EXPECT_EQ(m.preemptions, 9867);
+  EXPECT_EQ(m.steals, 1272);
+  EXPECT_EQ(m.busy_ns[0], 6147404739);
+  EXPECT_EQ(m.busy_ns[1], 3737458381);
+  EXPECT_EQ(m.busy_ns[2], 1962077933);
+  EXPECT_EQ(machine.IdleMask().ToString(), "6,26-36,38-47");
+}
 
 }  // namespace
 }  // namespace perfiso

@@ -55,6 +55,55 @@ TEST(CpuSetTest, NextAfterSkipsGaps) {
   EXPECT_EQ(s.NextAfter(130), -1);
 }
 
+TEST(CpuSetTest, NextAfterAtWordBoundaries) {
+  CpuSet s;
+  for (int cpu : {0, 63, 64, 128, 200, 255}) {
+    s.Set(cpu);
+  }
+  EXPECT_EQ(s.NextAfter(-1), 0);
+  EXPECT_EQ(s.NextAfter(62), 63);
+  EXPECT_EQ(s.NextAfter(63), 64);   // next word's bit 0
+  EXPECT_EQ(s.NextAfter(64), 128);  // skips an empty word
+  EXPECT_EQ(s.NextAfter(127), 128);
+  EXPECT_EQ(s.NextAfter(200), 255);
+  EXPECT_EQ(s.NextAfter(254), 255);
+  EXPECT_EQ(s.NextAfter(255), -1);
+  EXPECT_EQ(CpuSet().NextAfter(-1), -1);
+  EXPECT_EQ(CpuSet::Single(63).NextAfter(63), -1);
+  EXPECT_EQ(CpuSet::Single(127).NextAfter(126), 127);
+}
+
+TEST(CpuSetTest, NextAfterVisitsExactlyTheSetBits) {
+  const CpuSet s = CpuSet::Range(60, 70) | CpuSet::Range(120, 136) | CpuSet::Single(255);
+  int visited = 0;
+  int prev = -1;
+  for (int cpu = s.Lowest(); cpu >= 0; cpu = s.NextAfter(cpu)) {
+    EXPECT_TRUE(s.Test(cpu));
+    EXPECT_GT(cpu, prev);
+    prev = cpu;
+    ++visited;
+  }
+  EXPECT_EQ(visited, s.Count());
+}
+
+TEST(CpuSetTest, EmptySeesHighWords) {
+  const CpuSet s = CpuSet::Single(200);
+  EXPECT_FALSE(s.Empty());
+  EXPECT_EQ(s.Mask64(), 0u);
+  EXPECT_TRUE((s & CpuSet::FirstN(200)).Empty());
+}
+
+TEST(CpuSetTest, OrAssign) {
+  CpuSet s = CpuSet::Single(3);
+  CpuSet& same = (s |= CpuSet::Range(64, 66));
+  EXPECT_EQ(&same, &s);
+  EXPECT_EQ(s.ToString(), "3,64-65");
+  s |= CpuSet();
+  EXPECT_EQ(s.Count(), 3);
+  s |= s;
+  EXPECT_EQ(s, CpuSet::Single(3) | CpuSet::Range(64, 66));
+}
+
 TEST(CpuSetTest, SetOperations) {
   const CpuSet a = CpuSet::FirstN(10);
   const CpuSet b = CpuSet::Range(5, 15);
