@@ -1,16 +1,14 @@
 // Micro-benchmarks for the mechanisms PerfIso relies on being cheap: the
 // idle-core query, one controller poll, an affinity update, thread dispatch,
-// and — since the event-engine overhaul — raw engine throughput. The paper's
-// design requires "a low-latency, low-overhead means of obtaining CPU
-// utilization information" (§3.1.1); the reproduction additionally requires
-// the event engine itself to be off the critical path of every figure.
+// and raw event-engine throughput. The paper's design requires "a
+// low-latency, low-overhead means of obtaining CPU utilization information"
+// (§3.1.1); the reproduction additionally requires the event engine itself to
+// be off the critical path of every figure.
 //
-// The engine section compares the pooled/handle engine (src/sim/simulator.h)
-// against LegacySimulator below — a faithful copy of the pre-overhaul engine
-// (std::priority_queue of heap-allocated std::function events) kept in this
-// binary as the recorded baseline. Heap allocations are counted via the
-// global operator new replacement at the bottom of this file, so
-// "allocations per event" is measured, not claimed.
+// Heap allocations are counted via the global operator new replacement at the
+// bottom of this file, so "allocations per event" is measured, not claimed.
+// The engine's steady state must allocate nothing and fire no dead events;
+// the binary exits 1 if either is violated, so the smoke ctest fails.
 //
 // Results are recorded into BENCH_micro_overheads.json like every other
 // bench. No external benchmark library is required.
@@ -18,10 +16,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <vector>
 
 #include "bench/harness.h"
@@ -43,250 +39,13 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// --- The pre-overhaul event engine, verbatim ---------------------------------
-//
-// PR 1-3 shipped this engine: a binary priority_queue of events whose
-// callbacks are std::function (heap-allocating for captures above the
-// ~16-byte SSO), with no cancellation — dead events fire as no-ops. It is the
-// in-binary baseline for the speedup row.
-class LegacySimulator {
- public:
-  using EventFn = std::function<void()>;
-
-  SimTime Now() const { return now_; }
-
-  void Schedule(SimTime when, EventFn fn) {
-    if (when < now_) {
-      when = now_;
-    }
-    queue_.push(Event{when, next_seq_++, std::move(fn)});
-  }
-  void ScheduleAfter(SimDuration delay, EventFn fn) { Schedule(now_ + delay, std::move(fn)); }
-
-  bool Step() {
-    if (queue_.empty()) {
-      return false;
-    }
-    Event event = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = event.time;
-    event.fn();
-    return true;
-  }
-
-  void RunUntilEmpty() {
-    while (Step()) {
-    }
-  }
-
- private:
-  struct Event {
-    SimTime time;
-    uint64_t seq;
-    EventFn fn;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-};
-
-// --- The previous pooled engine generation: 4-ary heap, no wheel -------------
-//
-// The same pooled records, generation-checked handles, eager cancel, and
-// (time, seq) total order as src/sim/simulator.h before the two-band
-// scheduler — with the 4-ary heap as the only priority structure. Kept in
-// this binary so the wheel_vs_heap4 rows measure exactly the data-structure
-// swap (O(1) bucket ops vs O(log n) sifts), not incidental engine
-// differences.
-class Heap4Simulator {
- public:
-  struct Handle {
-    uint32_t id = 0xffffffffu;
-    uint32_t gen = 0;
-  };
-
-  SimTime Now() const { return now_; }
-
-  template <typename Fn>
-  Handle Schedule(SimTime when, Fn&& fn) {
-    const uint32_t id = AllocSlot();
-    Event& e = rec(id);
-    e.time = when < now_ ? now_ : when;
-    e.seq = next_seq_++;
-    e.cb.Emplace(std::forward<Fn>(fn), &cb_heap_allocs_);
-    HeapPush(id, e.time, e.seq);
-    return Handle{id, e.gen};
-  }
-  template <typename Fn>
-  Handle ScheduleAfter(SimDuration delay, Fn&& fn) {
-    return Schedule(now_ + delay, std::forward<Fn>(fn));
-  }
-
-  bool Cancel(Handle h) {
-    if ((h.id >> kSlabBits) >= slabs_.size()) {
-      return false;
-    }
-    Event& e = rec(h.id);
-    if (e.gen != h.gen || e.heap_pos < 0) {
-      return false;
-    }
-    HeapRemoveAt(static_cast<size_t>(e.heap_pos));
-    e.heap_pos = -1;
-    ++e.gen;
-    e.cb.Reset();
-    free_ids_.push_back(h.id);
-    return true;
-  }
-
-  bool Step() {
-    if (heap_.empty()) {
-      return false;
-    }
-    const uint32_t id = heap_.front().id;
-    Event& e = rec(id);
-    now_ = e.time;
-    HeapRemoveAt(0);
-    e.heap_pos = -1;
-    ++e.gen;
-    e.cb.Invoke();
-    e.cb.Reset();
-    free_ids_.push_back(id);
-    return true;
-  }
-
- private:
-  static constexpr uint32_t kSlabBits = 8;
-  static constexpr uint32_t kSlabSize = 1u << kSlabBits;
-
-  struct Event {
-    SimTime time = 0;
-    uint64_t seq = 0;
-    uint32_t gen = 0;
-    int32_t heap_pos = -1;
-    EventCallback cb;
-  };
-  struct HeapItem {
-    SimTime time;
-    uint64_t seq;
-    uint32_t id;
-  };
-
-  static bool Before(const HeapItem& a, const HeapItem& b) {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    return a.seq < b.seq;
-  }
-
-  Event& rec(uint32_t id) { return slabs_[id >> kSlabBits][id & (kSlabSize - 1)]; }
-
-  uint32_t AllocSlot() {
-    if (free_ids_.empty()) {
-      const auto base = static_cast<uint32_t>(slabs_.size()) << kSlabBits;
-      slabs_.push_back(std::make_unique<Event[]>(kSlabSize));
-      for (uint32_t i = kSlabSize; i > 0; --i) {
-        free_ids_.push_back(base + i - 1);
-      }
-    }
-    const uint32_t id = free_ids_.back();
-    free_ids_.pop_back();
-    return id;
-  }
-
-  void Place(size_t pos, const HeapItem& item) {
-    heap_[pos] = item;
-    rec(item.id).heap_pos = static_cast<int32_t>(pos);
-  }
-
-  void SiftUp(size_t pos) {
-    const HeapItem item = heap_[pos];
-    while (pos > 0) {
-      const size_t parent = (pos - 1) >> 2;
-      if (!Before(item, heap_[parent])) {
-        break;
-      }
-      Place(pos, heap_[parent]);
-      pos = parent;
-    }
-    Place(pos, item);
-  }
-
-  void SiftDown(size_t pos) {
-    const HeapItem item = heap_[pos];
-    const size_t n = heap_.size();
-    for (;;) {
-      const size_t first = 4 * pos + 1;
-      if (first >= n) {
-        break;
-      }
-      size_t best = first;
-      const size_t last = std::min(first + 4, n);
-      for (size_t child = first + 1; child < last; ++child) {
-        if (Before(heap_[child], heap_[best])) {
-          best = child;
-        }
-      }
-      if (!Before(heap_[best], item)) {
-        break;
-      }
-      Place(pos, heap_[best]);
-      pos = best;
-    }
-    Place(pos, item);
-  }
-
-  void HeapPush(uint32_t id, SimTime time, uint64_t seq) {
-    heap_.push_back(HeapItem{time, seq, id});
-    rec(id).heap_pos = static_cast<int32_t>(heap_.size() - 1);
-    SiftUp(heap_.size() - 1);
-  }
-
-  void HeapRemoveAt(size_t pos) {
-    const size_t last = heap_.size() - 1;
-    if (pos == last) {
-      heap_.pop_back();
-      return;
-    }
-    const HeapItem moved = heap_[last];
-    heap_.pop_back();
-    Place(pos, moved);
-    SiftDown(pos);
-    if (heap_[pos].id == moved.id) {
-      SiftUp(pos);
-    }
-  }
-
-  SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t cb_heap_allocs_ = 0;
-  std::vector<HeapItem> heap_;
-  std::vector<std::unique_ptr<Event[]>> slabs_;
-  std::vector<uint32_t> free_ids_;
-};
-
 // --- Engine throughput -------------------------------------------------------
 //
 // The workload is the shape every layer of this repo produces: each unit of
 // work fires, arms a timeout guard far in the future (a hedge timer, a slice
 // preemption, an I/O deadline), and schedules the next unit; when the work
-// completes — long before the guard — the guard is obsolete.
-//
-//   * The pooled engine cancels the guard, which leaves the queue eagerly.
-//   * The legacy engine cannot cancel: the guard stays queued for its full
-//     delay and eventually fires as a generation-checked no-op (the exact
-//     pre-overhaul SimMachine / PeriodicTask / hedge-timer pattern). At
-//     steady state that doubles the events executed and inflates the heap to
-//     guard_timeout/work_period entries per chain, so every push/pop pays a
-//     much deeper sift plus one std::function heap allocation per event.
+// completes — long before the guard — it cancels the guard, which leaves the
+// queue eagerly. A guard that fires anyway is a dead fire.
 //
 // Throughput is reported in *useful* (work) events per second, wall-clocked
 // over the steady state.
@@ -300,7 +59,7 @@ struct EngineScore {
   uint64_t dead_fires = 0;      // guards that fired as no-ops
 };
 
-// Guard bodies: sized like real callbacks (above std::function's ~16-byte
+// Guard body: sized like real callbacks (above std::function's ~16-byte
 // inline buffer, inside EventCallback::kInlineBytes).
 struct PooledGuard {
   uint64_t* dead;
@@ -324,59 +83,17 @@ struct PooledWork {
   }
 };
 
-// The same chain bodies against the previous engine generation, so the
-// wheel_vs_heap4 rows isolate the priority-structure swap.
-struct Heap4Guard {
-  uint64_t* dead;
-  uint64_t pad[3];
-  void operator()() const { ++*dead; }
-};
-
-struct Heap4Work {
-  Heap4Simulator* sim;
-  uint64_t* fired;
-  uint64_t* dead;
-  Heap4Simulator::Handle guard;
-  void operator()() const {
-    ++*fired;
-    sim->Cancel(guard);
-    const Heap4Simulator::Handle next_guard =
-        sim->ScheduleAfter(kGuardTimeout, Heap4Guard{dead, {}});
-    sim->ScheduleAfter(kWorkPeriod, Heap4Work{sim, fired, dead, next_guard});
+// `chains` work chains, each arming a guard per work item. Steps until the
+// warmup mark, then wall-clocks the next `measured_fires` useful events.
+EngineScore MeasurePooledEngine(int chains, uint64_t warmup_fires, uint64_t measured_fires) {
+  Simulator sim;
+  uint64_t fired = 0;
+  uint64_t dead = 0;
+  for (int i = 0; i < chains; ++i) {
+    const EventHandle guard =
+        sim.Schedule(i + kGuardTimeout, PooledGuard{&dead, {}});
+    sim.Schedule(i, PooledWork{&sim, &fired, &dead, guard});
   }
-};
-
-struct LegacyGuard {
-  const uint64_t* chain_gen;
-  uint64_t gen;
-  uint64_t* dead;
-  void operator()() const {
-    if (*chain_gen == gen) {  // never true: the work always completes first
-      return;
-    }
-    ++*dead;  // dead no-op fire
-  }
-};
-
-struct LegacyWork {
-  LegacySimulator* sim;
-  uint64_t* fired;
-  uint64_t* chain_gen;
-  uint64_t* dead;
-  void operator()() const {
-    ++*fired;
-    ++*chain_gen;  // invalidate the outstanding guard (the gen-counter trick)
-    sim->ScheduleAfter(kGuardTimeout, LegacyGuard{chain_gen, *chain_gen, dead});
-    sim->ScheduleAfter(kWorkPeriod, *this);
-  }
-};
-
-// Shared measurement loop: `sim` already has `chains` work chains scheduled;
-// steps until `fired` crosses the warmup mark, then wall-clocks the next
-// `measured_fires` useful events.
-template <typename Sim>
-EngineScore MeasureSteadyState(Sim& sim, const uint64_t& fired, const uint64_t& dead,
-                               uint64_t warmup_fires, uint64_t measured_fires) {
   while (fired < warmup_fires) {
     sim.Step();
   }
@@ -398,53 +115,16 @@ EngineScore MeasureSteadyState(Sim& sim, const uint64_t& fired, const uint64_t& 
   return score;
 }
 
-EngineScore MeasurePooledEngine(int chains, uint64_t warmup_fires, uint64_t measured_fires) {
-  Simulator sim;
-  uint64_t fired = 0;
-  uint64_t dead = 0;
-  for (int i = 0; i < chains; ++i) {
-    const EventHandle guard =
-        sim.Schedule(i + kGuardTimeout, PooledGuard{&dead, {}});
-    sim.Schedule(i, PooledWork{&sim, &fired, &dead, guard});
-  }
-  return MeasureSteadyState(sim, fired, dead, warmup_fires, measured_fires);
-}
-
-EngineScore MeasureHeap4Engine(int chains, uint64_t warmup_fires, uint64_t measured_fires) {
-  Heap4Simulator sim;
-  uint64_t fired = 0;
-  uint64_t dead = 0;
-  for (int i = 0; i < chains; ++i) {
-    const Heap4Simulator::Handle guard = sim.Schedule(i + kGuardTimeout, Heap4Guard{&dead, {}});
-    sim.Schedule(i, Heap4Work{&sim, &fired, &dead, guard});
-  }
-  return MeasureSteadyState(sim, fired, dead, warmup_fires, measured_fires);
-}
-
-EngineScore MeasureLegacyEngine(int chains, uint64_t warmup_fires, uint64_t measured_fires) {
-  LegacySimulator sim;
-  uint64_t fired = 0;
-  uint64_t dead = 0;
-  std::vector<uint64_t> gens(static_cast<size_t>(chains), 0);
-  for (int i = 0; i < chains; ++i) {
-    sim.Schedule(i, LegacyWork{&sim, &fired, &gens[static_cast<size_t>(i)], &dead});
-  }
-  return MeasureSteadyState(sim, fired, dead, warmup_fires, measured_fires);
-}
-
-// Schedule/Cancel churn (no legacy counterpart: the old engine could not
-// cancel at all — dead events fired as no-ops). Templated so the same churn
-// runs against the wheel engine and the heap4 generation.
-template <typename Sim>
+// Schedule/Cancel churn: a batch of near-future events armed, then all
+// cancelled before any fires.
 double MeasureCancelThroughput(int batch, int rounds) {
-  Sim sim;
+  Simulator sim;
   uint64_t sink = 0;
-  auto arm = [&sim, &sink](int i) { return sim.ScheduleAfter(1000 + i, [&sink] { ++sink; }); };
-  std::vector<decltype(arm(0))> handles(static_cast<size_t>(batch));
+  std::vector<EventHandle> handles(static_cast<size_t>(batch));
   const auto start = Clock::now();
   for (int r = 0; r < rounds; ++r) {
     for (int i = 0; i < batch; ++i) {
-      handles[static_cast<size_t>(i)] = arm(i);
+      handles[static_cast<size_t>(i)] = sim.ScheduleAfter(1000 + i, [&sink] { ++sink; });
     }
     for (int i = 0; i < batch; ++i) {
       sim.Cancel(handles[static_cast<size_t>(i)]);
@@ -502,65 +182,39 @@ int main() {
 
   StartReport("micro_overheads");
   PrintHeader("Micro-overheads", "engine + control plane",
-              "pooled event engine vs. the legacy std::function/priority_queue baseline, "
-              "plus the cheap-syscall costs of §3.1.1");
+              "event-engine throughput and allocations, plus the cheap-syscall costs of §3.1.1");
 
   // Engine throughput: 32 concurrent work chains, each arming a timeout
   // guard per work item (the hedge/slice/deadline shape every layer emits).
-  // Warmup runs past the guard horizon so the legacy engine is measured at
-  // its steady state: guard_timeout/work_period queued dead events per chain.
+  // Warmup runs past the guard horizon, so a guard that escaped its cancel
+  // would fire inside the measured window.
   const int kChains = 32;
   const uint64_t kWarmup = 2 * kChains * static_cast<uint64_t>(kGuardTimeout / kWorkPeriod);
   const auto kMeasured = static_cast<uint64_t>(500'000 * BenchScale());
 
-  const EngineScore legacy = MeasureLegacyEngine(kChains, kWarmup, kMeasured);
   const EngineScore pooled = MeasurePooledEngine(kChains, kWarmup, kMeasured);
-  const EngineScore heap4 = MeasureHeap4Engine(kChains, kWarmup, kMeasured);
-  const double speedup = pooled.useful_events_per_sec / legacy.useful_events_per_sec;
-  const int kCancelRounds = static_cast<int>(200 * BenchScale());
-  const double cancel_pairs = MeasureCancelThroughput<Simulator>(1024, kCancelRounds);
-  const double heap4_cancel_pairs = MeasureCancelThroughput<Heap4Simulator>(1024, kCancelRounds);
-  const double wheel_vs_heap4 = pooled.useful_events_per_sec / heap4.useful_events_per_sec;
-  const double wheel_vs_heap4_cancel = cancel_pairs / heap4_cancel_pairs;
+  const double cancel_pairs =
+      MeasureCancelThroughput(1024, static_cast<int>(200 * BenchScale()));
 
   std::printf("engine throughput (%d chains, 1 timeout guard per work item):\n", kChains);
-  std::printf("  legacy  %10.2f M useful events/s   %5.2f heap allocs/event   %8llu dead fires\n",
-              legacy.useful_events_per_sec / 1e6, legacy.allocs_per_event,
-              static_cast<unsigned long long>(legacy.dead_fires));
-  std::printf("  heap4   %10.2f M useful events/s   %5.2f heap allocs/event   %8llu dead fires\n",
-              heap4.useful_events_per_sec / 1e6, heap4.allocs_per_event,
-              static_cast<unsigned long long>(heap4.dead_fires));
-  std::printf("  pooled  %10.2f M useful events/s   %5.2f heap allocs/event   %8llu dead fires\n",
+  std::printf("  %10.2f M useful events/s   %5.2f heap allocs/event   %8llu dead fires\n",
               pooled.useful_events_per_sec / 1e6, pooled.allocs_per_event,
               static_cast<unsigned long long>(pooled.dead_fires));
-  std::printf("  speedup %9.2fx   (acceptance floor: 5x)\n", speedup);
-  std::printf("  wheel vs heap4 %6.2fx work chains, %.2fx schedule+cancel\n", wheel_vs_heap4,
-              wheel_vs_heap4_cancel);
-  std::printf("  schedule+cancel %6.2f M pairs/s (heap4: %.2f M; legacy: not cancellable)\n",
-              cancel_pairs / 1e6, heap4_cancel_pairs / 1e6);
-  if (speedup < 5.0) {
-    std::printf("  WARNING: speedup below the 5x floor on this machine\n");
-  }
+  std::printf("  schedule+cancel %6.2f M pairs/s\n", cancel_pairs / 1e6);
   ReportRow("engine_throughput",
             {
                 {"pooled_events_per_sec", pooled.useful_events_per_sec},
-                {"legacy_events_per_sec", legacy.useful_events_per_sec},
-                {"speedup", speedup},
                 {"pooled_allocs_per_event_steady", pooled.allocs_per_event},
-                {"legacy_allocs_per_event", legacy.allocs_per_event},
                 {"pooled_dead_fires", static_cast<double>(pooled.dead_fires)},
-                {"legacy_dead_fires", static_cast<double>(legacy.dead_fires)},
                 {"cancel_pairs_per_sec", cancel_pairs},
             });
-  // The data-structure swap in isolation: the same pooled records, handles,
-  // and eager cancel, timing wheel vs the previous 4-ary-heap generation.
-  ReportRow("wheel_vs_heap4",
-            {
-                {"heap4_events_per_sec", heap4.useful_events_per_sec},
-                {"heap4_cancel_pairs_per_sec", heap4_cancel_pairs},
-                {"wheel_vs_heap4_speedup", wheel_vs_heap4},
-                {"wheel_vs_heap4_cancel_speedup", wheel_vs_heap4_cancel},
-            });
+  const bool engine_ok = pooled.allocs_per_event == 0 && pooled.dead_fires == 0;
+  if (!engine_ok) {
+    std::fprintf(stderr,
+                 "micro_overheads: FAIL: the engine's steady state must allocate nothing "
+                 "and fire no dead events (allocs/event %.4f, dead fires %llu)\n",
+                 pooled.allocs_per_event, static_cast<unsigned long long>(pooled.dead_fires));
+  }
 
   // Control-plane costs (the "syscalls" the controller's tight loop issues).
   const int kIters = static_cast<int>(200'000 * BenchScale());
@@ -601,7 +255,7 @@ int main() {
                                  {"affinity_update_ns", affinity_ns},
                                  {"thread_round_trip_ns", dispatch_ns},
                              });
-  return 0;
+  return engine_ok ? 0 : 1;
 }
 
 // --- Allocation counting -----------------------------------------------------

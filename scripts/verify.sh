@@ -9,23 +9,15 @@
 #      part of ASan on Linux), so callback-cycle leaks like the IndexServer
 #      QueryState bug fail the gate instead of shipping.
 #
-# Usage: scripts/verify.sh [--skip-sanitizers] [--bench]
-#
-# --bench adds an optional stage: a Release build of bench/micro_overheads,
-# run at full scale and checked against the committed
-# BENCH_micro_overheads.json by scripts/check_bench_regression.py (>15%
-# throughput drop fails). Off by default because a loaded dev machine makes
-# absolute throughput noisy; run it before touching engine hot paths.
+# Usage: scripts/verify.sh [--skip-sanitizers]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
 SKIP_SAN=0
-RUN_BENCH=0
 for arg in "$@"; do
   case "$arg" in
     --skip-sanitizers) SKIP_SAN=1 ;;
-    --bench) RUN_BENCH=1 ;;
     *) echo "unknown option: $arg" >&2; exit 2 ;;
   esac
 done
@@ -47,17 +39,6 @@ if command -v clang-tidy >/dev/null 2>&1; then
     xargs -P "$JOBS" -n 4 clang-tidy -p build-tidy --quiet
 else
   echo "clang-tidy not installed; skipping (CI runs it in the lint job)"
-fi
-
-if [[ "$RUN_BENCH" == "1" ]]; then
-  echo "=== bench gate: micro_overheads vs committed baseline ==="
-  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-bench -j "$JOBS" --target micro_overheads
-  mkdir -p build-bench/bench-out
-  PERFISO_BENCH_OUT="$PWD/build-bench/bench-out" ./build-bench/bench/micro_overheads
-  python3 scripts/check_bench_regression.py \
-    --fresh build-bench/bench-out/BENCH_micro_overheads.json \
-    --baseline BENCH_micro_overheads.json
 fi
 
 if [[ "$SKIP_SAN" == "1" ]]; then

@@ -320,7 +320,6 @@ void Simulator::DrainSlot(uint32_t slot) {
     std::sort(batch_.begin(), batch_.end(),
               [](const BatchItem& a, const BatchItem& b) { return a.seq < b.seq; });
   }
-  ++stats_.batch_drains;
 }
 
 bool Simulator::DrainNextSlot(SimTime cap) {
@@ -481,29 +480,32 @@ void Simulator::CheckEngineInvariants() const {
           EngineDie("wheel-list-range", "bucket list id " + std::to_string(id) + " out of range");
         }
         const Event& e = Rec(id);
-        const std::string who = "record " + std::to_string(id) + " at level " +
-                                std::to_string(level) + " slot " + std::to_string(slot);
+        // Built only on a failing branch: the sweep itself must not allocate.
+        const auto who = [&] {
+          return "record " + std::to_string(id) + " at level " + std::to_string(level) +
+                 " slot " + std::to_string(slot);
+        };
         if (e.where != kWhereWheel || e.level != level || e.slot != slot) {
-          EngineDie("wheel-band-tag", who + " carries a band tag for another home");
+          EngineDie("wheel-band-tag", who() + " carries a band tag for another home");
         }
         if (e.prev != prev) {
-          EngineDie("wheel-backlink", who + " back-link broken");
+          EngineDie("wheel-backlink", who() + " back-link broken");
         }
         if (!e.cb.armed()) {
-          EngineDie("unarmed-pending-event", who + " is queued without a callback");
+          EngineDie("unarmed-pending-event", who() + " is queued without a callback");
         }
         if (e.time < now_) {
-          EngineDie("time-travel", who + " is queued at t=" + std::to_string(e.time) +
+          EngineDie("time-travel", who() + " is queued at t=" + std::to_string(e.time) +
                                        " < Now()=" + std::to_string(now_));
         }
         if ((e.time >> page_shift) != (now_ >> page_shift) ||
             (static_cast<uint32_t>(e.time >> shift) & kWheelSlotMask[level]) != slot) {
-          EngineDie("wheel-placement", who + " sits in the wrong page or slot for t=" +
+          EngineDie("wheel-placement", who() + " sits in the wrong page or slot for t=" +
                                            std::to_string(e.time));
         }
         if (level > 0 && slot <= cur) {
           // Its level-(L-1) page would match the clock's, so it belongs below.
-          EngineDie("wheel-placement", who + " sits at or behind the level cursor");
+          EngineDie("wheel-placement", who() + " sits at or behind the level cursor");
         }
         ++wheel_count;
         prev = id;

@@ -253,11 +253,10 @@ class Simulator {
     uint64_t slab_allocs = 0;
     // Two-band scheduler traffic: records redistributed from a higher wheel
     // level into a lower one (each record cascades at most kWheelLevels - 1
-    // times), records pulled from the far-band overflow heap into the wheel,
-    // and level-0 slot drains into the dispatch batch.
+    // times), and records pulled from the far-band overflow heap into the
+    // wheel.
     uint64_t wheel_cascades = 0;
     uint64_t overflow_pulls = 0;
-    uint64_t batch_drains = 0;
   };
   const Stats& stats() const { return stats_; }
 
