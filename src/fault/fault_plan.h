@@ -30,8 +30,15 @@ enum class FaultKind {
   kCpuStraggler,  // `severity` runaway OS-class threads occupy cores for `duration`
 };
 
-const char* FaultKindName(FaultKind kind);
-StatusOr<FaultKind> ParseFaultKind(const std::string& name);
+inline const auto& EnumNames(FaultKind) {
+  static constexpr EnumName<FaultKind> kNames[] = {
+      {FaultKind::kNodeCrash, "crash"},
+      {FaultKind::kDiskDegrade, "disk"},
+      {FaultKind::kLinkDegrade, "link"},
+      {FaultKind::kCpuStraggler, "straggler"},
+  };
+  return kNames;
+}
 
 // One scheduled fault: injected at `at_sec` (absolute sim time, like the
 // flash-crowd window), recovered at `at_sec + duration_sec`.
@@ -56,9 +63,15 @@ struct FaultPlan {
   // Shape-only validation when the topology is not yet known.
   Status Validate() const;
 
-  // Emits fault.* keys into `map`; nothing when disabled (strict parsers then
-  // reject any stray fault.* key, mirroring obs.*).
+  // The field table (src/util/config.h): nothing when disabled, so parsers
+  // reject any stray fault.* key, mirroring obs.*. Events are one list value,
+  // fault.events = kind:node:at_sec:duration_sec:severity,...
+  template <class V>
+  void Fields(V& v);
+  // Emits fault.* keys into `map`.
   void AppendToConfigMap(ConfigMap* map) const;
+  // Parses fault.* keys and runs the shape-only Validate(); any other key is
+  // an error.
   static StatusOr<FaultPlan> FromConfigMap(const ConfigMap& map);
 
   // Deterministically samples a valid random plan — the fuzz smoke's

@@ -9,31 +9,6 @@
 
 namespace perfiso {
 
-const char* TraceSamplingName(TraceSampling sampling) {
-  switch (sampling) {
-    case TraceSampling::kAll:
-      return "all";
-    case TraceSampling::kSlowestK:
-      return "slowest_k";
-    case TraceSampling::kProbabilistic:
-      return "probabilistic";
-  }
-  return "?";
-}
-
-StatusOr<TraceSampling> ParseTraceSampling(const std::string& name) {
-  if (name == "all") {
-    return TraceSampling::kAll;
-  }
-  if (name == "slowest_k") {
-    return TraceSampling::kSlowestK;
-  }
-  if (name == "probabilistic") {
-    return TraceSampling::kProbabilistic;
-  }
-  return InvalidArgumentError("unknown obs.sampling: " + name);
-}
-
 Status ObsSpec::Validate() const {
   if (!enabled) {
     return Status::Ok();
@@ -45,7 +20,7 @@ Status ObsSpec::Validate() const {
     return InvalidArgumentError("obs.slowest_k must be positive");
   }
   if (sampling == TraceSampling::kProbabilistic &&
-      (sample_probability < 0 || sample_probability > 1)) {
+      !(sample_probability >= 0 && sample_probability <= 1)) {
     return InvalidArgumentError("obs.sample_probability must be in [0, 1]");
   }
   if (trace_max_events < 0) {
@@ -54,56 +29,32 @@ Status ObsSpec::Validate() const {
   return Status::Ok();
 }
 
-void ObsSpec::AppendToConfigMap(ConfigMap* map) const {
+template <class V>
+void ObsSpec::Fields(V& v) {
+  v.Flag("obs.enabled", enabled);
   if (!enabled) {
     return;
   }
-  map->SetBool("obs.enabled", true);
-  map->SetInt("obs.metrics_period_ns", metrics_period);
-  map->SetString("obs.sampling", TraceSamplingName(sampling));
+  v.Field("obs.metrics_period_ns", metrics_period);
+  v.Field("obs.sampling", sampling);
   if (sampling == TraceSampling::kSlowestK) {
-    map->SetInt("obs.slowest_k", slowest_k);
+    v.Field("obs.slowest_k", slowest_k);
   }
   if (sampling == TraceSampling::kProbabilistic) {
-    map->SetDouble("obs.sample_probability", sample_probability);
-    map->SetInt("obs.sample_seed", static_cast<int64_t>(sample_seed));
+    v.Field("obs.sample_probability", sample_probability);
+    v.Field("obs.sample_seed", sample_seed);
   }
-  map->SetInt("obs.trace_max_events", trace_max_events);
+  v.Field("obs.trace_max_events", trace_max_events);
 }
+template void ObsSpec::Fields(ConfigReader&);
+template void ObsSpec::Fields(ConfigWriter&);
+
+void ObsSpec::AppendToConfigMap(ConfigMap* map) const { WriteFields(*this, map); }
 
 StatusOr<ObsSpec> ObsSpec::FromConfigMap(const ConfigMap& map) {
-  ObsSpec spec;
-  auto enabled = map.GetBool("obs.enabled", spec.enabled);
-  PERFISO_RETURN_IF_ERROR(enabled.status());
-  spec.enabled = *enabled;
-
-  auto period = map.GetInt("obs.metrics_period_ns", spec.metrics_period);
-  PERFISO_RETURN_IF_ERROR(period.status());
-  spec.metrics_period = *period;
-
-  auto sampling_name = map.GetString("obs.sampling", TraceSamplingName(spec.sampling));
-  PERFISO_RETURN_IF_ERROR(sampling_name.status());
-  auto sampling = ParseTraceSampling(*sampling_name);
-  PERFISO_RETURN_IF_ERROR(sampling.status());
-  spec.sampling = *sampling;
-
-  auto slowest_k = map.GetInt("obs.slowest_k", spec.slowest_k);
-  PERFISO_RETURN_IF_ERROR(slowest_k.status());
-  spec.slowest_k = static_cast<int>(*slowest_k);
-
-  auto probability = map.GetDouble("obs.sample_probability", spec.sample_probability);
-  PERFISO_RETURN_IF_ERROR(probability.status());
-  spec.sample_probability = *probability;
-
-  auto seed = map.GetInt("obs.sample_seed", static_cast<int64_t>(spec.sample_seed));
-  PERFISO_RETURN_IF_ERROR(seed.status());
-  spec.sample_seed = static_cast<uint64_t>(*seed);
-
-  auto max_events = map.GetInt("obs.trace_max_events", spec.trace_max_events);
-  PERFISO_RETURN_IF_ERROR(max_events.status());
-  spec.trace_max_events = *max_events;
-
-  PERFISO_RETURN_IF_ERROR(spec.Validate());
+  auto spec = ReadFields<ObsSpec>(map);
+  PERFISO_RETURN_IF_ERROR(spec.status());
+  PERFISO_RETURN_IF_ERROR(spec->Validate());
   return spec;
 }
 

@@ -20,8 +20,14 @@
 
 namespace perfiso {
 
-const char* TraceSamplingName(TraceSampling sampling);
-StatusOr<TraceSampling> ParseTraceSampling(const std::string& name);
+inline const auto& EnumNames(TraceSampling) {
+  static constexpr EnumName<TraceSampling> kNames[] = {
+      {TraceSampling::kAll, "all"},
+      {TraceSampling::kSlowestK, "slowest_k"},
+      {TraceSampling::kProbabilistic, "probabilistic"},
+  };
+  return kNames;
+}
 
 // The obs.* knobs of a scenario. Serialized alongside workload./perfiso.
 // keys; nothing is emitted when disabled, so existing configs round-trip
@@ -36,9 +42,13 @@ struct ObsSpec {
   int64_t trace_max_events = 1'000'000;
 
   Status Validate() const;
-  // Emits obs.* keys into `map` (only when enabled, and only the knobs the
-  // active sampling mode uses — the strict scenario parser rejects the rest).
+  // The field table (src/util/config.h): only when enabled, and only the
+  // knobs the active sampling mode uses; the parser rejects the rest.
+  template <class V>
+  void Fields(V& v);
+  // Emits obs.* keys into `map`.
   void AppendToConfigMap(ConfigMap* map) const;
+  // Parses and validates obs.* keys; any other key is an error.
   static StatusOr<ObsSpec> FromConfigMap(const ConfigMap& map);
 
   Tracer::Options TracerOptions() const;

@@ -1,5 +1,5 @@
 // PerfIsoConfig: every tunable of the framework, serializable to the
-// cluster-wide key=value files Autopilot distributes (§4).
+// cluster-wide key=value files PerfIso reads its limits from (§4).
 #ifndef PERFISO_SRC_PERFISO_PERFISO_CONFIG_H_
 #define PERFISO_SRC_PERFISO_PERFISO_CONFIG_H_
 
@@ -23,8 +23,24 @@ enum class CpuIsolationMode {
   kCpuRateCap,      // OS-native CPU-cycle restriction (§6.1.4)
 };
 
-const char* CpuIsolationModeName(CpuIsolationMode mode);
-StatusOr<CpuIsolationMode> ParseCpuIsolationMode(const std::string& name);
+inline const auto& EnumNames(CpuIsolationMode) {
+  static constexpr EnumName<CpuIsolationMode> kNames[] = {
+      {CpuIsolationMode::kNone, "none"},
+      {CpuIsolationMode::kBlindIsolation, "blind"},
+      {CpuIsolationMode::kStaticCores, "static_cores"},
+      {CpuIsolationMode::kCpuRateCap, "cpu_rate_cap"},
+  };
+  return kNames;
+}
+
+inline const auto& EnumNames(CorePlacement) {
+  static constexpr EnumName<CorePlacement> kNames[] = {
+      {CorePlacement::kPackHigh, "pack_high"},
+      {CorePlacement::kPackLow, "pack_low"},
+      {CorePlacement::kSpread, "spread"},
+  };
+  return kNames;
+}
 
 // Static I/O limit for one secondary I/O owner (e.g. "HDFS clients are
 // limited to 60 MB/s", §5.3).
@@ -68,17 +84,20 @@ struct PerfIsoConfig {
   int io_window_polls = 16;
   SimDuration io_poll_interval = FromMillis(100);
 
-  // Serialization to/from the Autopilot config format. I/O limits use keys
-  // io.<owner>.bandwidth_bps etc. Unknown keys are ignored (a node must
-  // tolerate a config written by a newer rollout).
+  // The field table (src/util/config.h): every key once. I/O limits use
+  // keys io.owner.<owner>.bandwidth_bps etc.
+  template <class V>
+  void Fields(V& v);
+
+  // Serialization to/from the key=value config format. FromConfigMap is
+  // strict: a bad value or any key the table does not consume is an error.
+  // Crash recovery reads back ToConfigMap()'s output (PerfIsoController::
+  // Recover).
   ConfigMap ToConfigMap() const;
   static StatusOr<PerfIsoConfig> FromConfigMap(const ConfigMap& map);
-  // Strict variant for authoring surfaces (scenario specs, tests): any key
-  // FromConfigMap would ignore is an error, so typos fail loudly instead of
-  // silently running defaults.
-  static StatusOr<PerfIsoConfig> FromConfigMapStrict(const ConfigMap& map);
 
-  // Validation used by the controller before applying.
+  // Validation used by the controller before applying. Holds for configs
+  // built in code as well as parsed ones: NaN fails every range check.
   Status Validate(int num_cores) const;
 };
 

@@ -1,10 +1,6 @@
 #include "src/util/config.h"
 
-#include <cerrno>
-#include <charconv>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cmath>
 #include <sstream>
 
 namespace perfiso {
@@ -47,16 +43,6 @@ StatusOr<ConfigMap> ConfigMap::Parse(const std::string& text) {
   return map;
 }
 
-StatusOr<ConfigMap> ConfigMap::LoadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("cannot open config file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Parse(buffer.str());
-}
-
 std::string ConfigMap::Serialize() const {
   std::string out;
   for (const auto& [key, value] : entries_) {
@@ -65,107 +51,108 @@ std::string ConfigMap::Serialize() const {
   return out;
 }
 
-Status ConfigMap::WriteFile(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return InternalError("cannot open for write: " + tmp);
-    }
-    out << Serialize();
-    if (!out.good()) {
-      return InternalError("write failed: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return InternalError(std::string("rename failed: ") + std::strerror(errno));
-  }
-  return OkStatus();
-}
-
-void ConfigMap::SetString(const std::string& key, std::string value) {
-  entries_[key] = std::move(value);
-}
-void ConfigMap::SetInt(const std::string& key, int64_t value) {
-  entries_[key] = std::to_string(value);
-}
 std::string FormatDouble(double value) {
   char buf[32];
   const auto result = std::to_chars(buf, buf + sizeof(buf), value);
   return std::string(buf, result.ptr);
 }
 
-void ConfigMap::SetDouble(const std::string& key, double value) {
-  entries_[key] = FormatDouble(value);
-}
-void ConfigMap::SetBool(const std::string& key, bool value) {
-  entries_[key] = value ? "true" : "false";
+Status ParseValue(const std::string& text, bool* out) {
+  if (text == "true" || text == "1") {
+    *out = true;
+  } else if (text == "false" || text == "0") {
+    *out = false;
+  } else {
+    return InvalidArgumentError("not a bool: " + text);
+  }
+  return OkStatus();
 }
 
-bool ConfigMap::Has(const std::string& key) const { return entries_.count(key) > 0; }
-
-StatusOr<std::string> ConfigMap::GetString(const std::string& key, const std::string& def) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? def : it->second;
+Status ParseValue(const std::string& text, double* out) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto parsed = std::from_chars(text.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end || !std::isfinite(value)) {
+    return InvalidArgumentError("not a finite number: " + text);
+  }
+  *out = value;
+  return OkStatus();
 }
 
-StatusOr<int64_t> ConfigMap::GetInt(const std::string& key, int64_t def) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return def;
+void ConfigReader::Micros(const std::string& key, SimDuration& value) {
+  const std::string* text = Take(key);
+  if (text == nullptr) {
+    return;
   }
-  errno = 0;
-  char* end = nullptr;
-  const int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') {
-    return InvalidArgumentError("config key \"" + key + "\": not an integer: " + it->second);
+  int64_t micros = 0;
+  Status status = ParseValue(*text, &micros);
+  constexpr int64_t kLimit = std::numeric_limits<SimDuration>::max() / kMicrosecond;
+  if (status.ok() && (micros > kLimit || micros < -kLimit)) {
+    status = InvalidArgumentError(*text + " us overflows the nanosecond clock");
   }
-  return value;
+  Check(key, status);
+  if (status.ok()) {
+    value = micros * kMicrosecond;
+  }
 }
 
-StatusOr<double> ConfigMap::GetDouble(const std::string& key, double def) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return def;
+Status ConfigReader::Finish() const {
+  PERFISO_RETURN_IF_ERROR(error_);
+  for (const auto& [key, value] : map_.entries()) {
+    if (consumed_.count(key) == 0) {
+      return InvalidArgumentError("unknown or inapplicable config key: " + key);
+    }
   }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') {
-    return InvalidArgumentError("config key \"" + key + "\": not a number: " + it->second);
-  }
-  return value;
+  return OkStatus();
 }
 
-StatusOr<bool> ConfigMap::GetBool(const std::string& key, bool def) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return def;
+const std::string* ConfigReader::Take(const std::string& key) {
+  if (!error_.ok()) {
+    return nullptr;
   }
-  if (it->second == "true" || it->second == "1") {
-    return true;
+  const auto it = map_.entries().find(prefix_ + key);
+  if (it == map_.entries().end()) {
+    return nullptr;
   }
-  if (it->second == "false" || it->second == "0") {
-    return false;
-  }
-  return InvalidArgumentError("config key \"" + key + "\": not a bool: " + it->second);
+  consumed_.insert(it->first);
+  return &it->second;
 }
 
-int64_t ConfigMap::GetIntOr(const std::string& key, int64_t def) const {
-  auto result = GetInt(key, def);
-  return result.ok() ? *result : def;
+void ConfigReader::Check(const std::string& key, const Status& status) {
+  if (error_.ok() && !status.ok()) {
+    error_ = InvalidArgumentError("config key \"" + prefix_ + key + "\": " + status.message());
+  }
 }
-double ConfigMap::GetDoubleOr(const std::string& key, double def) const {
-  auto result = GetDouble(key, def);
-  return result.ok() ? *result : def;
+
+std::set<int> ConfigReader::KeyedIds(const std::string& prefix) {
+  std::set<int> ids;
+  const std::string scope = prefix_ + prefix;
+  for (auto it = map_.entries().lower_bound(scope);
+       error_.ok() && it != map_.entries().end() && it->first.rfind(scope, 0) == 0; ++it) {
+    const std::string& key = it->first;
+    const size_t dot = key.find('.', scope.size());
+    int id = 0;
+    const Status status =
+        dot == std::string::npos
+            ? InvalidArgumentError("expected " + scope + "<id>.<field>")
+            : ParseValue(key.substr(scope.size(), dot - scope.size()), &id);
+    Check(key.substr(prefix_.size()), status);
+    ids.insert(id);
+  }
+  return ids;
 }
-bool ConfigMap::GetBoolOr(const std::string& key, bool def) const {
-  auto result = GetBool(key, def);
-  return result.ok() ? *result : def;
-}
-std::string ConfigMap::GetStringOr(const std::string& key, const std::string& def) const {
-  auto result = GetString(key, def);
-  return result.ok() ? *result : def;
+
+std::vector<std::string> ConfigReader::Split(const std::string& text, char separator) {
+  std::vector<std::string> parts;
+  size_t begin = 0;
+  while (true) {
+    const size_t end = text.find(separator, begin);
+    parts.push_back(text.substr(begin, end - begin));
+    if (end == std::string::npos) {
+      return parts;
+    }
+    begin = end + 1;
+  }
 }
 
 }  // namespace perfiso

@@ -5,46 +5,6 @@
 
 namespace perfiso {
 
-const char* LoadShapeKindName(LoadShapeKind kind) {
-  switch (kind) {
-    case LoadShapeKind::kConstant:
-      return "constant";
-    case LoadShapeKind::kDiurnal:
-      return "diurnal";
-    case LoadShapeKind::kRamp:
-      return "ramp";
-    case LoadShapeKind::kFlashCrowd:
-      return "flash_crowd";
-    case LoadShapeKind::kSquareWave:
-      return "square_wave";
-    case LoadShapeKind::kPiecewise:
-      return "piecewise";
-  }
-  return "?";
-}
-
-StatusOr<LoadShapeKind> ParseLoadShapeKind(const std::string& name) {
-  if (name == "constant") {
-    return LoadShapeKind::kConstant;
-  }
-  if (name == "diurnal") {
-    return LoadShapeKind::kDiurnal;
-  }
-  if (name == "ramp") {
-    return LoadShapeKind::kRamp;
-  }
-  if (name == "flash_crowd") {
-    return LoadShapeKind::kFlashCrowd;
-  }
-  if (name == "square_wave") {
-    return LoadShapeKind::kSquareWave;
-  }
-  if (name == "piecewise") {
-    return LoadShapeKind::kPiecewise;
-  }
-  return InvalidArgumentError("unknown load shape: " + name);
-}
-
 double LoadShapeSpec::RateAt(SimDuration t_rel) const {
   const double t = ToSeconds(t_rel);
   switch (kind) {

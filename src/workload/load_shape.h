@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/util/config.h"
 #include "src/util/sim_time.h"
 #include "src/util/status.h"
 
@@ -28,8 +29,17 @@ enum class LoadShapeKind {
   kPiecewise,   // step function from an explicit (time, qps) table
 };
 
-const char* LoadShapeKindName(LoadShapeKind kind);
-StatusOr<LoadShapeKind> ParseLoadShapeKind(const std::string& name);
+inline const auto& EnumNames(LoadShapeKind) {
+  static constexpr EnumName<LoadShapeKind> kNames[] = {
+      {LoadShapeKind::kConstant, "constant"},
+      {LoadShapeKind::kDiurnal, "diurnal"},
+      {LoadShapeKind::kRamp, "ramp"},
+      {LoadShapeKind::kFlashCrowd, "flash_crowd"},
+      {LoadShapeKind::kSquareWave, "square_wave"},
+      {LoadShapeKind::kPiecewise, "piecewise"},
+  };
+  return kNames;
+}
 
 // One step of a piecewise shape: lambda = qps from `at_sec` (relative to the
 // client's start) until the next point's `at_sec`.

@@ -2,17 +2,19 @@
 //
 // A ScenarioSpec names everything one experiment needs — a load shape, the
 // replay client (open- or closed-loop), a secondary-tenant mix, a topology,
-// and an optional PerfIso configuration — and serializes through the same
-// ConfigMap machinery Autopilot distributes PerfIsoConfig with (§4). Benches
-// and tests enumerate scenarios from the registry in bench/harness.h by name
-// instead of hand-rolling structs; a spec parsed from a config file runs the
-// exact same experiment as a compiled-in one.
+// and an optional PerfIso configuration — and serializes to the same flat
+// key=value format as PerfIsoConfig (§4). Benches and tests enumerate
+// scenarios from the registry in bench/harness.h by name instead of
+// hand-rolling structs; a spec parsed from a config file runs the exact same
+// experiment as a compiled-in one.
 //
 // Key namespace: all scenario keys live under `workload.`; the embedded
 // PerfIso configuration (when `workload.isolation = perfiso`) is flattened
-// under `perfiso.`, and observability knobs under `obs.` (src/obs/obs.h).
-// Unknown keys in any namespace are rejected at parse time so a typo'd knob
-// fails loudly instead of silently running defaults.
+// under `perfiso.`, and observability and fault knobs under `obs.`
+// (src/obs/obs.h) and `fault.` (src/fault/fault_plan.h). One field table,
+// ScenarioSpec::Fields, names every key once and nests the other tables;
+// the parser rejects any key that table does not consume, so a typo'd or
+// inapplicable knob fails loudly instead of silently running defaults.
 #ifndef PERFISO_SRC_WORKLOAD_SCENARIO_H_
 #define PERFISO_SRC_WORKLOAD_SCENARIO_H_
 
@@ -36,8 +38,11 @@ enum class ClientKind {
   kClosedLoop,  // fixed user population with think time (saturation studies)
 };
 
-const char* ClientKindName(ClientKind kind);
-StatusOr<ClientKind> ParseClientKind(const std::string& name);
+inline const auto& EnumNames(ClientKind) {
+  static constexpr EnumName<ClientKind> kNames[] = {{ClientKind::kOpenLoop, "open_loop"},
+                                                     {ClientKind::kClosedLoop, "closed_loop"}};
+  return kNames;
+}
 
 // The secondary tenants colocated with the index server. All run inside the
 // machine's unified secondary job object (§4).
@@ -101,14 +106,20 @@ struct ScenarioSpec {
   uint64_t client_seed = 7;
   uint64_t node_seed = 77;
 
-  // Serialization to/from the Autopilot config format. ToConfigMap emits only
-  // the keys relevant to the active shape/client/isolation, so a round trip
-  // preserves exactly the knobs that matter.
+  // The field table (src/util/config.h). It visits only the keys relevant to
+  // the active shape/client/isolation, so a round trip preserves exactly the
+  // knobs that matter and the parser rejects the rest.
+  template <class V>
+  void Fields(V& v);
+
+  // Serialization to/from the key=value config format. FromConfigMap also
+  // runs Validate().
   ConfigMap ToConfigMap() const;
   static StatusOr<ScenarioSpec> FromConfigMap(const ConfigMap& map);
 
   // Rejects invalid shapes (negative rates, empty piecewise tables), bad
-  // client/topology parameters, and non-positive windows.
+  // client/topology parameters, non-positive windows, and invalid obs knobs
+  // or fault plans.
   Status Validate() const;
 };
 

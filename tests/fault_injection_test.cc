@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/index_node.h"
@@ -66,8 +68,8 @@ TEST(FaultPlanTest, RoundTripPreservesEvents) {
 TEST(FaultPlanTest, RejectsMalformedEvents) {
   const auto parse = [](const std::string& events) {
     ConfigMap map;
-    map.SetBool("fault.enabled", true);
-    map.SetString("fault.events", events);
+    map.Set("fault.enabled", true);
+    map.Set("fault.events", events);
     return FaultPlan::FromConfigMap(map).status();
   };
   EXPECT_FALSE(parse("meteor:0:1:1:1").ok());       // unknown kind
@@ -79,6 +81,53 @@ TEST(FaultPlanTest, RejectsMalformedEvents) {
   EXPECT_FALSE(parse("disk:0:1:1:0.5").ok());       // disk multiplier < 1
   EXPECT_FALSE(parse("link:0:1:1:1.5").ok());       // link fraction > 1
   EXPECT_FALSE(parse("").ok());                     // present but empty
+}
+
+// Parse-boundary regressions: each of these events used to be accepted.
+Status ParseEvents(const std::string& events) {
+  ConfigMap map;
+  map.Set("fault.enabled", true);
+  map.Set("fault.events", events);
+  return FaultPlan::FromConfigMap(map).status();
+}
+
+TEST(FaultPlanTest, RejectsNanEventTime) {
+  EXPECT_FALSE(ParseEvents("crash:0:nan:1:1").ok());
+}
+
+TEST(FaultPlanTest, RejectsInfiniteSeverity) {
+  EXPECT_FALSE(ParseEvents("disk:0:1:1:inf").ok());
+}
+
+TEST(FaultPlanTest, RejectsFractionalNode) {
+  EXPECT_FALSE(ParseEvents("crash:0.9:1:1:1").ok());  // used to become node 0
+}
+
+TEST(FaultPlanTest, ValidateRejectsNonFiniteAndOutOfRangeEvents) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.events.push_back(FaultEvent{FaultKind::kDiskDegrade, 0, 1.0, 1.0, 2.0});
+  ASSERT_TRUE(plan.Validate(1).ok());
+  FaultEvent& event = plan.events[0];
+  for (double bad : {nan, inf}) {
+    event.at_sec = bad;
+    EXPECT_FALSE(plan.Validate(1).ok());
+    event.at_sec = 1.0;
+    event.duration_sec = bad;
+    EXPECT_FALSE(plan.Validate(1).ok());
+    event.duration_sec = 1.0;
+    event.severity = bad;
+    EXPECT_FALSE(plan.Validate(1).ok());
+    event.severity = 2.0;
+  }
+  event.at_sec = 2e9;  // past the injector's int64-nanosecond range
+  EXPECT_FALSE(plan.Validate(1).ok());
+  event.at_sec = 1.0;
+  event.kind = FaultKind::kCpuStraggler;
+  event.severity = 1e10;  // not an int thread count
+  EXPECT_FALSE(plan.Validate(1).ok());
 }
 
 TEST(FaultPlanTest, ValidateBoundsNodesToTopology) {

@@ -230,11 +230,11 @@ TEST(LoadShapeTest, KindNamesRoundTrip) {
   for (LoadShapeKind kind :
        {LoadShapeKind::kConstant, LoadShapeKind::kDiurnal, LoadShapeKind::kRamp,
         LoadShapeKind::kFlashCrowd, LoadShapeKind::kSquareWave, LoadShapeKind::kPiecewise}) {
-    auto parsed = ParseLoadShapeKind(LoadShapeKindName(kind));
+    auto parsed = ParseEnum<LoadShapeKind>(NameOf(kind));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, kind);
   }
-  EXPECT_FALSE(ParseLoadShapeKind("sawtooth").ok());
+  EXPECT_FALSE(ParseEnum<LoadShapeKind>("sawtooth").ok());
 }
 
 }  // namespace

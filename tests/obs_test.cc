@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -278,7 +279,32 @@ TEST(ObsSpec, ValidateRejectsBadKnobs) {
   spec.enabled = false;
   EXPECT_TRUE(spec.Validate().ok());
 
-  EXPECT_FALSE(ParseTraceSampling("sometimes").ok());
+  EXPECT_FALSE(ParseEnum<TraceSampling>("sometimes").ok());
+}
+
+TEST(ObsSpec, SamplingNamesRoundTrip) {
+  for (TraceSampling sampling :
+       {TraceSampling::kAll, TraceSampling::kSlowestK, TraceSampling::kProbabilistic}) {
+    auto parsed = ParseEnum<TraceSampling>(NameOf(sampling));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(*parsed, sampling);
+  }
+}
+
+TEST(ObsSpec, ValidateRejectsNanSampleProbability) {
+  ObsSpec spec;
+  spec.enabled = true;
+  spec.sampling = TraceSampling::kProbabilistic;
+  spec.sample_probability = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(spec.Validate().ok());
+}
+
+TEST(ObsSpec, RejectsNanSampleProbability) {
+  ConfigMap map;
+  map.Set("obs.enabled", "true");
+  map.Set("obs.sampling", "probabilistic");
+  map.Set("obs.sample_probability", "nan");
+  EXPECT_FALSE(ObsSpec::FromConfigMap(map).ok());
 }
 
 TEST(ObsSpec, RidesInsideScenarioSpecRoundTrip) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "src/disk/io_scheduler.h"
+
 namespace perfiso {
 namespace {
 
@@ -74,30 +79,25 @@ TEST(PerfIsoConfigTest, DefaultsFromEmptyMap) {
 
 TEST(PerfIsoConfigTest, BadModeRejected) {
   ConfigMap map;
-  map.SetString("cpu.mode", "turbo");
+  map.Set("cpu.mode", "turbo");
   EXPECT_FALSE(PerfIsoConfig::FromConfigMap(map).ok());
 }
 
 TEST(PerfIsoConfigTest, BadPlacementRejected) {
   ConfigMap map;
-  map.SetString("cpu.placement", "diagonal");
+  map.Set("cpu.placement", "diagonal");
   EXPECT_FALSE(PerfIsoConfig::FromConfigMap(map).ok());
 }
 
 TEST(PerfIsoConfigTest, StrictParseRejectsUnknownKeys) {
-  // The permissive parser ignores keys it does not understand...
+  // A typo fails loudly instead of silently running the default.
   ConfigMap map;
-  map.SetInt("cpu.buffer_cores", 6);
-  map.SetInt("cpu.bufer_cores", 12);  // typo
-  auto permissive = PerfIsoConfig::FromConfigMap(map);
-  ASSERT_TRUE(permissive.ok());
-  EXPECT_EQ(permissive->blind.buffer_cores, 6);
-
-  // ...while the strict parser used by authoring surfaces fails loudly.
-  EXPECT_FALSE(PerfIsoConfig::FromConfigMapStrict(map).ok());
+  map.Set("cpu.buffer_cores", 6);
+  map.Set("cpu.bufer_cores", 12);  // typo
+  EXPECT_FALSE(PerfIsoConfig::FromConfigMap(map).ok());
   ConfigMap clean;
-  clean.SetInt("cpu.buffer_cores", 6);
-  auto strict = PerfIsoConfig::FromConfigMapStrict(clean);
+  clean.Set("cpu.buffer_cores", 6);
+  auto strict = PerfIsoConfig::FromConfigMap(clean);
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   EXPECT_EQ(strict->blind.buffer_cores, 6);
 }
@@ -106,18 +106,18 @@ TEST(PerfIsoConfigTest, MalformedIoOwnerIdIsAStatusErrorNotATerminate) {
   // Text configs reach this path (scenario specs embed perfiso.* keys), so a
   // non-numeric or overflowing owner id must come back as a Status.
   ConfigMap map;
-  map.SetDouble("io.owner.ml.iops", 5);
+  map.Set("io.owner.ml.iops", 5);
   EXPECT_FALSE(PerfIsoConfig::FromConfigMap(map).ok());
 
   ConfigMap overflow;
-  overflow.SetDouble("io.owner.99999999999999999999.iops", 5);
+  overflow.Set("io.owner.99999999999999999999.iops", 5);
   EXPECT_FALSE(PerfIsoConfig::FromConfigMap(overflow).ok());
 }
 
 TEST(PerfIsoConfigTest, StrictParseAcceptsFullCanonicalForm) {
   PerfIsoConfig config;
   config.io_limits.push_back(IoOwnerLimit{901, 60e6, 0, 1, 2.0, 100});
-  auto strict = PerfIsoConfig::FromConfigMapStrict(config.ToConfigMap());
+  auto strict = PerfIsoConfig::FromConfigMap(config.ToConfigMap());
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   ASSERT_EQ(strict->io_limits.size(), 1u);
   EXPECT_EQ(strict->io_limits[0].owner, 901);
@@ -127,9 +127,15 @@ TEST(PerfIsoConfigTest, ModeNamesRoundTrip) {
   for (CpuIsolationMode mode :
        {CpuIsolationMode::kNone, CpuIsolationMode::kBlindIsolation,
         CpuIsolationMode::kStaticCores, CpuIsolationMode::kCpuRateCap}) {
-    auto parsed = ParseCpuIsolationMode(CpuIsolationModeName(mode));
+    auto parsed = ParseEnum<CpuIsolationMode>(NameOf(mode));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, mode);
+  }
+  for (CorePlacement placement :
+       {CorePlacement::kPackHigh, CorePlacement::kPackLow, CorePlacement::kSpread}) {
+    auto parsed = ParseEnum<CorePlacement>(NameOf(placement));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(*parsed, placement);
   }
 }
 
@@ -178,6 +184,72 @@ TEST(PerfIsoConfigTest, ValidateRejectsBadValues) {
   EXPECT_FALSE(config.Validate(48).ok());
   config.net.chunk_bytes = 64 * 1024;
   EXPECT_TRUE(config.Validate(48).ok());
+}
+
+// Validate must hold for configs built in code, not only parsed ones, so
+// every range check fails on NaN.
+TEST(PerfIsoConfigTest, ValidateRejectsNanRateCap) {
+  PerfIsoConfig config;
+  config.cpu_mode = CpuIsolationMode::kCpuRateCap;
+  config.cpu_rate_cap = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(config.Validate(48).ok());
+}
+
+TEST(PerfIsoConfigTest, ValidateChecksIoLimits) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  PerfIsoConfig config;
+  config.io_limits.push_back(IoOwnerLimit{901, 60e6, 0, 1, 2.0, 100});
+  EXPECT_TRUE(config.Validate(48).ok());
+  IoOwnerLimit& limit = config.io_limits[0];
+
+  for (double bad : {nan, inf}) {
+    limit.bandwidth_bps = bad;
+    EXPECT_FALSE(config.Validate(48).ok());
+    limit.bandwidth_bps = 60e6;
+    limit.iops = bad;
+    EXPECT_FALSE(config.Validate(48).ok());
+    limit.iops = 0;
+    limit.min_iops_guarantee = bad;
+    EXPECT_FALSE(config.Validate(48).ok());
+    limit.min_iops_guarantee = 100;
+  }
+  for (double bad : {nan, inf, 0.0, -1.0}) {
+    limit.weight = bad;
+    EXPECT_FALSE(config.Validate(48).ok()) << bad;
+  }
+  limit.weight = 2.0;
+  for (int bad : {-1, IoScheduler::kNumPriorities}) {
+    limit.priority = bad;
+    EXPECT_FALSE(config.Validate(48).ok()) << bad;
+  }
+  limit.priority = IoScheduler::kNumPriorities - 1;
+  EXPECT_TRUE(config.Validate(48).ok());
+}
+
+// --- Parse-boundary regressions: each value below used to be accepted (or,
+// for poll_interval_us, was undefined behaviour in the float->int cast). ---
+
+Status ParseOne(const std::string& key, const std::string& value) {
+  ConfigMap map;
+  map.Set(key, value);
+  return PerfIsoConfig::FromConfigMap(map).status();
+}
+
+TEST(PerfIsoConfigTest, RejectsNanRateCap) {
+  EXPECT_FALSE(ParseOne("cpu.rate_cap", "nan").ok());
+}
+
+TEST(PerfIsoConfigTest, RejectsBufferCoresOutsideInt) {
+  EXPECT_FALSE(ParseOne("cpu.buffer_cores", "4294967304").ok());  // used to become 8
+}
+
+TEST(PerfIsoConfigTest, RejectsPollIntervalThatOverflowsNanoseconds) {
+  EXPECT_FALSE(ParseOne("poll_interval_us", "9223372036854775807").ok());
+}
+
+TEST(PerfIsoConfigTest, RejectsIoOwnerPriorityOutsideInt) {
+  EXPECT_FALSE(ParseOne("io.owner.7.priority", "4294967296").ok());  // used to become 0
 }
 
 }  // namespace

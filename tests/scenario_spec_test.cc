@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "bench/harness.h"
+
 namespace perfiso {
 namespace {
 
@@ -93,7 +98,7 @@ TEST(ScenarioSpecTest, EveryShapeKindRoundTrips) {
       spec.load.piecewise = {{0, 750}};
     }
     auto parsed = ScenarioSpec::FromConfigMap(spec.ToConfigMap());
-    ASSERT_TRUE(parsed.ok()) << LoadShapeKindName(kind) << ": "
+    ASSERT_TRUE(parsed.ok()) << NameOf(kind) << ": "
                              << parsed.status().ToString();
     EXPECT_EQ(parsed->load.kind, kind);
   }
@@ -123,18 +128,18 @@ TEST(ScenarioSpecTest, DefaultsFromEmptyMap) {
 TEST(ScenarioSpecTest, UnknownKeysRejected) {
   {
     ConfigMap map;
-    map.SetDouble("workload.qsp", 100);  // typo
+    map.Set("workload.qsp", 100);  // typo
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
   {
     ConfigMap map;
-    map.SetString("workload.isolation", "perfiso");
-    map.SetString("perfiso.cpu.modes", "blind");  // typo inside perfiso.*
+    map.Set("workload.isolation", "perfiso");
+    map.Set("perfiso.cpu.modes", "blind");  // typo inside perfiso.*
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
   {
     ConfigMap map;
-    map.SetDouble("cpu.buffer_cores", 8);  // outside workload./perfiso.
+    map.Set("cpu.buffer_cores", 8);  // outside workload./perfiso.
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
 }
@@ -142,79 +147,79 @@ TEST(ScenarioSpecTest, UnknownKeysRejected) {
 TEST(ScenarioSpecTest, InapplicableKeysRejected) {
   // A ramp knob on a constant-shape scenario would silently do nothing.
   ConfigMap map;
-  map.SetString("workload.shape", "constant");
-  map.SetDouble("workload.ramp.end_qps", 4000);
+  map.Set("workload.shape", "constant");
+  map.Set("workload.ramp.end_qps", 4000);
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
 
   // Closed-loop knobs on an open-loop scenario likewise.
   ConfigMap closed;
-  closed.SetInt("workload.closed.outstanding", 8);
+  closed.Set("workload.closed.outstanding", 8);
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(closed).ok());
 
   // Piecewise rates come only from the table, so a qps knob is inapplicable
   // (it would be silently ignored otherwise).
   ConfigMap piecewise;
-  piecewise.SetString("workload.shape", "piecewise");
-  piecewise.SetString("workload.piecewise", "0:100");
-  piecewise.SetDouble("workload.qps", 500);
+  piecewise.Set("workload.shape", "piecewise");
+  piecewise.Set("workload.piecewise", "0:100");
+  piecewise.Set("workload.qps", 500);
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(piecewise).ok());
 }
 
 TEST(ScenarioSpecTest, PerfIsoKeysWithoutIsolationRejected) {
   ConfigMap map;
-  map.SetInt("perfiso.cpu.buffer_cores", 8);  // but workload.isolation = none
+  map.Set("perfiso.cpu.buffer_cores", 8);  // but workload.isolation = none
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
 }
 
 TEST(ScenarioSpecTest, InvalidShapesReturnStatusErrors) {
   {
     ConfigMap map;
-    map.SetDouble("workload.qps", -5);  // negative rate
+    map.Set("workload.qps", -5);  // negative rate
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
   {
     ConfigMap map;
-    map.SetString("workload.shape", "piecewise");
-    map.SetString("workload.piecewise", "");  // empty table
+    map.Set("workload.shape", "piecewise");
+    map.Set("workload.piecewise", "");  // empty table
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
   {
     ConfigMap map;
-    map.SetString("workload.shape", "piecewise");
-    map.SetString("workload.piecewise", "0:100,oops");  // malformed entry
+    map.Set("workload.shape", "piecewise");
+    map.Set("workload.piecewise", "0:100,oops");  // malformed entry
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
   {
     ConfigMap map;
-    map.SetString("workload.shape", "piecewise");
-    map.SetString("workload.piecewise", "0:100,5:2000,");  // trailing comma
+    map.Set("workload.shape", "piecewise");
+    map.Set("workload.piecewise", "0:100,5:2000,");  // trailing comma
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
   {
     ConfigMap map;
-    map.SetString("workload.shape", "piecewise");
-    map.SetString("workload.piecewise", "0:100,,5:2000");  // empty entry
+    map.Set("workload.shape", "piecewise");
+    map.Set("workload.piecewise", "0:100,,5:2000");  // empty entry
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
   {
     ConfigMap map;
-    map.SetString("workload.shape", "square_wave");
-    map.SetDouble("workload.square.duty", 1.5);  // duty outside (0, 1)
+    map.Set("workload.shape", "square_wave");
+    map.Set("workload.square.duty", 1.5);  // duty outside (0, 1)
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
   {
     ConfigMap map;
-    map.SetString("workload.shape", "warble");  // unknown shape
+    map.Set("workload.shape", "warble");  // unknown shape
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
   {
     ConfigMap map;
-    map.SetInt("workload.trace.count", 0);
+    map.Set("workload.trace.count", 0);
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
   {
     ConfigMap map;
-    map.SetInt("workload.measure_ns", -1);
+    map.Set("workload.measure_ns", -1);
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
 }
@@ -239,14 +244,14 @@ TEST(ScenarioSpecTest, ValidateChecksClientAndTopology) {
 
 TEST(ScenarioSpecTest, ClientKindNamesRoundTrip) {
   for (ClientKind kind : {ClientKind::kOpenLoop, ClientKind::kClosedLoop}) {
-    auto parsed = ParseClientKind(ClientKindName(kind));
+    auto parsed = ParseEnum<ClientKind>(NameOf(kind));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, kind);
   }
-  EXPECT_FALSE(ParseClientKind("half_open").ok());
+  EXPECT_FALSE(ParseEnum<ClientKind>("half_open").ok());
 }
 
-// The serialized form is a plain Autopilot config file: text round trip too.
+// The serialized form is a plain key=value config file: text round trip too.
 TEST(ScenarioSpecTest, SurvivesTextSerialization) {
   ScenarioSpec spec;
   spec.name = "text-trip";
@@ -297,13 +302,50 @@ TEST(ScenarioSpecTest, DisabledFaultPlanSerializesNoKeys) {
 
 TEST(ScenarioSpecTest, StrayFaultKeysRejected) {
   ConfigMap map;
-  map.SetBool("fault.enabld", true);  // typo inside fault.*
+  map.Set("fault.enabld", true);  // typo inside fault.*
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
 
   ConfigMap empty_events;
-  empty_events.SetBool("fault.enabled", true);
-  empty_events.SetString("fault.events", "");
+  empty_events.Set("fault.enabled", true);
+  empty_events.Set("fault.events", "");
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(empty_events).ok());
+}
+
+TEST(ScenarioSpecTest, RejectsClosedLoopOutstandingOutsideInt) {
+  ConfigMap map;
+  map.Set("workload.client", "closed_loop");
+  map.Set("workload.closed.outstanding", "4294967297");  // used to become 1
+  EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
+}
+
+TEST(ScenarioSpecTest, RejectsTopologyWhoseNodeCountOverflowsInt) {
+  ConfigMap map;
+  map.Set("workload.topology.columns", 65536);
+  map.Set("workload.topology.rows", 65536);  // 2^32 nodes used to wrap to 0
+  EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
+}
+
+TEST(ScenarioSpecTest, RejectsNanInsideEmbeddedPerfIsoConfig) {
+  ConfigMap map;
+  map.Set("workload.isolation", "perfiso");
+  map.Set("perfiso.cpu.rate_cap", "nan");
+  EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
+}
+
+// Every registry scenario survives ToConfigMap -> Serialize -> Parse ->
+// FromConfigMap -> ToConfigMap unchanged, so each named experiment can live in
+// a text file.
+TEST(ScenarioSpecTest, EveryRegistryScenarioRoundTripsThroughText) {
+  const std::vector<std::string> names = bench::ScenarioNames();
+  ASSERT_FALSE(names.empty());
+  for (const std::string& name : names) {
+    const ConfigMap map = bench::MustFindScenario(name).ToConfigMap();
+    auto text = ConfigMap::Parse(map.Serialize());
+    ASSERT_TRUE(text.ok()) << name << ": " << text.status().ToString();
+    auto parsed = ScenarioSpec::FromConfigMap(*text);
+    ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->ToConfigMap().entries(), map.entries()) << name;
+  }
 }
 
 TEST(ScenarioSpecTest, FaultNodeOutsideTopologyRejected) {
