@@ -157,20 +157,6 @@ void PrintClusterRow(const char* label, const ClusterRow& r) {
               static_cast<long long>(r.failed), static_cast<long long>(r.faults_injected));
 }
 
-// The robustness stack experiment B turns on: chunk retries with capped
-// exponential backoff, plus the k-of-n degrade deadline.
-IndexNodeOptions ResilientNodeOptions() {
-  IndexNodeOptions node;
-  node.indexserve.chunk_retry.enabled = true;
-  node.indexserve.chunk_retry.max_attempts = 3;
-  node.indexserve.chunk_retry.timeout = FromMillis(10);
-  node.indexserve.chunk_retry.backoff_base = FromMillis(2);
-  node.indexserve.chunk_retry.backoff_cap = FromMillis(20);
-  node.indexserve.degrade_deadline = FromMillis(30);
-  node.indexserve.min_chunk_coverage = 0.5;
-  return node;
-}
-
 void PrintSingleBoxRow(const char* label, const bench::SingleBoxResult& r) {
   bench::RecordRow(label, r);
   std::printf("%-26s | p95/p99: %6.2f %6.2f ms | drop %5.1f%% | coverage %5.3f | "

@@ -622,6 +622,18 @@ StatusOr<ScenarioSpec> FindScenario(const std::string& name) {
   return NotFoundError("no scenario named " + name);
 }
 
+IndexNodeOptions ResilientNodeOptions() {
+  IndexNodeOptions node;
+  node.indexserve.chunk_retry.enabled = true;
+  node.indexserve.chunk_retry.max_attempts = 3;
+  node.indexserve.chunk_retry.timeout = FromMillis(10);
+  node.indexserve.chunk_retry.backoff_base = FromMillis(2);
+  node.indexserve.chunk_retry.backoff_cap = FromMillis(20);
+  node.indexserve.degrade_deadline = FromMillis(30);
+  node.indexserve.min_chunk_coverage = 0.5;
+  return node;
+}
+
 ScenarioSpec MustFindScenario(const std::string& name) {
   auto spec = FindScenario(name);
   if (!spec.ok()) {

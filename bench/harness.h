@@ -125,6 +125,11 @@ SingleBoxResult RunSingleBox(const ScenarioSpec& scenario,
                              const IndexNodeOptions& node = IndexNodeOptions{},
                              ObsArtifacts* obs = nullptr);
 
+// The serving-side robustness stack: chunk retries with capped exponential
+// backoff (10 ms per-attempt timeout, 3 attempts) plus a 30 ms k-of-n degrade
+// deadline at 50% coverage. fig_fault_tolerance's experiment B runs it.
+IndexNodeOptions ResilientNodeOptions();
+
 // --- Scenario registry --------------------------------------------------------
 //
 // Canonical named scenarios: the figure settings (standalone, bully tiers,

@@ -182,9 +182,12 @@ TEST(BenchDeterminismTest, ShapedScenariosParallelMatchesSequential) {
 
 // --- Golden digests ----------------------------------------------------------
 //
-// Two named scenarios pinned at fixed seed/scale: a workload refactor that
+// Named scenarios pinned at fixed seed/scale: a workload refactor that
 // silently changes simulation results (instead of just restructuring code)
-// trips these, because the latency digest hashes every sample in order.
+// trips these, because the latency digest hashes every sample in order. The
+// two fault rows cover the server's crash path (live queries failed, then
+// submissions rejected while down) and its chunk retry + degrade deadline
+// path (a 40x disk window under the robustness stack).
 //
 // Update procedure (ONLY when a results-affecting change is intended, and
 // say so in the commit message):
@@ -198,12 +201,19 @@ struct Golden {
   const char* scenario;
   uint64_t digest;
   int64_t queries;
+  bool resilient = false;  // run with bench::ResilientNodeOptions()
 };
 
 constexpr Golden kGoldens[] = {
     {"diurnal-blind", 0x6a520f8c86032a81ULL, 2386},
     {"flash-crowd-no-isolation", 0x2f584ed6577403cfULL, 8907},
+    {"fault-crash-restart", 0x39472fe4667a38bbULL, 5941},
+    {"fault-disk-degrade-blind", 0x30307285edf85b8cULL, 5941, /*resilient=*/true},
 };
+
+IndexNodeOptions GoldenNodeOptions(const Golden& golden) {
+  return golden.resilient ? bench::ResilientNodeOptions() : IndexNodeOptions{};
+}
 
 TEST(GoldenDigestTest, PinnedScenarioDigests) {
   // Fixed scale regardless of the caller's bench environment.
@@ -214,17 +224,23 @@ TEST(GoldenDigestTest, PinnedScenarioDigests) {
     auto spec = bench::FindScenario(golden.scenario);
     ASSERT_TRUE(spec.ok()) << spec.status().ToString();
     spec->measure = 3 * kSecond;  // fixed, fast window (flash spike at t=3s is inside)
-    const SingleBoxResult result = RunSingleBox(*spec);
+    const SingleBoxResult result = RunSingleBox(*spec, GoldenNodeOptions(golden));
     if (update) {
-      std::printf("    {\"%s\", 0x%016llxULL, %lld},\n", golden.scenario,
+      std::printf("    {\"%s\", 0x%016llxULL, %lld%s},\n", golden.scenario,
                   static_cast<unsigned long long>(result.latency_digest),
-                  static_cast<long long>(result.queries));
+                  static_cast<long long>(result.queries),
+                  golden.resilient ? ", /*resilient=*/true" : "");
       continue;
     }
     EXPECT_EQ(result.latency_digest, golden.digest)
         << golden.scenario << ": digest changed — a workload refactor altered "
         << "simulation results (see the update procedure above)";
     EXPECT_EQ(result.queries, golden.queries) << golden.scenario;
+    if (spec->fault.enabled) {
+      // The fault rows only pin their paths if the fault lands in the window.
+      EXPECT_GT(result.faults_injected, 0) << golden.scenario;
+      EXPECT_GT(result.dropped_crash + result.retries, 0) << golden.scenario;
+    }
   }
 }
 
@@ -242,7 +258,7 @@ TEST(GoldenDigestTest, FullSamplingObservabilityLeavesDigestsUnchanged) {
     spec->obs.enabled = true;
     spec->obs.sampling = TraceSampling::kAll;
     bench::ObsArtifacts obs;
-    const SingleBoxResult result = RunSingleBox(*spec, {}, &obs);
+    const SingleBoxResult result = RunSingleBox(*spec, GoldenNodeOptions(golden), &obs);
     EXPECT_EQ(result.latency_digest, golden.digest)
         << golden.scenario << ": enabling observability changed simulation "
         << "results — the tracer/sampler must stay passive (DESIGN.md §7)";
@@ -265,6 +281,9 @@ TEST(GoldenDigestTest, DisabledFaultPlanLeavesDigestsUnchanged) {
   for (const Golden& golden : kGoldens) {
     auto spec = bench::FindScenario(golden.scenario);
     ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    if (spec->fault.enabled) {
+      continue;  // fault rows pin the plan's effect, not its absence
+    }
     spec->measure = 3 * kSecond;
     spec->fault.enabled = false;  // explicit, with non-default fields staged
     spec->fault.seed = 0xdeadbeef;
