@@ -6,8 +6,9 @@
 #   2. Static analysis: perfiso_lint over the whole tree (determinism &
 #      lifetime rules, tools/lint/), plus clang-tidy when it is installed.
 #   3. Sanitizer build: the same suite under ASan + UBSan (LeakSanitizer is
-#      part of ASan on Linux), so callback-cycle leaks like the IndexServer
-#      QueryState bug fail the gate instead of shipping.
+#      part of ASan on Linux), so leaks and use-after-free fail the gate
+#      instead of shipping. Leaked IndexServer query slots are caught in
+#      every build by InvariantChecker (occupied slots == inflight).
 #
 # Usage: scripts/verify.sh [--skip-sanitizers]
 set -euo pipefail

@@ -66,7 +66,8 @@ class IndexNodeRig {
   // live query fails (IndexServer::Crash), and all queued + in-flight I/O on
   // both volumes is dropped without completions (IoScheduler::CancelAll).
   // Residual CPU bursts of dead queries run to completion but their
-  // continuations are inert (finished-flag guards). Secondary tenants are
+  // continuations are inert (their query refs no longer match a live slot,
+  // see IndexServer::QueryRef). Secondary tenants are
   // separate processes in this model: their CPU loops keep running, though
   // any I/O chain they had in flight dies with the storage stack. Restart
   // brings the serving process back with cold state; queries flow again on

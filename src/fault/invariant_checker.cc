@@ -31,6 +31,12 @@ void InvariantChecker::CheckServer(const IndexServer& server, bool expect_draine
   if (server.inflight() < 0) {
     report->Violation("inflight negative: " + std::to_string(server.inflight()));
   }
+  // Every in-flight query holds exactly one slot: a leaked slot (a query that
+  // never ended) or a double free breaks this.
+  if (server.occupied_query_slots() != server.inflight()) {
+    report->Violation("query slots: occupied=" + std::to_string(server.occupied_query_slots()) +
+                      " but inflight=" + std::to_string(server.inflight()));
+  }
   if (expect_drained && server.inflight() != 0) {
     report->Violation("drained run still has inflight=" + std::to_string(server.inflight()));
   }

@@ -6,6 +6,8 @@
 //     state: submitted + inflight_at_reset ==
 //     completed + dropped_timeout + dropped_admission + dropped_crash +
 //     inflight (and inflight == 0 once the simulation drains).
+//   * Query slots — the server's occupied query slots equal inflight, so a
+//     leaked or double-freed slot fails every checked run.
 //   * No completions while crashed — a dead machine delivers nothing
 //     (IndexServer::Stats::completions_while_crashed stays 0).
 //   * Budget caps — hedges never exceed the hedge budget; retries only happen

@@ -1,51 +1,11 @@
 #include "src/indexserve/index_server.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <vector>
 
 namespace perfiso {
-
-struct IndexServer::QueryState {
-  QueryState(std::shared_ptr<int64_t> live, std::shared_ptr<VectorPool<ChunkSlot>> pool)
-      : live_counter(std::move(live)), chunk_pool(std::move(pool)) {
-    ++*live_counter;
-  }
-  ~QueryState() {
-    --*live_counter;
-    // Park the slot vector (with its capacity) for the next query. The pool
-    // is held by shared_ptr, so a state outliving its server still has a
-    // valid place to return the carcass to.
-    chunk_pool->Put(std::move(chunks));
-  }
-  QueryState(const QueryState&) = delete;
-  QueryState& operator=(const QueryState&) = delete;
-
-  // Destruction tracker shared with the owning server; lets tests assert that
-  // no query state survives a drained simulation (lifetime regression hook).
-  std::shared_ptr<int64_t> live_counter;
-  std::shared_ptr<VectorPool<ChunkSlot>> chunk_pool;
-  QueryWork work;
-  QueryDoneFn done;
-  Rng rng{0};
-  SimTime arrival = 0;
-  uint64_t live_key = 0;  // key in the server's live-query registry
-  int chunks_left = 0;
-  // One slot per fan-out chunk (flags, attempt count, armed timers); the
-  // vector itself is recycled through chunk_pool.
-  std::vector<ChunkSlot> chunks;
-  // Degrade-deadline timer (armed only when degrade_deadline > 0).
-  EventHandle deadline_event;
-  // Set when the deadline closed the fan-out at partial coverage: late chunk
-  // completions are ignored from then on.
-  bool fanout_closed = false;
-  bool degraded = false;
-  int chunks_served_at_close = 0;
-  int snippet_reads_left = 0;
-  bool finished = false;
-  uint64_t trace_ctx = 0;
-  bool owns_trace = false;  // minted here (standalone) vs adopted from the TLA
-};
 
 namespace {
 
@@ -80,129 +40,117 @@ void IndexServer::EnableTracing(Tracer* tracer, int process) {
 
 void IndexServer::SubmitQuery(const QueryWork& work, QueryDoneFn done) {
   ++stats_.submitted;
-  if (crashed_) {
-    // No events are delivered to a crashed machine: the connection is simply
-    // refused. The cluster counts the leaf as failed for this query.
-    ++stats_.dropped_crash;
-    if (tracer_ != nullptr && work.trace_ctx == 0) {
-      const SimTime now = machine_->sim()->Now();
-      tracer_->EndTrace(tracer_->BeginTrace("isq", now), now, /*dropped=*/true);
-    }
-    if (done) {
-      QueryResult result;
-      result.id = work.id;
-      result.submit_time = machine_->sim()->Now();
-      result.finish_time = result.submit_time;
-      result.dropped = true;
-      result.chunks_total = work.fanout;
-      done(result);
-    }
-    return;
-  }
-  if (inflight_ >= config_.max_inflight) {
-    ++stats_.dropped_admission;
-    if (tracer_ != nullptr && work.trace_ctx == 0) {
-      // Zero-length dropped trace so rejected queries appear in summaries.
-      const SimTime now = machine_->sim()->Now();
-      tracer_->EndTrace(tracer_->BeginTrace("isq", now), now, /*dropped=*/true);
-    }
-    if (done) {
-      QueryResult result;
-      result.id = work.id;
-      result.submit_time = machine_->sim()->Now();
-      result.finish_time = result.submit_time;
-      result.dropped = true;
-      done(result);
-    }
+  QueryState& q = Acquire(work, std::move(done));
+  if (crashed_ || inflight_ >= config_.max_inflight) {
+    // A crashed machine delivers no events: the connection is simply refused
+    // (the cluster counts the leaf as failed for this query). Either way the
+    // query ends here with a zero-length dropped trace, so rejected queries
+    // appear in summaries.
+    ++(crashed_ ? stats_.dropped_crash : stats_.dropped_admission);
+    EndQuery(q, ResultOf(q, /*dropped=*/true));
     return;
   }
   ++inflight_;
-  // allocate_shared + the arena allocator puts the state and its control
-  // block in one recycled block: the steady-state query path performs no
-  // heap allocation for query state.
-  auto q = std::allocate_shared<QueryState>(ArenaAllocator<QueryState>(query_arena_),
-                                            live_query_states_, chunk_pool_);
-  q->work = work;
-  q->done = std::move(done);
   // Mix in the server identity: each machine holds a different index
   // partition, so the same query does *different* work on each leaf. This is
   // what makes the MLA see a max over independent leaf latencies [15].
-  q->rng = Rng(work.seed ^ (seed_ * 0x9e3779b97f4a7c15ULL));
-  q->arrival = machine_->sim()->Now();
-  if (work.trace_ctx != 0) {
-    q->trace_ctx = work.trace_ctx;
-  } else if (tracer_ != nullptr) {
-    q->trace_ctx = tracer_->BeginTrace("isq", q->arrival);
-    q->owns_trace = true;
-  }
-  q->chunks_left = work.fanout;
-  q->chunks = chunk_pool_->Get(static_cast<size_t>(work.fanout));
-  if (config_.chunk_retry.enabled) {
-    for (ChunkSlot& slot : q->chunks) {
-      slot.attempts = 1;
-    }
-  }
-  q->live_key = next_live_key_++;
-  live_queries_.emplace(q->live_key, q);
+  q.rng = Rng(work.seed ^ (seed_ * 0x9e3779b97f4a7c15ULL));
+  ChunkSlot first_attempt;
+  first_attempt.attempts = config_.chunk_retry.enabled ? 1 : 0;
+  q.chunks.assign(static_cast<size_t>(work.fanout), first_attempt);
 
   // Network receive path runs in kernel context (OS tenant, outside the job).
-  machine_->SpawnThread("is-recv", TenantClass::kOs, JobId{},
-                        ScaledUs(config_.receive_cpu_us, 1.0),
-                        [this, q](SimTime) { StartParse(q); }, q->trace_ctx);
+  machine_->SpawnThread(
+      "is-recv", TenantClass::kOs, JobId{}, ScaledUs(config_.receive_cpu_us, 1.0),
+      [this, ref = q.ref()](SimTime) {
+        if (QueryState* live = Find(ref)) {
+          StartParse(*live);
+        }
+      },
+      q.trace_ctx);
 }
 
-bool IndexServer::ExpireIfOverdue(const std::shared_ptr<QueryState>& q) {
-  if (q->finished) {
-    return true;
+IndexServer::QueryState& IndexServer::Acquire(const QueryWork& work, QueryDoneFn done) {
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<uint32_t>(queries_.size()));
+    queries_.emplace_back().index = free_slots_.back();
   }
+  QueryState& q = queries_[free_slots_.back()];
+  free_slots_.pop_back();
+  q.live = true;
+  q.serial = next_serial_++;
+  q.work = work;
+  q.done = std::move(done);
+  q.arrival = machine_->sim()->Now();
+  q.chunks_left = work.fanout;
+  q.fanout_closed = false;
+  q.trace_ctx = work.trace_ctx;
+  q.owns_trace = work.trace_ctx == 0 && tracer_ != nullptr;
+  if (q.owns_trace) {
+    q.trace_ctx = tracer_->BeginTrace("isq", q.arrival);
+  }
+  return q;
+}
+
+IndexServer::QueryState* IndexServer::Find(QueryRef ref) {
+  QueryState& q = queries_[ref.index];
+  return q.gen == ref.gen ? &q : nullptr;
+}
+
+QueryResult IndexServer::ResultOf(const QueryState& q, bool dropped) const {
+  QueryResult result;
+  result.id = q.work.id;
+  result.submit_time = q.arrival;
+  result.finish_time = machine_->sim()->Now();
+  result.latency_ms = ToMillis(result.finish_time - q.arrival);
+  result.dropped = dropped;
+  result.chunks_total = q.work.fanout;
+  result.chunks_served = q.work.fanout - q.chunks_left;
+  result.degraded = q.fanout_closed;
+  return result;
+}
+
+void IndexServer::QueryState::CancelTimers(Simulator* sim) {
+  for (ChunkSlot& slot : chunks) {
+    sim->CancelOwned(slot.hedge_event);
+  }
+  for (ChunkSlot& slot : chunks) {
+    sim->CancelOwned(slot.retry_event);
+  }
+  sim->CancelOwned(deadline_event);
+}
+
+void IndexServer::EndQuery(QueryState& q, const QueryResult& result) {
+  assert(q.live);
+  q.CancelTimers(machine_->sim());
+  if (q.owns_trace) {
+    tracer_->EndTrace(q.trace_ctx, result.finish_time, result.dropped);
+  }
+  QueryDoneFn done = std::move(q.done);
+  q.done = nullptr;
+  q.chunks.clear();
+  q.live = false;
+  ++q.gen;
+  free_slots_.push_back(q.index);
+  if (done) {
+    done(result);
+  }
+}
+
+bool IndexServer::ExpireIfOverdue(QueryState& q) {
   // Server-side shedding: once a query is past its deadline, further work is
   // wasted; the paper observes that heavy drops *reduce* primary CPU
   // utilization (§6.1.2), which implies abandoned processing.
-  if (machine_->sim()->Now() - q->arrival <= config_.timeout) {
+  if (machine_->sim()->Now() - q.arrival <= config_.timeout) {
     return false;
   }
-  q->finished = true;
   --inflight_;
   ++stats_.dropped_timeout;
-  if (q->done) {
-    QueryResult result;
-    result.id = q->work.id;
-    result.submit_time = q->arrival;
-    result.finish_time = machine_->sim()->Now();
-    result.latency_ms = ToMillis(result.finish_time - q->arrival);
-    result.dropped = true;
-    q->done(result);
-  }
-  if (q->owns_trace) {
-    tracer_->EndTrace(q->trace_ctx, machine_->sim()->Now(), /*dropped=*/true);
-  }
-  // Terminal state: release the completion callback (it may capture caller
-  // state) so the query holds nothing beyond its own fields.
-  q->done = nullptr;
-  DetachTerminal(q);
+  EndQuery(q, ResultOf(q, /*dropped=*/true));
   return true;
 }
 
-void IndexServer::CancelHedges(const std::shared_ptr<QueryState>& q) {
-  for (ChunkSlot& slot : q->chunks) {
-    machine_->sim()->CancelOwned(slot.hedge_event);
-  }
-}
-
-void IndexServer::CancelRetries(const std::shared_ptr<QueryState>& q) {
-  for (ChunkSlot& slot : q->chunks) {
-    machine_->sim()->CancelOwned(slot.retry_event);
-  }
-}
-
-void IndexServer::DetachTerminal(const std::shared_ptr<QueryState>& q) {
-  CancelHedges(q);
-  CancelRetries(q);
-  machine_->sim()->CancelOwned(q->deadline_event);
-  live_queries_.erase(q->live_key);
-}
-
-void IndexServer::StartParse(const std::shared_ptr<QueryState>& q) {
+void IndexServer::StartParse(QueryState& q) {
   if (ExpireIfOverdue(q)) {
     return;
   }
@@ -210,68 +158,73 @@ void IndexServer::StartParse(const std::shared_ptr<QueryState>& q) {
   // (no intermediate wake point).
   machine_->SpawnThread(
       "is-parse", TenantClass::kPrimary, job_,
-      ScaledUs(config_.parse_cpu_us + config_.understand_cpu_us, q->work.size_factor),
-      [this, q](SimTime) { StartFanout(q); }, q->trace_ctx);
+      ScaledUs(config_.parse_cpu_us + config_.understand_cpu_us, q.work.size_factor),
+      [this, ref = q.ref()](SimTime) {
+        if (QueryState* live = Find(ref)) {
+          StartFanout(*live);
+        }
+      },
+      q.trace_ctx);
 }
 
-void IndexServer::StartFanout(const std::shared_ptr<QueryState>& q) {
+void IndexServer::StartFanout(QueryState& q) {
   if (ExpireIfOverdue(q)) {
     return;
   }
   // All chunk workers wake within the same instant — this is the burst the
   // buffer cores exist to absorb.
-  for (int chunk = 0; chunk < q->work.fanout; ++chunk) {
+  for (int chunk = 0; chunk < q.work.fanout; ++chunk) {
     StartChunk(q, chunk, /*is_hedge=*/false);
   }
   if (config_.degrade_deadline > 0) {
-    const SimTime deadline = q->arrival + config_.degrade_deadline;
+    const SimTime deadline = q.arrival + config_.degrade_deadline;
     if (deadline > machine_->sim()->Now()) {
-      q->deadline_event = machine_->sim()->Schedule(deadline, [this, q] {
-        q->deadline_event = EventHandle();
-        MaybeDegrade(q);
+      q.deadline_event = machine_->sim()->Schedule(deadline, [this, ref = q.ref()] {
+        if (QueryState* live = Find(ref)) {
+          live->deadline_event = EventHandle();
+          MaybeDegrade(*live);
+        }
       });
     }
   }
 }
 
-void IndexServer::MaybeDegrade(const std::shared_ptr<QueryState>& q) {
-  if (q->finished || q->fanout_closed || q->chunks_left == 0) {
+void IndexServer::MaybeDegrade(QueryState& q) {
+  if (q.fanout_closed || q.chunks_left == 0) {
     return;
   }
-  const int total = q->work.fanout;
-  const int served = total - q->chunks_left;
+  const int total = q.work.fanout;
+  const int served = total - q.chunks_left;
   if (static_cast<double>(served) < config_.min_chunk_coverage * static_cast<double>(total)) {
     // Below the k-of-n floor: keep waiting — hedges/retries may still recover
     // the missing chunks, and the client timeout is the backstop.
     return;
   }
-  q->fanout_closed = true;
-  q->degraded = true;
-  q->chunks_served_at_close = served;
+  q.fanout_closed = true;
   // The open attempts are abandoned: their timers leave the event queue and
   // late completions are ignored by the fanout_closed guard.
-  CancelHedges(q);
-  CancelRetries(q);
+  q.CancelTimers(machine_->sim());
   if (tracer_ != nullptr) {
     tracer_->Instant("query.degraded", track_, machine_->sim()->Now());
   }
   StartRank(q);
 }
 
-void IndexServer::StartChunk(const std::shared_ptr<QueryState>& q, int chunk, bool is_hedge) {
+void IndexServer::StartChunk(QueryState& q, int chunk, bool is_hedge) {
   const SimDuration cpu = FromMicros(std::max(
-      1.0, q->rng.LogNormal(std::log(config_.chunk_cpu_median_us), config_.chunk_cpu_sigma) *
-               q->work.size_factor));
-  const bool miss = q->rng.Bernoulli(config_.chunk_miss_rate);
+      1.0, q.rng.LogNormal(std::log(config_.chunk_cpu_median_us), config_.chunk_cpu_sigma) *
+               q.work.size_factor));
+  const bool miss = q.rng.Bernoulli(config_.chunk_miss_rate);
 
   machine_->SpawnThread(
       "is-chunk", TenantClass::kPrimary, job_, cpu,
-      [this, q, chunk, miss](SimTime) {
-        if (q->finished) {
+      [this, ref = q.ref(), chunk, miss](SimTime) {
+        QueryState* live = Find(ref);
+        if (live == nullptr) {
           return;
         }
         if (!miss) {
-          ChunkDone(q, chunk);
+          ChunkDone(*live, chunk);
           return;
         }
         IoRequest read;
@@ -279,16 +232,26 @@ void IndexServer::StartChunk(const std::shared_ptr<QueryState>& q, int chunk, bo
         read.op = IoOp::kRead;
         read.bytes = config_.chunk_read_bytes;
         read.sequential = false;
-        read.trace_ctx = q->trace_ctx;
-        read.on_complete = [this, q, chunk](SimTime) {
+        read.trace_ctx = live->trace_ctx;
+        // The post-read burst runs even if the query has ended meanwhile (the
+        // read's CPU work is not abandoned), so its cost and trace context
+        // are captured by value rather than read from the slot.
+        read.on_complete = [this, ref, chunk,
+                            cost = ScaledUs(config_.chunk_post_read_cpu_us,
+                                            live->work.size_factor),
+                            trace_ctx = live->trace_ctx](SimTime) {
           machine_->SpawnThread(
-              "is-chunk-post", TenantClass::kPrimary, job_,
-              ScaledUs(config_.chunk_post_read_cpu_us, q->work.size_factor),
-              [this, q, chunk](SimTime) { ChunkDone(q, chunk); }, q->trace_ctx);
+              "is-chunk-post", TenantClass::kPrimary, job_, cost,
+              [this, ref, chunk](SimTime) {
+                if (QueryState* done = Find(ref)) {
+                  ChunkDone(*done, chunk);
+                }
+              },
+              trace_ctx);
         };
         ssd_->Submit(std::move(read));
       },
-      q->trace_ctx);
+      q.trace_ctx);
 
   if (!is_hedge) {
     ++chunks_started_;
@@ -300,102 +263,114 @@ void IndexServer::StartChunk(const std::shared_ptr<QueryState>& q, int chunk, bo
   // hedge_delay, launch a duplicate lookup and take whichever finishes first.
   // The hedge budget caps the added load under systemic slowness.
   if (!is_hedge && config_.hedging_enabled) {
-    q->chunks[static_cast<size_t>(chunk)].hedge_event =
-        machine_->sim()->ScheduleAfter(config_.hedge_delay, [this, q, chunk] {
-          ChunkSlot& slot = q->chunks[static_cast<size_t>(chunk)];
+    q.chunks[static_cast<size_t>(chunk)].hedge_event =
+        machine_->sim()->ScheduleAfter(config_.hedge_delay, [this, ref = q.ref(), chunk] {
+          QueryState* live = Find(ref);
+          if (live == nullptr) {
+            return;
+          }
+          ChunkSlot& slot = live->chunks[static_cast<size_t>(chunk)];
           // The timer just fired; clear the stored handle so a later
-          // ChunkDone/CancelHedges pass cannot poke at the recycled slot.
+          // ChunkDone/CancelTimers pass does not cancel it twice.
           slot.hedge_event = EventHandle();
           const bool budget_ok =
               static_cast<double>(stats_.hedges_issued) <
               config_.hedge_budget_fraction * static_cast<double>(chunks_started_);
-          if (!q->finished && !slot.done && !slot.hedged && budget_ok) {
+          if (!slot.done && !slot.hedged && budget_ok) {
             slot.hedged = true;
             ++stats_.hedges_issued;
             if (tracer_ != nullptr) {
               tracer_->Instant("hedge.issued", track_, machine_->sim()->Now());
             }
-            StartChunk(q, chunk, /*is_hedge=*/true);
+            StartChunk(*live, chunk, /*is_hedge=*/true);
           }
         });
   }
 }
 
-void IndexServer::ChunkDone(const std::shared_ptr<QueryState>& q, int chunk) {
-  ChunkSlot& slot = q->chunks[static_cast<size_t>(chunk)];
-  if (q->finished || q->fanout_closed || slot.done) {
-    return;  // expired, degraded, or the other copy of a hedged lookup finished
+void IndexServer::ChunkDone(QueryState& q, int chunk) {
+  ChunkSlot& slot = q.chunks[static_cast<size_t>(chunk)];
+  if (q.fanout_closed || slot.done) {
+    return;  // degraded, or the other copy of a hedged lookup finished
   }
   slot.done = true;
   // The lookup beat its hedge timer (the common case): pull the timer out of
-  // the event queue instead of letting it fire as a dead no-op, and drop the
-  // handle so the eventual CancelHedges sweep doesn't cancel it twice.
+  // the event queue instead of letting it fire as a dead no-op.
   machine_->sim()->CancelOwned(slot.hedge_event);
   machine_->sim()->CancelOwned(slot.retry_event);
-  if (--q->chunks_left == 0) {
-    machine_->sim()->CancelOwned(q->deadline_event);
+  if (--q.chunks_left == 0) {
+    machine_->sim()->CancelOwned(q.deadline_event);
     StartRank(q);
   }
 }
 
-void IndexServer::ArmRetryTimer(const std::shared_ptr<QueryState>& q, int chunk) {
-  q->chunks[static_cast<size_t>(chunk)].retry_event =
-      machine_->sim()->ScheduleAfter(config_.chunk_retry.timeout, [this, q, chunk] {
-        q->chunks[static_cast<size_t>(chunk)].retry_event = EventHandle();
-        OnChunkTimeout(q, chunk);
+void IndexServer::ArmRetryTimer(QueryState& q, int chunk) {
+  q.chunks[static_cast<size_t>(chunk)].retry_event =
+      machine_->sim()->ScheduleAfter(config_.chunk_retry.timeout, [this, ref = q.ref(), chunk] {
+        if (QueryState* live = Find(ref)) {
+          OnChunkTimeout(*live, chunk);
+        }
       });
 }
 
-void IndexServer::OnChunkTimeout(const std::shared_ptr<QueryState>& q, int chunk) {
-  ChunkSlot& slot = q->chunks[static_cast<size_t>(chunk)];
-  if (q->finished || q->fanout_closed || slot.done) {
+void IndexServer::OnChunkTimeout(QueryState& q, int chunk) {
+  ChunkSlot& slot = q.chunks[static_cast<size_t>(chunk)];
+  slot.retry_event = EventHandle();  // the timer just fired
+  if (q.fanout_closed || slot.done) {
     return;
   }
   ++stats_.timeouts_detected;
   const RetryPolicy& policy = config_.chunk_retry;
-  const int attempts = slot.attempts;
-  if (attempts >= policy.max_attempts) {
+  if (slot.attempts >= policy.max_attempts) {
     ++stats_.retry_exhausted;
     return;  // budget spent; the degrade deadline / client timeout take over
   }
-  // Capped exponential backoff with jitter from the query's own stream.
-  const SimDuration delay = ComputeBackoff(policy, attempts - 1, &q->rng);
-  if (machine_->sim()->Now() + delay >= q->arrival + config_.timeout) {
+  const SimDuration delay = ComputeBackoff(policy, slot.attempts - 1, &q.rng);
+  if (machine_->sim()->Now() + delay >= q.arrival + config_.timeout) {
     // A retry that cannot answer before the client gives up is wasted work.
     ++stats_.retries_suppressed_deadline;
     return;
   }
-  slot.retry_event =
-      machine_->sim()->ScheduleAfter(delay, [this, q, chunk] {
-        ChunkSlot& fired = q->chunks[static_cast<size_t>(chunk)];
-        fired.retry_event = EventHandle();
-        if (q->finished || q->fanout_closed || fired.done) {
-          return;
-        }
-        ++stats_.retries_issued;
-        ++fired.attempts;
-        if (tracer_ != nullptr) {
-          tracer_->Instant("chunk.retry", track_, machine_->sim()->Now());
-        }
-        // Re-issue as a duplicate lookup (like a hedge: no budget increment,
-        // first answer wins) and arm the next per-attempt timeout.
-        StartChunk(q, chunk, /*is_hedge=*/true);
-        ArmRetryTimer(q, chunk);
-      });
+  slot.retry_event = machine_->sim()->ScheduleAfter(delay, [this, ref = q.ref(), chunk] {
+    QueryState* live = Find(ref);
+    if (live == nullptr) {
+      return;
+    }
+    ChunkSlot& fired = live->chunks[static_cast<size_t>(chunk)];
+    fired.retry_event = EventHandle();
+    if (live->fanout_closed || fired.done) {
+      return;
+    }
+    ++stats_.retries_issued;
+    ++fired.attempts;
+    if (tracer_ != nullptr) {
+      tracer_->Instant("chunk.retry", track_, machine_->sim()->Now());
+    }
+    // Re-issue as a duplicate lookup (like a hedge: no budget increment,
+    // first answer wins) and arm the next per-attempt timeout.
+    StartChunk(*live, chunk, /*is_hedge=*/true);
+    ArmRetryTimer(*live, chunk);
+  });
 }
 
-void IndexServer::StartRank(const std::shared_ptr<QueryState>& q) {
+void IndexServer::StartRank(QueryState& q) {
   if (ExpireIfOverdue(q)) {
     return;
   }
   const SimDuration cpu = FromMicros(std::max(
-      1.0, q->rng.LogNormal(std::log(config_.rank_cpu_median_us), config_.rank_cpu_sigma) *
-               q->work.size_factor));
-  machine_->SpawnThread("is-rank", TenantClass::kPrimary, job_, cpu,
-                        [this, q](SimTime) { StartSnippets(q); }, q->trace_ctx);
+      1.0, q.rng.LogNormal(std::log(config_.rank_cpu_median_us), config_.rank_cpu_sigma) *
+               q.work.size_factor));
+  machine_->SpawnThread(
+      "is-rank", TenantClass::kPrimary, job_, cpu,
+      [this, ref = q.ref()](SimTime) {
+        if (QueryState* live = Find(ref)) {
+          StartSnippets(*live);
+        }
+      },
+      q.trace_ctx);
 }
 
-void IndexServer::StartSnippets(const std::shared_ptr<QueryState>& q) {
+void IndexServer::StartSnippets(QueryState& q) {
   if (ExpireIfOverdue(q)) {
     return;
   }
@@ -405,40 +380,40 @@ void IndexServer::StartSnippets(const std::shared_ptr<QueryState>& q) {
   }
   // Dependent document lookups: each read's target comes from the previous
   // one, so they serialize (this is deliberately on the critical path).
-  q->snippet_reads_left = config_.snippet_reads;
+  q.snippet_reads_left = config_.snippet_reads;
   SubmitSnippetRead(q);
 }
 
-void IndexServer::SubmitSnippetRead(const std::shared_ptr<QueryState>& q) {
-  // The continuation lives only in the in-flight IoRequest, never inside *q:
-  // storing it in the query (as a reusable "snippet chain") would make the
-  // state own a std::function that captures its own shared_ptr — a reference
-  // cycle that leaks every query with snippet reads.
+void IndexServer::SubmitSnippetRead(QueryState& q) {
   IoRequest read;
   read.owner = kIoOwnerIndexData;
   read.op = IoOp::kRead;
   read.bytes = config_.snippet_read_bytes;
   read.sequential = false;
-  read.trace_ctx = q->trace_ctx;
-  read.on_complete = [this, q](SimTime) {
-    if (q->finished) {
+  read.trace_ctx = q.trace_ctx;
+  read.on_complete = [this, ref = q.ref()](SimTime) {
+    QueryState* live = Find(ref);
+    if (live == nullptr) {
       return;
     }
-    if (--q->snippet_reads_left > 0) {
-      SubmitSnippetRead(q);
+    if (--live->snippet_reads_left > 0) {
+      SubmitSnippetRead(*live);
       return;
     }
-    machine_->SpawnThread("is-snippet", TenantClass::kPrimary, job_,
-                          ScaledUs(config_.snippet_cpu_us, q->work.size_factor),
-                          [this, q](SimTime) { FinishQuery(q); }, q->trace_ctx);
+    machine_->SpawnThread(
+        "is-snippet", TenantClass::kPrimary, job_,
+        ScaledUs(config_.snippet_cpu_us, live->work.size_factor),
+        [this, ref](SimTime) {
+          if (QueryState* snippets_done = Find(ref)) {
+            FinishQuery(*snippets_done);
+          }
+        },
+        live->trace_ctx);
   };
   ssd_->Submit(std::move(read));
 }
 
-void IndexServer::FinishQuery(const std::shared_ptr<QueryState>& q) {
-  if (q->finished) {
-    return;
-  }
+void IndexServer::FinishQuery(QueryState& q) {
   // Completion requires a log append; if the log pipeline is backed up past
   // its cap (HDD saturated), the query stalls here until space frees up.
   if (hdd_ != nullptr &&
@@ -447,20 +422,15 @@ void IndexServer::FinishQuery(const std::shared_ptr<QueryState>& q) {
     if (tracer_ != nullptr) {
       tracer_->Instant("log.stall", track_, machine_->sim()->Now());
     }
-    log_waiters_.push_back(q);
+    log_waiters_.push_back(q.ref());
     return;
   }
   AppendLog(q);
   CompleteNow(q);
 }
 
-void IndexServer::CompleteNow(const std::shared_ptr<QueryState>& q) {
-  if (q->finished) {
-    return;
-  }
-  q->finished = true;
+void IndexServer::CompleteNow(QueryState& q) {
   --inflight_;
-  DetachTerminal(q);
   if (crashed_) {
     // Invariant violation recorded for the checker: a crashed server must not
     // deliver completions (Crash() fails every live query first).
@@ -470,42 +440,28 @@ void IndexServer::CompleteNow(const std::shared_ptr<QueryState>& q) {
   machine_->SpawnThread("is-send", TenantClass::kOs, JobId{},
                         ScaledUs(config_.send_cpu_us, 1.0), nullptr);
 
-  QueryResult result;
-  result.id = q->work.id;
-  result.submit_time = q->arrival;
-  result.finish_time = machine_->sim()->Now();
-  const SimDuration latency = result.finish_time - q->arrival;
-  result.latency_ms = ToMillis(latency);
-  result.dropped = latency > config_.timeout;
-  result.chunks_total = q->work.fanout;
-  result.chunks_served = q->fanout_closed ? q->chunks_served_at_close : q->work.fanout;
-  result.degraded = q->degraded;
+  const QueryResult result =
+      ResultOf(q, /*dropped=*/machine_->sim()->Now() - q.arrival > config_.timeout);
   if (result.dropped) {
     ++stats_.dropped_timeout;
   } else {
     ++stats_.completed;
     stats_.latency_ms.Add(result.latency_ms);
     stats_.coverage.Add(result.Coverage());
-    if (q->degraded) {
+    if (result.degraded) {
       ++stats_.completed_degraded;
     }
   }
-  if (q->owns_trace) {
-    tracer_->EndTrace(q->trace_ctx, result.finish_time, result.dropped);
-  }
-  if (q->done) {
-    q->done(result);
-  }
-  q->done = nullptr;
+  EndQuery(q, result);
 }
 
-void IndexServer::AppendLog(const std::shared_ptr<QueryState>& q) {
+void IndexServer::AppendLog(const QueryState& q) {
   if (hdd_ == nullptr) {
     return;
   }
   log_buffered_bytes_ +=
       static_cast<int64_t>(static_cast<double>(config_.log_bytes_per_query) *
-                           q->work.size_factor);
+                           q.work.size_factor);
   MaybeFlushLog();
 }
 
@@ -521,13 +477,15 @@ void IndexServer::MaybeFlushLog() {
     write.sequential = true;
     write.on_complete = [this, flush_bytes](SimTime) {
       log_inflight_bytes_ -= flush_bytes;
-      // Admit stalled completions now that buffer space is available.
+      // Admit stalled completions now that buffer space is available. A
+      // stalled query has no timer left to end it, so each waiter is live.
       while (!log_waiters_.empty() &&
              log_buffered_bytes_ + log_inflight_bytes_ < config_.log_buffer_cap_bytes) {
-        auto waiter = log_waiters_.front();
+        QueryState* waiter = Find(log_waiters_.front());
         log_waiters_.pop_front();
-        AppendLog(waiter);
-        CompleteNow(waiter);
+        assert(waiter != nullptr);
+        AppendLog(*waiter);
+        CompleteNow(*waiter);
       }
     };
     hdd_->Submit(std::move(write));
@@ -539,41 +497,27 @@ void IndexServer::Crash() {
     return;
   }
   crashed_ = true;
-  const SimTime now = machine_->sim()->Now();
   if (tracer_ != nullptr) {
-    tracer_->Instant("server.crash", track_, now);
+    tracer_->Instant("server.crash", track_, machine_->sim()->Now());
   }
-  // Fail every live query exactly once: conservation moves each of them to
-  // dropped_crash. Steal the registry first — done callbacks may re-enter the
-  // server (closed-loop clients resubmit on completion).
-  auto live = std::move(live_queries_);
-  live_queries_.clear();
-  for (auto& entry : live) {
-    auto q = entry.second.lock();
-    if (!q || q->finished) {
-      continue;
+  // Fail every live query exactly once, in submission order: conservation
+  // moves each of them to dropped_crash. Collect the refs first — done
+  // callbacks may re-enter SubmitQuery (closed-loop clients resubmit), which
+  // the crashed server rejects through a slot of its own.
+  std::vector<QueryRef> live;
+  for (const QueryState& q : queries_) {
+    if (q.live) {
+      live.push_back(q.ref());
     }
-    q->finished = true;
-    --inflight_;
-    ++stats_.dropped_crash;
-    CancelHedges(q);
-    CancelRetries(q);
-    machine_->sim()->CancelOwned(q->deadline_event);
-    if (q->owns_trace) {
-      tracer_->EndTrace(q->trace_ctx, now, /*dropped=*/true);
-    }
-    if (q->done) {
-      QueryResult result;
-      result.id = q->work.id;
-      result.submit_time = q->arrival;
-      result.finish_time = now;
-      result.latency_ms = ToMillis(now - q->arrival);
-      result.dropped = true;
-      result.chunks_total = q->work.fanout;
-      result.chunks_served = q->work.fanout - q->chunks_left;
-      auto done = std::move(q->done);
-      q->done = nullptr;
-      done(result);
+  }
+  std::sort(live.begin(), live.end(), [this](QueryRef a, QueryRef b) {
+    return queries_[a.index].serial < queries_[b.index].serial;
+  });
+  for (const QueryRef ref : live) {
+    if (QueryState* q = Find(ref)) {
+      --inflight_;
+      ++stats_.dropped_crash;
+      EndQuery(*q, ResultOf(*q, /*dropped=*/true));
     }
   }
   // The log pipeline dies with the process: buffered bytes are lost and

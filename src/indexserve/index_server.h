@@ -27,16 +27,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
-
-#include <map>
+#include <vector>
 
 #include "src/disk/io_scheduler.h"
 #include "src/fault/retry.h"
 #include "src/sim/machine.h"
 #include "src/sim/simulator.h"
-#include "src/util/arena.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/workload/query_trace.h"
@@ -116,12 +113,13 @@ struct QueryResult {
   SimTime finish_time = 0;
   bool dropped = false;  // timed out, rejected at admission, or lost to a crash
   double latency_ms = 0;
-  // Chunk coverage: how much of the fan-out answered before the query closed.
+  // Chunk coverage: how much of the fan-out answered before the query ended.
   // Full-coverage completions have chunks_served == chunks_total; degraded
-  // completions (k-of-n answers under a deadline) have fewer.
+  // completions (k-of-n answers under a deadline) have fewer, and dropped
+  // queries report what had answered when they ended (0 for a reject).
   int chunks_total = 0;
   int chunks_served = 0;
-  bool degraded = false;
+  bool degraded = false;  // the degrade deadline closed the fan-out early
 
   double Coverage() const {
     return chunks_total == 0 ? 1.0
@@ -200,36 +198,38 @@ class IndexServer {
   int64_t inflight_at_reset() const { return inflight_at_reset_; }
   // Cumulative non-hedge chunk attempts; the hedge budget's denominator.
   int64_t chunks_started() const { return chunks_started_; }
-  // Number of QueryState objects currently alive. Test hook for the lifetime
-  // regression: after the simulator fully drains and all completion events
-  // (including in-flight I/O) have fired, this must return to zero — a stored
-  // callback capturing the state's own shared_ptr would keep it nonzero.
-  int64_t live_query_states() const { return *live_query_states_; }
-  // Arena behind QueryState allocation. Test hook: after warm-up, slab_allocs
-  // stops growing — the steady-state query path recycles instead of mallocing.
-  const SlabArena::Stats& query_arena_stats() const { return query_arena_->stats(); }
+  // Query slots currently holding a query. Every in-flight query holds one
+  // and ending a query frees it, so this equals inflight() at any observation
+  // point; InvariantChecker asserts it (a leaked or double-freed slot).
+  int64_t occupied_query_slots() const {
+    return static_cast<int64_t>(queries_.size() - free_slots_.size());
+  }
   JobId job() const { return job_; }
   SimMachine* machine() const { return machine_; }
   const IndexServeConfig& config() const { return config_; }
 
  private:
-  struct QueryState;
+  // Names a query by its slot in queries_ and the slot's generation at
+  // admission, like the engine's EventHandle. Ending a query bumps the
+  // generation, so a callback still holding the ref of an ended query finds
+  // a mismatch and returns at once, even after the slot was reused.
+  struct QueryRef {
+    uint32_t index = 0;
+    uint32_t gen = 0;
+  };
 
   // Per-chunk fan-out state: completion/hedge flags, attempt count, and the
-  // armed retry/hedge timers, one slot per chunk. A query's slots live in one
-  // vector recycled through chunk_pool_, so the steady-state query path does
-  // no per-chunk vector allocation.
+  // armed retry/hedge timers, one slot per chunk.
   struct ChunkSlot {
     // Armed per-attempt timeout (or pending backoff wait); cancelled when the
-    // chunk completes or the query reaches a terminal state. Lifecycle owner:
-    // IndexServer::DetachTerminal cancels every slot timer on each terminal
-    // transition, so the slots themselves stay trivially destructible (they
-    // are pooled and recycled across queries).
+    // chunk completes or the query ends. Lifecycle owner:
+    // QueryState::CancelTimers, which IndexServer::EndQuery runs on every
+    // terminal path.
     EventHandle retry_event;  // NOLINT(perfiso-LIFE-001)
     // Armed hedge timer; cancelled the moment the chunk completes (or the
-    // query reaches a terminal state), so hedge timers for fast lookups — the
-    // overwhelming majority — leave the event queue instead of firing as dead
-    // no-ops holding the query state alive.
+    // query ends), so hedge timers for fast lookups — the overwhelming
+    // majority — leave the event queue instead of firing as dead no-ops.
+    // Lifecycle owner: QueryState::CancelTimers, as above.
     EventHandle hedge_event;  // NOLINT(perfiso-LIFE-001)
     // Attempts issued (original + retries, hedges excluded); meaningful only
     // when the retry policy is enabled.
@@ -238,34 +238,69 @@ class IndexServer {
     bool hedged = false;
   };
 
-  // Abandons the query if it is past its deadline; returns true if the query
-  // is no longer live (expired now or earlier).
-  bool ExpireIfOverdue(const std::shared_ptr<QueryState>& q);
-  // Removes every still-armed hedge timer of a terminal query from the event
-  // queue (each timer holds a reference to the query state).
-  void CancelHedges(const std::shared_ptr<QueryState>& q);
-  // Same for per-chunk retry timers.
-  void CancelRetries(const std::shared_ptr<QueryState>& q);
-  // Cancels every timer the query owns and drops it from the live registry;
-  // called on every terminal transition (complete, expire, crash).
-  void DetachTerminal(const std::shared_ptr<QueryState>& q);
+  // One query in flight. The server owns these outright in a slot table;
+  // callbacks refer to them only through a QueryRef.
+  struct QueryState {
+    QueryRef ref() const { return QueryRef{index, gen}; }
+    // Cancels every timer the query owns: hedges, then retries, then the
+    // degrade deadline.
+    void CancelTimers(Simulator* sim);
+
+    uint32_t index = 0;
+    uint32_t gen = 0;
+    bool live = false;
+    uint64_t serial = 0;  // submission order; Crash() fails queries in it
+    QueryWork work;
+    QueryDoneFn done;
+    Rng rng{0};
+    SimTime arrival = 0;
+    // Chunks not yet answered; frozen when the degrade deadline closes the
+    // fan-out, so fanout - chunks_left is always the coverage.
+    int chunks_left = 0;
+    // One slot per fan-out chunk; the vector keeps its capacity across the
+    // queries that reuse this slot.
+    std::vector<ChunkSlot> chunks;
+    EventHandle deadline_event;  // armed only when degrade_deadline > 0
+    // Set when the deadline closed the fan-out at partial coverage: late
+    // chunk completions are ignored from then on.
+    bool fanout_closed = false;
+    int snippet_reads_left = 0;
+    uint64_t trace_ctx = 0;
+    bool owns_trace = false;  // minted here (standalone) vs adopted from the TLA
+  };
+
+  // Takes a free slot (or grows the table) for a new query and mints its
+  // trace when it has none.
+  QueryState& Acquire(const QueryWork& work, QueryDoneFn done);
+  // The query in `ref`'s slot, or null once that query has ended.
+  QueryState* Find(QueryRef ref);
+  QueryResult ResultOf(const QueryState& q, bool dropped) const;
+  // The one way a query ends (reject, expiry, completion, crash): cancels its
+  // timers, ends the trace it owns, frees the slot, then hands `result` to
+  // done. done may re-enter SubmitQuery, so it is moved out first and the
+  // slot is not touched after the call.
+  void EndQuery(QueryState& q, const QueryResult& result);
+  // Ends the query if it is past its deadline; returns true if it did.
+  bool ExpireIfOverdue(QueryState& q);
   // Arms the per-attempt chunk timeout (retry must be enabled).
-  void ArmRetryTimer(const std::shared_ptr<QueryState>& q, int chunk);
-  void OnChunkTimeout(const std::shared_ptr<QueryState>& q, int chunk);
+  void ArmRetryTimer(QueryState& q, int chunk);
+  // Per-attempt timeout fired: re-issues the chunk after a capped exponential
+  // backoff, jittered from the query's own stream.
+  void OnChunkTimeout(QueryState& q, int chunk);
   // Degrade-deadline fired: if coverage has reached the k-of-n floor, close
   // the fan-out and rank with partial results.
-  void MaybeDegrade(const std::shared_ptr<QueryState>& q);
-  void StartParse(const std::shared_ptr<QueryState>& q);
-  void StartFanout(const std::shared_ptr<QueryState>& q);
-  void StartChunk(const std::shared_ptr<QueryState>& q, int chunk, bool is_hedge);
-  void ChunkDone(const std::shared_ptr<QueryState>& q, int chunk);
-  void StartRank(const std::shared_ptr<QueryState>& q);
-  void StartSnippets(const std::shared_ptr<QueryState>& q);
+  void MaybeDegrade(QueryState& q);
+  void StartParse(QueryState& q);
+  void StartFanout(QueryState& q);
+  void StartChunk(QueryState& q, int chunk, bool is_hedge);
+  void ChunkDone(QueryState& q, int chunk);
+  void StartRank(QueryState& q);
+  void StartSnippets(QueryState& q);
   // Issues one dependent snippet read; its completion submits the next.
-  void SubmitSnippetRead(const std::shared_ptr<QueryState>& q);
-  void FinishQuery(const std::shared_ptr<QueryState>& q);
-  void CompleteNow(const std::shared_ptr<QueryState>& q);
-  void AppendLog(const std::shared_ptr<QueryState>& q);
+  void SubmitSnippetRead(QueryState& q);
+  void FinishQuery(QueryState& q);
+  void CompleteNow(QueryState& q);
+  void AppendLog(const QueryState& q);
   void MaybeFlushLog();
 
   SimMachine* machine_;
@@ -282,29 +317,15 @@ class IndexServer {
   int64_t inflight_at_reset_ = 0;
   int64_t chunks_started_ = 0;  // cumulative, for the hedge budget
   bool crashed_ = false;
-  // Every live (non-terminal) query, keyed by a server-local monotonic id
-  // (trace ids can recur when a closed-loop client wraps its trace). Crash()
-  // walks this to fail in-flight queries; weak so the registry never extends
-  // a state's lifetime.
-  std::map<uint64_t, std::weak_ptr<QueryState>> live_queries_;
-  uint64_t next_live_key_ = 0;
+  // The slot table: a deque, so a QueryState& stays valid while the table
+  // grows. Ended queries return their slot to free_slots_.
+  std::deque<QueryState> queries_;
+  std::vector<uint32_t> free_slots_;
+  uint64_t next_serial_ = 0;
 
   int64_t log_buffered_bytes_ = 0;   // accumulated, not yet in a flush
   int64_t log_inflight_bytes_ = 0;   // handed to the HDD, not yet durable
-  std::deque<std::shared_ptr<QueryState>> log_waiters_;
-  // Shared with each QueryState, which decrements it on destruction; outlives
-  // the server if states do (which is itself the bug the counter detects).
-  std::shared_ptr<int64_t> live_query_states_ = std::make_shared<int64_t>(0);
-  // Recyclers for the per-query hot-path state: QueryState objects (together
-  // with their shared_ptr control blocks, via std::allocate_shared) come from
-  // the arena, and per-chunk slot vectors keep their heap capacity across
-  // queries. Both are held by shared_ptr because a state can outlive the
-  // server (a completion delivered after teardown): the allocator copy inside
-  // each control block and the pool pointer inside each state keep the
-  // recyclers alive until the last block is returned.
-  std::shared_ptr<SlabArena> query_arena_ = std::make_shared<SlabArena>();
-  std::shared_ptr<VectorPool<ChunkSlot>> chunk_pool_ =
-      std::make_shared<VectorPool<ChunkSlot>>();
+  std::deque<QueryRef> log_waiters_;
 };
 
 }  // namespace perfiso

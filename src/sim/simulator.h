@@ -101,8 +101,8 @@ class EventHandle {
 // layers stay inline.
 class EventCallback {
  public:
-  // Sized so a capture of [this, a shared_ptr, and a couple of words] — the
-  // largest shape the hot layers use — still fits inline.
+  // Sized so a capture of [this plus up to six words of handles and
+  // scalars] — the largest shape the hot layers use — still fits inline.
   static constexpr size_t kInlineBytes = 56;
 
   EventCallback() = default;

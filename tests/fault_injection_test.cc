@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/index_node.h"
@@ -185,10 +186,32 @@ TEST(FaultInjectionTest, CrashFailsInflightAndRejectsUntilRestart) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+TEST(FaultInjectionTest, CrashFailsLiveQueriesInSubmissionOrder) {
+  // The crash callbacks fire in submission order even when a reused server
+  // slot puts a newer query ahead of older ones in the slot table: query 0
+  // completes, query 3 takes its slot, and the crash must still fail 1, 2, 3.
+  Simulator sim;
+  IndexNodeOptions options;
+  IndexNodeRig rig(&sim, options, "m0");
+  std::vector<uint64_t> order;
+  const auto record = [&](const QueryResult& r) { order.push_back(r.id); };
+  rig.server().SubmitQuery(MakeQuery(0), record);
+  for (uint64_t id : {1, 2}) {
+    QueryWork slow = MakeQuery(id);
+    slow.size_factor = 20;  // still running when query 0 finishes
+    rig.server().SubmitQuery(slow, record);
+  }
+  sim.RunUntil(FromMillis(30));
+  ASSERT_EQ(order, std::vector<uint64_t>{0});
+  rig.server().SubmitQuery(MakeQuery(3), record);
+  rig.Crash();
+  EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2, 3}));
+}
+
 TEST(FaultInjectionTest, CrashMidQueryLeavesNoLiveStates) {
   // Lifetime / SimSan regression: crash with open fan-outs, hedge timers, and
-  // in-flight disk completions, then drain. Every QueryState must be
-  // destroyed (no stored callback may keep one alive), and no cancelled
+  // in-flight disk completions, then drain. Every query slot must be freed
+  // (the checker asserts occupied slots == inflight == 0), and no cancelled
   // timer/completion may fire into freed state — under -DPERFISO_SIMSAN=ON
   // (the CI simsan lane runs this test) a stale handle aborts the process.
   Simulator sim;
@@ -204,7 +227,10 @@ TEST(FaultInjectionTest, CrashMidQueryLeavesNoLiveStates) {
   sim.RunUntil(FromMillis(10));
   rig.Restart();
   sim.RunUntilEmpty();
-  EXPECT_EQ(rig.server().live_query_states(), 0);
+  InvariantReport report;
+  InvariantChecker::CheckRig(rig, /*expect_drained=*/true, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(rig.server().occupied_query_slots(), 0);
   sim.CheckEngineInvariants();  // aborts on a corrupt event queue
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/cluster/index_node.h"
+#include "src/fault/invariant_checker.h"
 #include "src/sim/simulator.h"
 #include "src/workload/query_trace.h"
 
@@ -76,6 +79,31 @@ TEST(IndexServerTest, AdmissionControlRejectsWhenSaturated) {
   EXPECT_EQ(rig.server().stats().dropped_admission, 2);
   EXPECT_EQ(drops, 2);
   EXPECT_EQ(rig.server().stats().completed, 1);
+}
+
+// A rejected query got no answer from any chunk: its result must say so
+// (coverage 0), on the admission path as on the crash path.
+TEST(IndexServerTest, RejectedQueriesReportZeroCoverage) {
+  Simulator sim;
+  IndexNodeOptions options;
+  options.indexserve.max_inflight = 1;
+  IndexNodeRig rig(&sim, options, "m0");
+  std::vector<QueryResult> results;
+  const auto record = [&](const QueryResult& r) { results.push_back(r); };
+  rig.server().SubmitQuery(MakeQuery(1, /*fanout=*/6), record);
+  rig.server().SubmitQuery(MakeQuery(2, /*fanout=*/6), record);  // admission drop
+  rig.Crash();
+  rig.server().SubmitQuery(MakeQuery(3, /*fanout=*/6), record);  // refused while down
+  ASSERT_EQ(results.size(), 3u);
+  for (const QueryResult& r : results) {
+    EXPECT_TRUE(r.dropped) << r.id;
+    EXPECT_EQ(r.chunks_total, 6) << r.id;
+    EXPECT_EQ(r.chunks_served, 0) << r.id;
+    EXPECT_EQ(r.Coverage(), 0.0) << r.id;
+  }
+  EXPECT_EQ(results[0].id, 2u);
+  EXPECT_EQ(rig.server().stats().dropped_admission, 1);
+  EXPECT_EQ(rig.server().stats().dropped_crash, 2);
 }
 
 TEST(IndexServerTest, HedgingFiresForSlowChunks) {
@@ -186,11 +214,10 @@ CalibrationResult RunStandalone(double qps, SimDuration measure = 6 * kSecond) {
   return result;
 }
 
-// Lifetime regression for the QueryState shared_ptr cycle: a callback stored
-// inside the state that captures the state's own shared_ptr (as the old
-// "snippet chain" did) keeps every query alive forever. The live-state counter
-// decrements in ~QueryState, so any such cycle shows up as a nonzero count
-// after the simulator drains.
+// Every query holds one server slot from admission until it ends, and ending
+// it frees the slot: after the simulator drains (all completion events,
+// including in-flight I/O, have fired) no slot may stay occupied.
+// InvariantChecker asserts occupied slots == inflight().
 TEST(IndexServerTest, AllQueryStateDestroyedAfterDrain) {
   Simulator sim;
   IndexNodeOptions options;  // defaults: snippet reads on, hedging on, HDD log on
@@ -199,15 +226,17 @@ TEST(IndexServerTest, AllQueryStateDestroyedAfterDrain) {
   for (int i = 0; i < 200; ++i) {
     rig.server().SubmitQuery(MakeQuery(static_cast<uint64_t>(i)));
   }
-  EXPECT_GT(rig.server().live_query_states(), 0);
+  EXPECT_GT(rig.server().occupied_query_slots(), 0);
   sim.RunUntilEmpty();
   EXPECT_EQ(rig.server().stats().completed + rig.server().stats().TotalDropped(), 200);
-  EXPECT_EQ(rig.server().inflight(), 0);
-  EXPECT_EQ(rig.server().live_query_states(), 0);
+  InvariantReport report;
+  InvariantChecker::CheckRig(rig, /*expect_drained=*/true, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(rig.server().occupied_query_slots(), 0);
 }
 
 // Same invariant on the expiry path: queries abandoned mid-pipeline (including
-// with snippet reads already in flight) must also release all state.
+// with snippet reads already in flight) must also release their slots.
 TEST(IndexServerTest, ExpiredQueryStateDestroyedAfterDrain) {
   Simulator sim;
   IndexNodeOptions options;
@@ -218,7 +247,59 @@ TEST(IndexServerTest, ExpiredQueryStateDestroyedAfterDrain) {
   }
   sim.RunUntilEmpty();
   EXPECT_GT(rig.server().stats().dropped_timeout, 0);
-  EXPECT_EQ(rig.server().live_query_states(), 0);
+  InvariantReport report;
+  InvariantChecker::CheckRig(rig, /*expect_drained=*/true, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(rig.server().occupied_query_slots(), 0);
+}
+
+// Slot reuse: with a 2 ms timeout, queries expire while duplicate (hedged)
+// chunk reads are still in flight, and their slots go to new queries. The late
+// completions must never count toward the slot's new occupant: every query
+// ends exactly once, conservation holds, and every completed result has its
+// full fan-out. The read's post-processing burst still runs for a dead query
+// (its CPU work is not abandoned), which pins the dispatch count.
+TEST(IndexServerTest, LateCompletionsNeverReachAReusedSlot) {
+  Simulator sim;
+  IndexNodeOptions options;
+  options.indexserve.timeout = FromMillis(2);
+  options.indexserve.hedge_delay = FromMicros(300);
+  options.indexserve.hedge_budget_fraction = 1.0;
+  IndexNodeRig rig(&sim, options, "m0");
+  constexpr int kQueries = 400;
+  std::vector<int> ends(kQueries, 0);
+  int completed = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    // Small queries finish inside the timeout and reuse the slots that large,
+    // expired ones freed.
+    const double size = i % 2 == 0 ? 0.05 : 1.5;
+    sim.Schedule(FromMicros(100) * i, [&, i, size] {
+      rig.server().SubmitQuery(
+          MakeQuery(static_cast<uint64_t>(i), /*fanout=*/8, size, 7000 + i),
+          [&](const QueryResult& r) {
+            ++ends[r.id];
+            if (!r.dropped) {
+              ++completed;
+              EXPECT_EQ(r.chunks_served, r.chunks_total) << r.id;
+            }
+          });
+    });
+  }
+  sim.RunUntilEmpty();
+  for (int i = 0; i < kQueries; ++i) {
+    EXPECT_EQ(ends[i], 1) << "query " << i;
+  }
+  const IndexServer::Stats& stats = rig.server().stats();
+  EXPECT_GT(stats.dropped_timeout, 0);
+  EXPECT_GT(stats.hedges_issued, 0);
+  EXPECT_GT(completed, 0);
+  EXPECT_EQ(stats.completed, completed);
+  InvariantReport report;
+  InvariantChecker::CheckRig(rig, /*expect_drained=*/true, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  // Pinned: skipping a dead query's post-read burst, or letting a late
+  // completion act on a reused slot, changes the machine's schedule.
+  EXPECT_EQ(rig.machine().metrics().dispatches, 8445);
 }
 
 TEST(IndexServeCalibration, StandaloneAt2000Qps) {
