@@ -72,8 +72,9 @@ void IndexServer::SubmitQuery(const QueryWork& work, QueryDoneFn done) {
 
 IndexServer::QueryState& IndexServer::Acquire(const QueryWork& work, QueryDoneFn done) {
   if (free_slots_.empty()) {
-    free_slots_.push_back(static_cast<uint32_t>(queries_.size()));
-    queries_.emplace_back().index = free_slots_.back();
+    const auto index = static_cast<uint32_t>(queries_.size());
+    queries_.emplace_back().index = index;
+    free_slots_.push_back(index);
   }
   QueryState& q = queries_[free_slots_.back()];
   free_slots_.pop_back();
@@ -243,8 +244,8 @@ void IndexServer::StartChunk(QueryState& q, int chunk, bool is_hedge) {
           machine_->SpawnThread(
               "is-chunk-post", TenantClass::kPrimary, job_, cost,
               [this, ref, chunk](SimTime) {
-                if (QueryState* done = Find(ref)) {
-                  ChunkDone(*done, chunk);
+                if (QueryState* still_live = Find(ref)) {
+                  ChunkDone(*still_live, chunk);
                 }
               },
               trace_ctx);
@@ -404,8 +405,8 @@ void IndexServer::SubmitSnippetRead(QueryState& q) {
         "is-snippet", TenantClass::kPrimary, job_,
         ScaledUs(config_.snippet_cpu_us, live->work.size_factor),
         [this, ref](SimTime) {
-          if (QueryState* snippets_done = Find(ref)) {
-            FinishQuery(*snippets_done);
+          if (QueryState* still_live = Find(ref)) {
+            FinishQuery(*still_live);
           }
         },
         live->trace_ctx);
