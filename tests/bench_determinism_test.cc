@@ -13,6 +13,8 @@
 
 #include "bench/harness.h"
 #include "src/cluster/cluster.h"
+#include "src/obs/obs.h"
+#include "src/obs/trace_export.h"
 #include "src/sim/simulator.h"
 #include "src/workload/query_trace.h"
 
@@ -348,6 +350,144 @@ TEST(BenchDeterminismTest, ClusterScenarioInjectsFaultPlan) {
   const bench::ClusterRunResult result = bench::RunClusterScenario(spec);
   EXPECT_GT(result.faults_injected, 0);
   EXPECT_GT(result.completed, 0);
+}
+
+// --- Cluster golden digests --------------------------------------------------
+//
+// The single-box goldens above never touch the fabric; these rows pin cluster
+// runs, whose every RPC crosses it. The one-rack row is a registry scenario
+// through RunClusterScenario. The two-rack row runs a network bully on every
+// index node (egress-capped on even nodes only) under tracing, so it covers
+// the rack uplinks, the egress-bucket wake, TX preemption and the fabric's
+// trace spans. Fields a row does not measure stay 0. Same update procedure as
+// kGoldens, with --gtest_filter='*PinnedCluster*'.
+struct ClusterPin {
+  uint64_t events = 0;
+  uint64_t leaf = 0;
+  uint64_t mla = 0;
+  uint64_t tla = 0;
+  uint64_t primary_flow = 0;
+  uint64_t secondary_flow = 0;
+  int64_t completed = 0;
+  int64_t flows_in_flight = 0;
+  uint64_t trace_hash = 0;  // FNV-1a of the Chrome-trace export
+
+  bool operator==(const ClusterPin&) const = default;
+};
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+ClusterPin RunOneRackGolden() {
+  const ScopedEnv scale_guard("PERFISO_BENCH_SCALE", "0.125");
+  const bench::ClusterRunResult r =
+      bench::RunClusterScenario(SmallCluster(bench::MustFindScenario("diurnal-blind")));
+  ClusterPin pin;
+  pin.events = r.events_executed;
+  pin.leaf = r.leaf_digest;
+  pin.mla = r.mla_digest;
+  pin.tla = r.tla_digest;
+  pin.primary_flow = r.flow_digest;
+  pin.completed = r.completed;
+  return pin;
+}
+
+ClusterPin RunTwoRackTracedGolden() {
+  Simulator sim;
+  ClusterOptions options;
+  options.topology = ClusterTopology{10, 2, 2};  // 22 endpoints: racks of 16 and 6
+  Cluster cluster(&sim, options);
+  for (int i = 0; i < cluster.NumIndexNodes(); ++i) {
+    NetworkBully::Options net;
+    net.block_bytes = 1024 * 1024;
+    net.streams = 4;
+    for (int p = 0; p < cluster.NumIndexNodes(); ++p) {
+      if (p != i) {
+        net.peers.push_back(cluster.index_endpoint(p));
+      }
+    }
+    cluster.index_node(i).StartNetworkBully(&cluster.fabric(), cluster.index_endpoint(i), net);
+    PerfIsoConfig config;
+    if (i % 2 == 0) {
+      config.egress_rate_cap_bps = 50e6;
+    }
+    EXPECT_TRUE(cluster.index_node(i).StartPerfIso(config).ok());
+  }
+  ObsSpec spec;
+  spec.enabled = true;
+  spec.sampling = TraceSampling::kSlowestK;
+  spec.slowest_k = 32;
+  ObsContext obs(spec);
+  cluster.EnableTracing(&obs.tracer);
+
+  Rng rng(21);
+  auto trace = GenerateTrace(TraceSpec{}, 2000, &rng);
+  OpenLoopClient client(&sim, std::move(trace), 1500, Rng(22),
+                        [&](const QueryWork& work, SimTime) { cluster.SubmitQuery(work); });
+  client.Run(0, 3 * kSecond / 10);
+  sim.RunUntil(kSecond / 2);
+
+  ClusterPin pin;
+  pin.events = sim.EventsExecuted();
+  pin.leaf = cluster.MergedLeafLatency().Digest();
+  pin.mla = cluster.MlaLatency().Digest();
+  pin.tla = cluster.TlaLatency().Digest();
+  pin.primary_flow = cluster.fabric().FlowLatencyMs(NetClass::kPrimary).Digest();
+  pin.secondary_flow = cluster.fabric().FlowLatencyMs(NetClass::kSecondary).Digest();
+  pin.completed = cluster.queries_completed();
+  pin.flows_in_flight = cluster.fabric().flows_in_flight();
+  pin.trace_hash = Fnv1a(ExportChromeTrace(obs.tracer));
+  return pin;
+}
+
+struct ClusterGolden {
+  const char* name;
+  ClusterPin (*run)();
+  ClusterPin pin;
+};
+
+const ClusterGolden kClusterGoldens[] = {
+    {"one-rack", RunOneRackGolden,
+     {599387, 0x657fac51fb605de0ULL, 0x1a64abbb1af33fd0ULL, 0xd4e9c2ccd83b7188ULL,
+      0xf354cce25d3df5c0ULL, 0x0000000000000000ULL, 6518, 0, 0x0000000000000000ULL}},
+    {"two-rack-traced", RunTwoRackTracedGolden,
+     {424284, 0xeb31dee166260156ULL, 0x00f594b3b431b32eULL, 0x21560089b77d0ca6ULL,
+      0x5f54dacec071bfdcULL, 0x3a56e1ae5b888a4bULL, 413, 80, 0xe52d21b71b238a3fULL}},
+};
+
+TEST(GoldenDigestTest, PinnedClusterDigests) {
+  const bool update = std::getenv("PERFISO_UPDATE_GOLDENS") != nullptr;
+  for (const ClusterGolden& golden : kClusterGoldens) {
+    const ClusterPin got = golden.run();
+    if (update) {
+      std::printf(
+          "    {\"%s\", ...,\n     {%llu, 0x%016llxULL, 0x%016llxULL, 0x%016llxULL,\n"
+          "      0x%016llxULL, 0x%016llxULL, %lld, %lld, 0x%016llxULL}},\n",
+          golden.name, static_cast<unsigned long long>(got.events),
+          static_cast<unsigned long long>(got.leaf), static_cast<unsigned long long>(got.mla),
+          static_cast<unsigned long long>(got.tla),
+          static_cast<unsigned long long>(got.primary_flow),
+          static_cast<unsigned long long>(got.secondary_flow),
+          static_cast<long long>(got.completed), static_cast<long long>(got.flows_in_flight),
+          static_cast<unsigned long long>(got.trace_hash));
+      continue;
+    }
+    EXPECT_EQ(got.events, golden.pin.events) << golden.name;
+    EXPECT_EQ(got.leaf, golden.pin.leaf) << golden.name;
+    EXPECT_EQ(got.mla, golden.pin.mla) << golden.name;
+    EXPECT_EQ(got.tla, golden.pin.tla) << golden.name;
+    EXPECT_EQ(got.primary_flow, golden.pin.primary_flow) << golden.name;
+    EXPECT_EQ(got.secondary_flow, golden.pin.secondary_flow) << golden.name;
+    EXPECT_EQ(got.completed, golden.pin.completed) << golden.name;
+    EXPECT_EQ(got.flows_in_flight, golden.pin.flows_in_flight) << golden.name;
+    EXPECT_EQ(got.trace_hash, golden.pin.trace_hash) << golden.name;
+  }
 }
 
 TEST(BenchDeterminismTest, Fig09StyleClusterDigestsAreIdentical) {
