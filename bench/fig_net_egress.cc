@@ -41,13 +41,10 @@ NetResult RunScenario(bool bully, double egress_cap_bps) {
   ClusterOptions options;
   options.topology = ClusterTopology{8, 2, 8};
 
-  // The fabric comes from the PerfIso config's net.* knobs — the same
-  // key=value file Autopilot would distribute describes the network.
   PerfIsoConfig config;
   config.cpu_mode = CpuIsolationMode::kBlindIsolation;
   config.blind.buffer_cores = 8;
   config.egress_rate_cap_bps = egress_cap_bps;
-  options.fabric = config.net;
 
   Cluster cluster(&sim, options);
   for (int i = 0; i < cluster.NumIndexNodes(); ++i) {

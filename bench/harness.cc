@@ -661,7 +661,6 @@ ClusterOptions MakeClusterOptions(const ScenarioSpec& scenario) {
   ClusterOptions options;
   options.topology = ClusterTopology{scenario.topology.columns, scenario.topology.rows,
                                      scenario.topology.tla_machines};
-  options.node.seed = scenario.node_seed;
   return options;
 }
 

@@ -119,6 +119,15 @@ void InvariantChecker::CheckCluster(Cluster& cluster, bool expect_drained,
   if (cluster.queries_degraded() > cluster.queries_completed()) {
     report->Violation("cluster degraded exceeds completed");
   }
+  const Fabric& fabric = cluster.fabric();
+  if (fabric.occupied_flow_records() != fabric.flows_in_flight()) {
+    report->Violation("flow records: occupied=" + std::to_string(fabric.occupied_flow_records()) +
+                      " but flows in flight=" + std::to_string(fabric.flows_in_flight()));
+  }
+  if (expect_drained && fabric.flows_in_flight() != 0) {
+    report->Violation("drained fabric still has flows in flight=" +
+                      std::to_string(fabric.flows_in_flight()));
+  }
 }
 
 }  // namespace perfiso

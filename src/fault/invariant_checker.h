@@ -18,6 +18,9 @@
 //     bookkeeping) holds on every checked machine.
 //   * Routing consistency (cluster) — the cluster's health-check view of a
 //     node agrees with the node's own crashed flag.
+//   * Flow records (cluster) — the fabric's occupied flow records equal its
+//     flows in flight (a leaked or double-freed record), and both are 0 once
+//     the simulation drains.
 //
 // The checker only reads; it never mutates the simulation, so checking is
 // digest-neutral and can run every bench iteration.
@@ -51,7 +54,8 @@ class InvariantChecker {
                           InvariantReport* report);
   // Server checks plus the machine's own engine invariants.
   static void CheckRig(IndexNodeRig& rig, bool expect_drained, InvariantReport* report);
-  // Every rig, cluster-level conservation, and routing-view consistency.
+  // Every rig, cluster-level conservation, routing-view consistency, and the
+  // fabric's flow records.
   static void CheckCluster(Cluster& cluster, bool expect_drained, InvariantReport* report);
 };
 

@@ -14,6 +14,7 @@
 #define PERFISO_SRC_NET_FABRIC_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,8 +48,11 @@ struct FabricConfig {
   Status Validate() const;
 };
 
+// Owns every flow from Send to delivery, in a pooled record that carries the
+// route; each link hands a flow back here when its last chunk leaves.
 class Fabric {
  public:
+  // `config` must pass Validate().
   Fabric(Simulator* sim, const FabricConfig& config);
 
   // Attaches one machine; returns its endpoint id (dense, starting at 0).
@@ -73,7 +77,6 @@ class Fabric {
 
   int num_endpoints() const { return static_cast<int>(endpoints_.size()); }
   int num_racks() const { return static_cast<int>(racks_.size()); }
-  const FabricConfig& config() const { return config_; }
   NetDev& netdev(int endpoint) { return *endpoints_[static_cast<size_t>(endpoint)]->dev; }
   Link& rack_uplink(int rack) { return *racks_[static_cast<size_t>(rack)]->up; }
   Link& rack_downlink(int rack) { return *racks_[static_cast<size_t>(rack)]->down; }
@@ -94,38 +97,43 @@ class Fabric {
     return flow_latency_ms_[static_cast<size_t>(net_class)];
   }
   int64_t flows_in_flight() const { return flows_in_flight_; }
+  // Pooled records holding a flow: equal to flows_in_flight() unless a record
+  // leaked or was freed twice (InvariantChecker asserts it).
+  int64_t occupied_flow_records() const {
+    return static_cast<int64_t>(flows_.size() - free_flows_.size());
+  }
   void ResetStats();
 
  private:
+  friend class Link;
+
   struct Endpoint {
-    std::string name;
     int rack = 0;
     std::unique_ptr<NetDev> dev;
     EndpointStats stats;
-    int32_t tx_track = Tracer::kNoTrack;
-    int32_t rx_track = Tracer::kNoTrack;
   };
   struct Rack {
     std::unique_ptr<Link> up;    // rack -> core
     std::unique_ptr<Link> down;  // core -> rack
-    int32_t up_track = Tracer::kNoTrack;
-    int32_t down_track = Tracer::kNoTrack;
   };
 
   void EnsureRack(int rack);
-  // Advances `flow` to hop `hop` of its path (0 = src TX, then uplinks, then
-  // propagation + dst RX); delivers and reclaims the flow after the last hop.
-  void RunHop(const std::shared_ptr<Flow>& flow, int hop);
-  // Reports the hop the flow just finished as a span on that hop's track.
-  void EmitHopSpan(const Flow& flow, int hop, SimTime now);
-  void Deliver(const std::shared_ptr<Flow>& flow, SimTime now);
+  // A link finished serializing `flow`: enqueue it on the next link of its
+  // route, pay propagation before the destination RX, or deliver it.
+  void HopDone(Flow* flow);
+  // Records delivery and frees the flow's record, then runs its callback
+  // (which may re-enter Send).
+  void Deliver(Flow* flow);
 
   Simulator* sim_;
   FabricConfig config_;
   Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::vector<std::unique_ptr<Rack>> racks_;
-  uint64_t next_flow_id_ = 1;
+  // The flow pool: a deque, so a Flow* stays valid while the pool grows.
+  // Delivered flows return their record to free_flows_.
+  std::deque<Flow> flows_;
+  std::vector<Flow*> free_flows_;
   int64_t flows_in_flight_ = 0;
   LatencyRecorder flow_latency_ms_[kNumNetClasses];
 };

@@ -10,6 +10,7 @@
 #ifndef PERFISO_SRC_NET_FLOW_H_
 #define PERFISO_SRC_NET_FLOW_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 
@@ -24,24 +25,31 @@ enum class NetClass { kPrimary = 0, kSecondary = 1 };
 inline constexpr int kNumNetClasses = 2;
 const char* NetClassName(NetClass net_class);
 
-// One message in flight. Owned by the Fabric; links see it by pointer while
-// it sits in their queues.
+class Link;
+
+// One message in flight. The Fabric owns the record from Send to delivery;
+// links see it by pointer while it sits in their queues.
 struct Flow {
   using DeliveredFn = std::function<void(SimTime)>;
 
-  uint64_t id = 0;
-  int src = -1;  // fabric endpoint ids
-  int dst = -1;
+  int dst = -1;  // fabric endpoint id
   int64_t bytes = 0;
   NetClass net_class = NetClass::kPrimary;
   SimTime submit_time = 0;
   DeliveredFn on_delivered;
   // Query trace this flow belongs to (0 = untraced): each hop becomes a
-  // serialization/transit span on the corresponding fabric track.
+  // serialization/transit span on that link's track.
   uint64_t trace_ctx = 0;
-  SimTime hop_enter = 0;  // when the flow entered its current hop
+
+  // The route, fixed at Send: source NIC TX, then the source rack's uplink
+  // and the destination rack's downlink when the flow changes racks, then
+  // destination NIC RX. `hop` indexes the link the flow is on.
+  std::array<Link*, 4> route{};
+  size_t hops = 0;
+  size_t hop = 0;
 
   // Per-hop serialization state, reset by each link when the flow enters it.
+  SimTime hop_enter = 0;
   int64_t remaining_on_link = 0;
   uint64_t arrival_seq = 0;  // FIFO order within a link
 };

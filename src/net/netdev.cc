@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/net/fabric.h"
+
 namespace perfiso {
 
 const char* NetClassName(NetClass net_class) {
@@ -15,9 +17,11 @@ const char* NetClassName(NetClass net_class) {
   return "?";
 }
 
-Link::Link(Simulator* sim, double rate_bps, int64_t chunk_bytes, Discipline discipline,
-           std::string name)
+Link::Link(Simulator* sim, Fabric* fabric, Role role, double rate_bps, int64_t chunk_bytes,
+           Discipline discipline, std::string name)
     : sim_(sim),
+      fabric_(fabric),
+      role_(role),
       rate_bps_(rate_bps),
       chunk_bytes_(chunk_bytes),
       discipline_(discipline),
@@ -26,15 +30,21 @@ Link::Link(Simulator* sim, double rate_bps, int64_t chunk_bytes, Discipline disc
   assert(chunk_bytes_ > 0);
 }
 
-void Link::Enqueue(Flow* flow, FlowDoneFn done) {
+void Link::EnableTracing(Tracer* tracer, int process) {
+  tracer_ = tracer;
+  track_ = tracer->RegisterTrack(process, name_);
+}
+
+void Link::Enqueue(Flow* flow) {
   assert(flow != nullptr);
   assert(flow->bytes > 0);
+  flow->hop_enter = sim_->Now();
   flow->remaining_on_link = flow->bytes;
   flow->arrival_seq = next_arrival_seq_++;
   queued_bytes_ += flow->bytes;
   stats_.max_queued_bytes = std::max(stats_.max_queued_bytes, queued_bytes_);
   const auto qi = static_cast<size_t>(flow->net_class);
-  queues_[qi].push_back(Entry{flow, std::move(done)});
+  queues_[qi].push_back(flow);
   Pump();
 }
 
@@ -47,7 +57,7 @@ int Link::PickQueue() const {
   if (p && s && discipline_ == Discipline::kFifo) {
     // Arrival order across classes; a partially-serialized flow keeps its
     // original seq and therefore stays in front.
-    return queues_[0].front().flow->arrival_seq < queues_[1].front().flow->arrival_seq ? 0 : 1;
+    return queues_[0].front()->arrival_seq < queues_[1].front()->arrival_seq ? 0 : 1;
   }
   return p ? 0 : 1;  // strict priority (or only one queue occupied)
 }
@@ -60,7 +70,7 @@ void Link::Pump() {
   if (queue < 0) {
     return;
   }
-  Flow* flow = queues_[static_cast<size_t>(queue)].front().flow;
+  Flow* flow = queues_[static_cast<size_t>(queue)].front();
   int64_t chunk = std::min(chunk_bytes_, flow->remaining_on_link);
   const SimTime now = sim_->Now();
   // TX links shape secondary chunks through the machine's egress bucket.
@@ -98,8 +108,7 @@ void Link::Pump() {
 void Link::OnChunkDone(int queue, int64_t chunk) {
   busy_ = false;
   auto& q = queues_[static_cast<size_t>(queue)];
-  Entry& entry = q.front();
-  Flow* flow = entry.flow;
+  Flow* flow = q.front();
   flow->remaining_on_link -= chunk;
   queued_bytes_ -= chunk;
   ++stats_.chunks;
@@ -108,22 +117,41 @@ void Link::OnChunkDone(int queue, int64_t chunk) {
                                              static_cast<double>(kSecond));
   if (flow->remaining_on_link == 0) {
     ++stats_.flows_completed[queue];
-    FlowDoneFn done = std::move(entry.done);
     q.pop_front();
     Pump();
-    if (done) {
-      done(flow, sim_->Now());
+    const SimTime now = sim_->Now();
+    if (tracer_ != nullptr && flow->trace_ctx != 0 && now > flow->hop_enter) {
+      EmitSpan(flow->trace_ctx, flow->hop_enter, now);
     }
+    fabric_->HopDone(flow);
     return;
   }
   Pump();
 }
 
-NetDev::NetDev(Simulator* sim, double link_rate_bps, int64_t chunk_bytes,
+void Link::EmitSpan(uint64_t ctx, SimTime from, SimTime to) {
+  switch (role_) {
+    case Role::kNicTx:
+      tracer_->Span(ctx, "net.tx", SpanCategory::kSerialization, track_, from, to);
+      return;
+    case Role::kRackUp:
+      tracer_->Span(ctx, "net.uplink", SpanCategory::kNetTransit, track_, from, to);
+      return;
+    case Role::kRackDown:
+      tracer_->Span(ctx, "net.downlink", SpanCategory::kNetTransit, track_, from, to);
+      return;
+    case Role::kNicRx:
+      tracer_->Span(ctx, "net.rx", SpanCategory::kSerialization, track_, from, to);
+      return;
+  }
+}
+
+NetDev::NetDev(Simulator* sim, Fabric* fabric, double link_rate_bps, int64_t chunk_bytes,
                const std::string& name, bool priority_tx)
-    : tx_(sim, link_rate_bps, chunk_bytes,
+    : tx_(sim, fabric, Link::Role::kNicTx, link_rate_bps, chunk_bytes,
           priority_tx ? Link::Discipline::kStrictPriority : Link::Discipline::kFifo,
           name + "-tx"),
-      rx_(sim, link_rate_bps, chunk_bytes, Link::Discipline::kFifo, name + "-rx") {}
+      rx_(sim, fabric, Link::Role::kNicRx, link_rate_bps, chunk_bytes, Link::Discipline::kFifo,
+          name + "-rx") {}
 
 }  // namespace perfiso

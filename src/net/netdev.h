@@ -16,35 +16,40 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "src/net/flow.h"
+#include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 #include "src/util/stats.h"
 #include "src/util/token_bucket.h"
 
 namespace perfiso {
 
+class Fabric;
+
 // A store-and-forward serializing element: flows queue, the link transmits
-// one chunk at a time at `rate_bps`, and a flow's on_link_done fires when its
-// last chunk leaves. Chunking is what makes priority preemptive in practice —
-// a primary flow waits at most one secondary chunk, never a whole bulk block.
+// one chunk at a time at `rate_bps`, and a flow whose last chunk leaves goes
+// back to the Fabric, which moves it along its route. Chunking is what makes
+// priority preemptive in practice — a primary flow waits at most one
+// secondary chunk, never a whole bulk block.
 class Link {
  public:
   enum class Discipline {
     kStrictPriority,  // NIC TX: primary queue always served first
     kFifo,            // switch ports / NIC RX: arrival order, class-blind
   };
+  // Where the link sits on a route; names the span a traced flow reports
+  // for its time on the link.
+  enum class Role { kNicTx, kRackUp, kRackDown, kNicRx };
 
   // Returns the current secondary egress bucket, or null when uncapped. A
   // provider (rather than a raw pointer) lets PerfIso install/clear the cap
   // at runtime; it is consulted before every secondary chunk.
   using EgressBucketFn = std::function<TokenBucket*()>;
-  using FlowDoneFn = std::function<void(Flow*, SimTime)>;
 
-  Link(Simulator* sim, double rate_bps, int64_t chunk_bytes, Discipline discipline,
-       std::string name);
+  Link(Simulator* sim, Fabric* fabric, Role role, double rate_bps, int64_t chunk_bytes,
+       Discipline discipline, std::string name);
 
   // A Link may die with a token-starved wake still armed (e.g. a fabric torn
   // down mid-run); the wake captures `this`, so it must not outlive us.
@@ -58,20 +63,15 @@ class Link {
   // behind it, which is the point of having priority queues).
   void SetEgressBucketProvider(EgressBucketFn provider) { egress_bucket_ = std::move(provider); }
 
-  // Enqueues `flow` for serialization; `done` fires once all of
-  // `flow->bytes` have left the link. The flow must outlive the call.
-  void Enqueue(Flow* flow, FlowDoneFn done);
-
-  double rate_bps() const { return rate_bps_; }
-  const std::string& name() const { return name_; }
-  int64_t QueuedBytes() const { return queued_bytes_; }
+  // Registers the link as a track of `process` (named after the link);
+  // traced flows then report their time on it as a span there.
+  void EnableTracing(Tracer* tracer, int process);
 
   // Fault injection (link degradation): chunks *started* while the multiplier
   // is in effect serialize at `fraction` of nominal rate (a chunk already on
   // the wire keeps its original duration). 1.0 restores nominal; the healthy
   // path skips the scaling arithmetic so no-fault runs stay bit-identical.
   void SetRateMultiplier(double fraction) { rate_multiplier_ = fraction; }
-  double rate_multiplier() const { return rate_multiplier_; }
 
   struct LinkStats {
     int64_t bytes_serialized[kNumNetClasses] = {0, 0};
@@ -85,28 +85,32 @@ class Link {
   void ResetStats() { stats_ = LinkStats{}; }
 
  private:
-  struct Entry {
-    Flow* flow = nullptr;
-    FlowDoneFn done;
-  };
+  friend class Fabric;
 
+  // Queues `flow` for serialization. Once all of `flow->bytes` have left the
+  // link, the flow goes back to the Fabric.
+  void Enqueue(Flow* flow);
   // Picks the queue to serve next per the discipline; -1 when both are empty.
   int PickQueue() const;
   void Pump();
   void OnChunkDone(int queue, int64_t chunk);
+  // Reports a traced flow's time on this link, named by the link's role.
+  void EmitSpan(uint64_t ctx, SimTime from, SimTime to);
   // Nominal rate scaled by the fault multiplier (branch-free on 1.0).
   double EffectiveRate() const {
     return rate_multiplier_ == 1.0 ? rate_bps_ : rate_bps_ * rate_multiplier_;
   }
 
   Simulator* sim_;
+  Fabric* fabric_;
+  Role role_;
   double rate_bps_;
   double rate_multiplier_ = 1.0;
   int64_t chunk_bytes_;
   Discipline discipline_;
   std::string name_;
   EgressBucketFn egress_bucket_;
-  std::array<std::deque<Entry>, kNumNetClasses> queues_;
+  std::array<std::deque<Flow*>, kNumNetClasses> queues_;
   uint64_t next_arrival_seq_ = 0;
   int64_t queued_bytes_ = 0;
   bool busy_ = false;
@@ -116,6 +120,8 @@ class Link {
   // become due earlier, it is tightened in place.
   EventHandle retry_event_;
   LinkStats stats_;
+  Tracer* tracer_ = nullptr;
+  int32_t track_ = Tracer::kNoTrack;
 };
 
 // The two directions of one machine's NIC. `priority_tx` false degrades the
@@ -123,17 +129,13 @@ class Link {
 // bulky secondary flow head-of-line-blocks the machine's own primary egress.
 class NetDev {
  public:
-  NetDev(Simulator* sim, double link_rate_bps, int64_t chunk_bytes, const std::string& name,
-         bool priority_tx = true);
+  NetDev(Simulator* sim, Fabric* fabric, double link_rate_bps, int64_t chunk_bytes,
+         const std::string& name, bool priority_tx);
 
   Link& tx() { return tx_; }
   Link& rx() { return rx_; }
   const Link& tx() const { return tx_; }
   const Link& rx() const { return rx_; }
-
-  void SetEgressBucketProvider(Link::EgressBucketFn provider) {
-    tx_.SetEgressBucketProvider(std::move(provider));
-  }
 
  private:
   Link tx_;

@@ -22,12 +22,6 @@ void PerfIsoConfig::Fields(V& v) {
   v.Field("memory.min_free_bytes", min_free_memory_bytes);
   v.Field("memory.check_every_n_polls", memory_check_every_n_polls);
   v.Field("net.egress_rate_cap_bps", egress_rate_cap_bps);
-  v.Field("net.link_rate_bps", net.link_rate_bps);
-  v.Field("net.uplink_oversubscription", net.uplink_oversubscription);
-  v.Field("net.machines_per_rack", net.machines_per_rack);
-  v.Micros("net.base_latency_us", net.base_latency);
-  v.Field("net.chunk_bytes", net.chunk_bytes);
-  v.Field("net.tx_priority", net.tx_priority);
   v.Field("io.window_polls", io_window_polls);
   v.Micros("io.poll_interval_us", io_poll_interval);
   v.Keyed("io.owner.", io_limits, &IoOwnerLimit::owner, [](V& owner, IoOwnerLimit& limit) {
@@ -87,9 +81,6 @@ Status PerfIsoConfig::Validate(int num_cores) const {
                                   std::to_string(IoScheduler::kNumPriorities) + ")");
     }
   }
-  // The fabric validates its own tunables (including that base_latency is
-  // strictly positive).
-  PERFISO_RETURN_IF_ERROR(net.Validate());
   return OkStatus();
 }
 

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "src/net/fabric.h"
 #include "src/perfiso/policy.h"
 #include "src/util/config.h"
 #include "src/util/sim_time.h"
@@ -72,11 +71,6 @@ struct PerfIsoConfig {
 
   // Egress throttle for the secondary (§3.2); <= 0 disables.
   double egress_rate_cap_bps = 0;
-
-  // Fabric parameters (src/net/): NIC link rate, ToR uplink oversubscription,
-  // whether the NIC TX honors priority classes, etc. Distributed with the
-  // rest of the config so a cluster deployment describes its network too.
-  FabricConfig net;
 
   // Static I/O limits and DWRR parameters for secondary I/O owners.
   std::vector<IoOwnerLimit> io_limits;

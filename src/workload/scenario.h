@@ -104,6 +104,8 @@ struct ScenarioSpec {
   size_t trace_count = 20000;
   uint64_t trace_seed = 2017;
   uint64_t client_seed = 7;
+  // Seeds the single box only: a cluster seeds each node from
+  // ClusterOptions::seed.
   uint64_t node_seed = 77;
 
   // The field table (src/util/config.h). It visits only the keys relevant to

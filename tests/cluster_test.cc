@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/fault/invariant_checker.h"
 #include "src/workload/query_trace.h"
 
 namespace perfiso {
@@ -140,6 +141,10 @@ TEST(ClusterTest, RpcsTravelTheFabric) {
   }
   EXPECT_EQ(delivered, 8);
   EXPECT_EQ(fabric.flows_in_flight(), 0);
+  EXPECT_EQ(fabric.occupied_flow_records(), 0);
+  InvariantReport report;
+  InvariantChecker::CheckCluster(cluster, /*expect_drained=*/true, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
   // The MLA's RX link absorbed the leaf fan-in (3 responses + the request).
   const auto& stats = cluster.TlaLatency();
   EXPECT_EQ(stats.Count(), 1u);

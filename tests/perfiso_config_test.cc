@@ -25,12 +25,6 @@ TEST(PerfIsoConfigTest, RoundTripsThroughConfigMap) {
   config.min_free_memory_bytes = 123456789;
   config.memory_check_every_n_polls = 7;
   config.egress_rate_cap_bps = 5e8;
-  config.net.link_rate_bps = 25e9 / 8;  // a 25 GbE fleet
-  config.net.uplink_oversubscription = 3.0;
-  config.net.machines_per_rack = 24;
-  config.net.base_latency = FromMicros(80);
-  config.net.chunk_bytes = 16 * 1024;
-  config.net.tx_priority = false;
   config.io_window_polls = 9;
   config.io_poll_interval = FromMillis(55);
   config.io_limits.push_back(IoOwnerLimit{901, 60e6, 0, 1, 2.0, 100});
@@ -52,12 +46,6 @@ TEST(PerfIsoConfigTest, RoundTripsThroughConfigMap) {
   EXPECT_EQ(back.min_free_memory_bytes, config.min_free_memory_bytes);
   EXPECT_EQ(back.memory_check_every_n_polls, config.memory_check_every_n_polls);
   EXPECT_DOUBLE_EQ(back.egress_rate_cap_bps, config.egress_rate_cap_bps);
-  EXPECT_DOUBLE_EQ(back.net.link_rate_bps, config.net.link_rate_bps);
-  EXPECT_DOUBLE_EQ(back.net.uplink_oversubscription, config.net.uplink_oversubscription);
-  EXPECT_EQ(back.net.machines_per_rack, config.net.machines_per_rack);
-  EXPECT_EQ(back.net.base_latency, config.net.base_latency);
-  EXPECT_EQ(back.net.chunk_bytes, config.net.chunk_bytes);
-  EXPECT_EQ(back.net.tx_priority, config.net.tx_priority);
   EXPECT_EQ(back.io_window_polls, config.io_window_polls);
   EXPECT_EQ(back.io_poll_interval, config.io_poll_interval);
   ASSERT_EQ(back.io_limits.size(), 2u);
@@ -95,6 +83,11 @@ TEST(PerfIsoConfigTest, StrictParseRejectsUnknownKeys) {
   map.Set("cpu.buffer_cores", 6);
   map.Set("cpu.bufer_cores", 12);  // typo
   EXPECT_FALSE(PerfIsoConfig::FromConfigMap(map).ok());
+  // PerfIso has no fabric knobs (ClusterOptions configures the fabric); of
+  // the net.* keys only the egress cap exists.
+  ConfigMap fabric;
+  fabric.Set("net.tx_priority", "false");
+  EXPECT_FALSE(PerfIsoConfig::FromConfigMap(fabric).ok());
   ConfigMap clean;
   clean.Set("cpu.buffer_cores", 6);
   auto strict = PerfIsoConfig::FromConfigMap(clean);
@@ -171,18 +164,6 @@ TEST(PerfIsoConfigTest, ValidateRejectsBadValues) {
   config.poll_interval = 0;
   EXPECT_FALSE(config.Validate(48).ok());
   config.poll_interval = FromMillis(1);
-
-  config.net.link_rate_bps = 0;
-  EXPECT_FALSE(config.Validate(48).ok());
-  config.net.link_rate_bps = 10e9 / 8;
-
-  config.net.uplink_oversubscription = 0.5;
-  EXPECT_FALSE(config.Validate(48).ok());
-  config.net.uplink_oversubscription = 4.0;
-
-  config.net.chunk_bytes = 0;
-  EXPECT_FALSE(config.Validate(48).ok());
-  config.net.chunk_bytes = 64 * 1024;
   EXPECT_TRUE(config.Validate(48).ok());
 }
 

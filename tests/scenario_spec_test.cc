@@ -142,6 +142,14 @@ TEST(ScenarioSpecTest, UnknownKeysRejected) {
     map.Set("cpu.buffer_cores", 8);  // outside workload./perfiso.
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
+  {
+    // PerfIso has no fabric knobs (ClusterOptions configures the fabric), so
+    // this is rejected rather than parsed and ignored.
+    ConfigMap map;
+    map.Set("workload.isolation", "perfiso");
+    map.Set("perfiso.net.link_rate_bps", 3.125e9);
+    EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
+  }
 }
 
 TEST(ScenarioSpecTest, InapplicableKeysRejected) {
