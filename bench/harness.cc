@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -151,9 +152,14 @@ double BenchScale() {
 }
 
 SimDuration ScaledMeasure(const ScenarioSpec& scenario) {
-  return std::max<SimDuration>(
-      kSecond,
-      static_cast<SimDuration>(static_cast<double>(scenario.measure) * BenchScale()));
+  // A validated spec's warmup + measure fits the ns clock; a scale above 1
+  // must not push it (or the double -> int64 cast) past the end.
+  const SimDuration longest = std::numeric_limits<SimTime>::max() - scenario.warmup;
+  const double scaled = static_cast<double>(scenario.measure) * BenchScale();
+  if (!(scaled < static_cast<double>(longest))) {
+    return longest;
+  }
+  return std::min(longest, std::max<SimDuration>(kSecond, static_cast<SimDuration>(scaled)));
 }
 
 ScenarioSpec ScaleScenarioForBench(const ScenarioSpec& scenario) {

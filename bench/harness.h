@@ -35,7 +35,8 @@ namespace bench {
 double BenchScale();
 
 // The measurement window RunSingleBox actually uses: the spec's `measure`
-// scaled by BenchScale(), floored at one second.
+// scaled by BenchScale(), floored at one second and capped so that
+// warmup + window still fits the ns clock.
 SimDuration ScaledMeasure(const ScenarioSpec& scenario);
 
 // Compresses the spec's timeline to the scaled window: `measure` becomes

@@ -120,6 +120,8 @@ class IndexNodeRig {
   std::unique_ptr<IoScheduler> hdd_sched_;
   std::unique_ptr<IndexServer> server_;
   std::unique_ptr<SimPlatform> platform_;
+  // After machine_ and platform_, so it is destroyed first: its destructor
+  // disarms the machine's idle watch, which points into it.
   std::unique_ptr<PerfIsoController> perfiso_;
   Tracer* tracer_ = nullptr;
   int machine_pid_ = 0;

@@ -1,6 +1,5 @@
 #include "src/fault/fault_plan.h"
 
-#include <cmath>
 #include <limits>
 
 #include "src/util/rng.h"
@@ -37,8 +36,8 @@ Status FaultPlan::Validate(int num_nodes) const {
       case FaultKind::kNodeCrash:
         break;
       case FaultKind::kDiskDegrade:
-        if (!(event.severity >= 1 && std::isfinite(event.severity))) {
-          return InvalidArgumentError("disk-degrade severity is a finite latency multiplier >= 1");
+        if (!(event.severity >= 1 && event.severity <= kMaxDiskDegradeSeverity)) {
+          return InvalidArgumentError("disk-degrade severity is a latency multiplier in [1, 1e6]");
         }
         break;
       case FaultKind::kLinkDegrade:

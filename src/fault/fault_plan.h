@@ -40,6 +40,11 @@ inline const auto& EnumNames(FaultKind) {
   return kNames;
 }
 
+// The largest disk-degrade latency multiplier a plan may ask for. A
+// million-fold slowdown keeps any service time below 9.2e12 ns (2.5 h, far
+// beyond any modeled request) inside DiskDevice::ServiceTime's int64 cast.
+inline constexpr double kMaxDiskDegradeSeverity = 1e6;
+
 // One scheduled fault: injected at `at_sec` (absolute sim time, like the
 // flash-crowd window), recovered at `at_sec + duration_sec`.
 struct FaultEvent {
@@ -47,9 +52,9 @@ struct FaultEvent {
   int node = 0;            // index-node id (single-box rigs are node 0)
   double at_sec = 0;
   double duration_sec = 1;
-  // Kind-specific magnitude: latency multiplier (disk, >= 1), fraction of
-  // nominal rate (link, in (0, 1]), straggler thread count (>= 1). Unused for
-  // crashes.
+  // Kind-specific magnitude: latency multiplier (disk, in
+  // [1, kMaxDiskDegradeSeverity]), fraction of nominal rate (link, in
+  // (0, 1]), straggler thread count (>= 1). Unused for crashes.
   double severity = 1;
 };
 

@@ -89,6 +89,18 @@ void InvariantChecker::CheckRig(IndexNodeRig& rig, bool expect_drained,
   if (!machine_ok.ok()) {
     report->Violation(rig.machine().name() + ": " + machine_ok.ToString());
   }
+  // A quiet controller skips its decision because the idle watch guarantees
+  // the count is inside the no-op range; that holds at any instant.
+  const PerfIsoController* controller = rig.perfiso();
+  if (controller != nullptr && controller->quiet()) {
+    const BlindIsolationPolicy::IdleRange range = controller->QuietRange();
+    const int idle = rig.machine().IdleCount();
+    if (!range.Contains(idle)) {
+      report->Violation(rig.machine().name() + ": quiet controller with idle count " +
+                        std::to_string(idle) + " outside [" + std::to_string(range.lo) + ", " +
+                        std::to_string(range.hi) + "]");
+    }
+  }
 }
 
 void InvariantChecker::CheckCluster(Cluster& cluster, bool expect_drained,

@@ -16,6 +16,8 @@
 //     and degraded completions never dip below the configured floor.
 //   * Machine engine state — SimMachine::CheckInvariants (run-queue/core
 //     bookkeeping) holds on every checked machine.
+//   * Quiet polls — a quiet PerfIso controller's machine has its idle count
+//     inside the controller's quiet range.
 //   * Routing consistency (cluster) — the cluster's health-check view of a
 //     node agrees with the node's own crashed flag.
 //   * Flow records (cluster) — the fabric's occupied flow records equal its

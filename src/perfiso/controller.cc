@@ -1,6 +1,8 @@
 #include "src/perfiso/controller.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/util/logging.h"
 
@@ -11,9 +13,12 @@ PerfIsoController::PerfIsoController(Platform* platform, const PerfIsoConfig& co
   assert(platform_ != nullptr);
 }
 
+PerfIsoController::~PerfIsoController() { LeaveQuiet(); }
+
 Status PerfIsoController::Initialize() {
   PERFISO_RETURN_IF_ERROR(config_.Validate(platform_->NumCores()));
   initialized_ = true;
+  ResetMemoryCountdown();
   if (!config_.io_limits.empty()) {
     io_throttler_ = std::make_unique<IoThrottler>(
         platform_, config_.io_limits,
@@ -33,6 +38,7 @@ Status PerfIsoController::Initialize() {
 }
 
 Status PerfIsoController::ApplyCpuMode() {
+  LeaveQuiet();  // the policy below is rebuilt
   const int cores = platform_->NumCores();
   switch (config_.cpu_mode) {
     case CpuIsolationMode::kNone:
@@ -109,6 +115,7 @@ Status PerfIsoController::ApplyConfig(const PerfIsoConfig& config) {
   PERFISO_RETURN_IF_ERROR(config.Validate(platform_->NumCores()));
   const bool was_active = active_;
   config_ = config;
+  ResetMemoryCountdown();
   if (!initialized_) {
     return OkStatus();
   }
@@ -125,10 +132,13 @@ void PerfIsoController::Poll() {
     return;
   }
   ++stats_.polls;
-  if (blind_policy_.has_value()) {
-    const CpuSet idle = platform_->IdleCores();
-    std::optional<CpuSet> update = blind_policy_->Decide(idle);
-    if (update.has_value()) {
+  if (quiet_) {
+    SimSanCheckQuiet();
+  } else if (blind_policy_.has_value()) {
+    std::optional<CpuSet> update = blind_policy_->Decide(platform_->IdleCores().Count());
+    if (!update.has_value()) {
+      EnterQuiet();
+    } else {
       ++stats_.affinity_updates;
       if (tracer_ != nullptr) {
         tracer_->Instant("perfiso.affinity.update", track_, platform_->NowNs());
@@ -139,10 +149,51 @@ void PerfIsoController::Poll() {
       }
     }
   }
-  if (config_.memory_check_every_n_polls > 0 &&
-      stats_.polls % config_.memory_check_every_n_polls == 0) {
+  if (--memory_countdown_ == 0) {
+    memory_countdown_ = config_.memory_check_every_n_polls;
     CheckMemory();
   }
+}
+
+void PerfIsoController::EnterQuiet() {
+  const BlindIsolationPolicy::IdleRange range = blind_policy_->QuietRange();
+  if (!range.Empty()) {
+    quiet_ = platform_->ArmIdleWatch(range.lo, range.hi, &quiet_);
+  }
+}
+
+void PerfIsoController::LeaveQuiet() {
+  if (quiet_) {
+    platform_->DisarmIdleWatch();
+    quiet_ = false;
+  }
+}
+
+void PerfIsoController::ResetMemoryCountdown() {
+  // Keeps the check on every poll whose count is a multiple of n.
+  const int n = config_.memory_check_every_n_polls;
+  assert(n > 0);
+  memory_countdown_ = n - static_cast<int>(stats_.polls % n);
+}
+
+// A quiet poll skips a decision that the idle watch guarantees is a no-op.
+// SimSan re-derives it: the count is inside the range and a copy of the
+// policy decides nothing.
+void PerfIsoController::SimSanCheckQuiet() {
+#ifdef PERFISO_SIMSAN
+  if (!blind_policy_.has_value()) {
+    std::fprintf(stderr, "SimSan: quiet-poll: quiet without a blind policy\n");
+    std::abort();
+  }
+  const int idle = platform_->IdleCores().Count();
+  const BlindIsolationPolicy::IdleRange range = blind_policy_->QuietRange();
+  BlindIsolationPolicy probe = *blind_policy_;
+  if (!range.Contains(idle) || probe.Decide(idle).has_value()) {
+    std::fprintf(stderr, "SimSan: quiet-poll: idle count %d, quiet range [%d, %d]\n", idle,
+                 range.lo, range.hi);
+    std::abort();
+  }
+#endif
 }
 
 void PerfIsoController::CheckMemory() {
@@ -193,6 +244,7 @@ void PerfIsoController::AttachToSimulator(Simulator* sim) {
 }
 
 void PerfIsoController::DetachFromSimulator() {
+  LeaveQuiet();
   cpu_task_.reset();
   io_task_.reset();
 }
@@ -204,6 +256,11 @@ StatusOr<std::unique_ptr<PerfIsoController>> PerfIsoController::Recover(
   auto controller = std::make_unique<PerfIsoController>(platform, *config);
   PERFISO_RETURN_IF_ERROR(controller->Initialize());
   return controller;
+}
+
+BlindIsolationPolicy::IdleRange PerfIsoController::QuietRange() const {
+  return blind_policy_.has_value() ? blind_policy_->QuietRange()
+                                   : BlindIsolationPolicy::IdleRange{};
 }
 
 int PerfIsoController::secondary_cores() const {

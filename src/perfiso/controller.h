@@ -5,6 +5,16 @@
 // ("constantly updating certain settings can become harmful", §4.1). The
 // controller is platform-agnostic — the caller drives Poll(), either from a
 // simulator PeriodicTask or from a real-time thread.
+//
+// Quiet polls. Most polls change nothing: the blind policy's decision is a
+// no-op for a whole range of idle counts (BlindIsolationPolicy::QuietRange).
+// After a no-op decision the controller arms the platform's idle watch on
+// that range and goes quiet; until the watch fires (clearing `quiet_`), a
+// poll still ticks, counts and runs its memory check, but skips the
+// IdleCores() read and the decision, whose outcome is known. Every poll tick
+// stays where it was, so results are identical to polling in full. A
+// platform that cannot watch (LinuxPlatform) is never quiet. DESIGN.md,
+// "Quiet polls", has the derivation and why the ticks themselves stay.
 #ifndef PERFISO_SRC_PERFISO_CONTROLLER_H_
 #define PERFISO_SRC_PERFISO_CONTROLLER_H_
 
@@ -23,6 +33,9 @@ namespace perfiso {
 class PerfIsoController {
  public:
   PerfIsoController(Platform* platform, const PerfIsoConfig& config);
+
+  // Disarms the idle watch, which points at this controller.
+  ~PerfIsoController();
 
   PerfIsoController(const PerfIsoController&) = delete;
   PerfIsoController& operator=(const PerfIsoController&) = delete;
@@ -72,22 +85,40 @@ class PerfIsoController {
   };
   const Stats& stats() const { return stats_; }
   int secondary_cores() const;
+  // True while polls skip the decision. The platform's idle count is then
+  // inside QuietRange() at every instant.
+  bool quiet() const { return quiet_; }
+  // The blind policy's current no-op range (empty without a blind policy).
+  BlindIsolationPolicy::IdleRange QuietRange() const;
   const IoThrottler* io_throttler() const { return io_throttler_.get(); }
 
  private:
   Status ApplyCpuMode();
   Status RestoreDefaults();
   void CheckMemory();
+  // Arms the idle watch on the policy's quiet range after a no-op decision.
+  void EnterQuiet();
+  // Disarms the watch; the next poll decides in full.
+  void LeaveQuiet();
+  // Re-derives the memory-check countdown from stats_.polls and the config.
+  void ResetMemoryCountdown();
+  void SimSanCheckQuiet();
 
   Platform* platform_;
   PerfIsoConfig config_;
   Tracer* tracer_ = nullptr;
   int32_t track_ = Tracer::kNoTrack;
+  // What a quiet Poll() touches, kept together: active_, quiet_ (cleared by
+  // the platform's idle watch), the polls left until the next memory check
+  // (1..memory_check_every_n_polls; replaces a modulo of stats_.polls), and
+  // stats_.polls.
   bool active_ = false;
+  bool quiet_ = false;
+  int memory_countdown_ = 0;
+  Stats stats_;
   bool initialized_ = false;
   std::optional<BlindIsolationPolicy> blind_policy_;
   std::unique_ptr<IoThrottler> io_throttler_;
-  Stats stats_;
   bool secondary_killed_ = false;
   std::unique_ptr<PeriodicTask> cpu_task_;
   std::unique_ptr<PeriodicTask> io_task_;

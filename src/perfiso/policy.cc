@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace perfiso {
 
@@ -38,8 +39,7 @@ BlindIsolationPolicy::BlindIsolationPolicy(const BlindIsolationSettings& setting
   assert(settings.buffer_cores >= 0 && settings.buffer_cores < num_cores);
 }
 
-std::optional<CpuSet> BlindIsolationPolicy::Decide(const CpuSet& idle_mask) {
-  const int idle = idle_mask.Count();
+std::optional<CpuSet> BlindIsolationPolicy::Decide(int idle) {
   const int buffer = settings_.buffer_cores;
   // Asymmetric deadband: small surpluses of idle cores are measurement
   // jitter and not worth an update, but a deficit (idle < buffer) always
@@ -63,6 +63,18 @@ std::optional<CpuSet> BlindIsolationPolicy::Decide(const CpuSet& idle_mask) {
   }
   secondary_cores_ = desired;
   return BuildPlacementMask(settings_.placement, desired, num_cores_);
+}
+
+BlindIsolationPolicy::IdleRange BlindIsolationPolicy::QuietRange() const {
+  if (settings_.update_on_every_poll) {
+    return IdleRange{};
+  }
+  const int buffer = settings_.buffer_cores;
+  const int max_secondary = num_cores_ - buffer;
+  return IdleRange{
+      secondary_cores_ == 0 ? 0 : buffer,
+      secondary_cores_ == max_secondary ? std::numeric_limits<int>::max()
+                                        : buffer + std::max(settings_.idle_deadband, 0)};
 }
 
 }  // namespace perfiso

@@ -47,9 +47,29 @@ class BlindIsolationPolicy {
  public:
   BlindIsolationPolicy(const BlindIsolationSettings& settings, int num_cores);
 
-  // One decision from the current idle-core mask. Returns the new secondary
-  // mask, or nullopt when no update should be issued.
-  std::optional<CpuSet> Decide(const CpuSet& idle_mask);
+  // One decision from the current idle-core count (the popcount of the idle
+  // mask; nothing else of the mask matters). Returns the new secondary mask,
+  // or nullopt when no update should be issued.
+  std::optional<CpuSet> Decide(int idle);
+
+  // A closed range of idle counts; empty when lo > hi.
+  struct IdleRange {
+    int lo = 0;
+    int hi = -1;
+    bool Empty() const { return lo > hi; }
+    bool Contains(int idle) const { return lo <= idle && idle <= hi; }
+  };
+
+  // The idle counts for which Decide returns nullopt and changes no state,
+  // in the current state (exactly, not a subset):
+  //   * I == B is always a no-op, and so is B < I <= B + deadband;
+  //   * a deficit (I < B) shrinks S unless S is already 0, so lo is 0 when
+  //     S == 0 and B otherwise;
+  //   * a surplus past the deadband grows S unless S is already at its
+  //     maximum (cores - B), so hi is unbounded (INT_MAX) there and
+  //     B + deadband otherwise.
+  // Empty under update_on_every_poll, which issues every decision.
+  IdleRange QuietRange() const;
 
   int secondary_cores() const { return secondary_cores_; }
   int buffer_cores() const { return settings_.buffer_cores; }

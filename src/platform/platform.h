@@ -32,6 +32,15 @@ class Platform {
   // currently-idle logical CPUs set.
   virtual CpuSet IdleCores() = 0;
 
+  // Quiet-poll support (optional): arms a one-shot watch that sets `*flag`
+  // and clears it the moment the idle-core count leaves [lo, hi], then
+  // disarms. Returns false when nothing was armed — the platform cannot
+  // watch (the default; LinuxPlatform), or the count is already outside the
+  // range — and the caller must keep reading IdleCores().
+  virtual bool ArmIdleWatch(int /*lo*/, int /*hi*/, bool* /*flag*/) { return false; }
+  // Clears the armed flag, if any, and disarms.
+  virtual void DisarmIdleWatch() {}
+
   // Restricts all secondary-tenant processes to `mask`. An empty mask
   // suspends the secondary entirely (S = 0).
   virtual Status SetSecondaryAffinity(const CpuSet& mask) = 0;

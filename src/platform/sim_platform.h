@@ -29,6 +29,10 @@ class SimPlatform : public Platform {
   int NumCores() const override { return machine_->NumCores(); }
   SimTime NowNs() override { return machine_->sim()->Now(); }
   CpuSet IdleCores() override { return machine_->IdleMask(); }
+  bool ArmIdleWatch(int lo, int hi, bool* flag) override {
+    return machine_->ArmIdleWatch(lo, hi, flag);
+  }
+  void DisarmIdleWatch() override { machine_->DisarmIdleWatch(); }
   Status SetSecondaryAffinity(const CpuSet& mask) override;
   Status SetSecondaryCpuRateCap(double fraction) override;
   StatusOr<int64_t> FreeMemoryBytes() override { return machine_->FreeMemoryBytes(); }

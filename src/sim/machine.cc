@@ -30,6 +30,7 @@ SimMachine::SimMachine(Simulator* sim, const MachineSpec& spec, std::string name
   all_cores_ = CpuSet::FirstN(spec_.num_cores);
   cores_.resize(static_cast<size_t>(spec_.num_cores));
   idle_mask_ = all_cores_;
+  idle_count_ = spec_.num_cores;
   threads_.reserve(256);
 }
 
@@ -84,7 +85,7 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
     }
   }
   for (int core : freed_cores) {
-    idle_mask_.Set(core);
+    SetCoreIdle(core, true);
   }
   for (int tid : displaced) {
     MakeReady(tid);
@@ -261,7 +262,7 @@ Status SimMachine::SetThreadAffinity(ThreadId tid, const CpuSet& mask) {
     ++metrics_.preemptions;
     NoteStopRunning(t);
     cores_[static_cast<size_t>(core)].running = -1;
-    idle_mask_.Set(core);
+    SetCoreIdle(core, true);
     t.state = Thread::State::kReady;
     t.core = -1;
     MakeReady(tid.value);
@@ -286,7 +287,7 @@ Status SimMachine::KillThread(ThreadId tid) {
     NoteStopRunning(t);
     freed_core = t.core;
     cores_[static_cast<size_t>(freed_core)].running = -1;
-    idle_mask_.Set(freed_core);
+    SetCoreIdle(freed_core, true);
   } else if (t.state == Thread::State::kReady && t.queued) {
     RemoveFromQueue(tid.value);
   }
@@ -368,7 +369,7 @@ Status SimMachine::SetJobSuspended(JobId job_id, bool suspended) {
     }
     for (int core : freed_cores) {
       if (cores_[static_cast<size_t>(core)].running < 0) {
-        idle_mask_.Set(core);
+        SetCoreIdle(core, true);
         DispatchNext(core);
       }
     }
@@ -527,7 +528,7 @@ void SimMachine::Dispatch(int core, int tid, bool context_switch) {
   t.slice_start = sim_->Now();
   t.slice_overhead = overhead;
   c.running = tid;
-  idle_mask_.Clear(core);
+  SetCoreIdle(core, false);
   ++metrics_.dispatches;
 
   t.slice_event = sim_->Schedule(sim_->Now() + overhead + run_len,
@@ -606,7 +607,7 @@ void SimMachine::OnSliceEnd(int core, int tid) {
     // Burst complete.
     NoteStopRunning(t);
     cores_[static_cast<size_t>(core)].running = -1;
-    idle_mask_.Set(core);
+    SetCoreIdle(core, true);
     FinishThread(tid, /*run_callback=*/true);
     if (cores_[static_cast<size_t>(core)].running < 0) {
       DispatchNext(core);
@@ -698,7 +699,7 @@ void SimMachine::DispatchNext(int core) {
   if (chosen >= 0) {
     Dispatch(core, chosen, /*context_switch=*/true);
   } else {
-    idle_mask_.Set(core);
+    SetCoreIdle(core, true);
   }
 
   for (int tid : displaced) {
@@ -777,7 +778,7 @@ void SimMachine::ThrottleJob(int job_id) {
   }
   for (int core : freed_cores) {
     if (cores_[static_cast<size_t>(core)].running < 0) {
-      idle_mask_.Set(core);
+      SetCoreIdle(core, true);
       DispatchNext(core);
     }
   }
@@ -812,6 +813,28 @@ void SimMachine::UnthrottleJob(int job_id) {
   }
 }
 
+bool SimMachine::ArmIdleWatch(int lo, int hi, bool* flag) {
+  assert(flag != nullptr && lo <= hi && lo >= 0);
+  DisarmIdleWatch();
+  if (idle_count_ < lo || idle_count_ > hi) {
+    return false;
+  }
+  watch_lo_ = lo;
+  watch_span_ = static_cast<uint32_t>(hi - lo);
+  watch_flag_ = flag;
+  *flag = true;
+  return true;
+}
+
+void SimMachine::DisarmIdleWatch() {
+  if (watch_flag_ != nullptr) {
+    *watch_flag_ = false;
+  }
+  watch_lo_ = 0;
+  watch_span_ = UINT32_MAX;
+  watch_flag_ = nullptr;
+}
+
 void SimMachine::KickIdleCores(const CpuSet& mask) {
   for (int core = mask.Lowest(); core >= 0; core = mask.NextAfter(core)) {
     if (idle_mask_.Test(core) && cores_[static_cast<size_t>(core)].running < 0) {
@@ -841,6 +864,14 @@ void SimMachine::FinishThread(int tid, bool run_callback) {
 }
 
 Status SimMachine::CheckInvariants() const {
+  if (idle_count_ != idle_mask_.Count()) {
+    return InternalError("incremental idle count " + std::to_string(idle_count_) +
+                         " != idle mask popcount " + std::to_string(idle_mask_.Count()));
+  }
+  if (watch_flag_ != nullptr &&
+      (!*watch_flag_ || static_cast<uint32_t>(idle_count_ - watch_lo_) > watch_span_)) {
+    return InternalError("armed idle watch outside its range or with a cleared flag");
+  }
   // Core / idle-mask agreement, and running threads point back at their core.
   std::vector<int> queue_appearances(threads_.size(), 0);
   for (int core = 0; core < spec_.num_cores; ++core) {

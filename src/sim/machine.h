@@ -16,7 +16,9 @@
 //     enforcement per accounting interval), the two static isolation knobs
 //     the paper compares against.
 //   * An idle-core bitmask query, the low-latency "syscall" blind isolation
-//     polls (§3.1.1).
+//     polls (§3.1.1), with an incrementally kept idle count and a passive
+//     one-shot watch on it that lets a controller skip polls whose decision
+//     cannot change (ArmIdleWatch).
 //   * Per-tenant CPU accounting (primary / secondary / OS / idle) matching
 //     the breakdowns in Figs. 4b-7b, plus scheduling-delay and burstiness
 //     metrics.
@@ -156,7 +158,24 @@ class SimMachine {
 
   // Bitmask of cores currently running the idle thread (§3.1.1).
   const CpuSet& IdleMask() const { return idle_mask_; }
-  int IdleCount() const { return idle_mask_.Count(); }
+  // Popcount of IdleMask(), kept incrementally.
+  int IdleCount() const { return idle_count_; }
+
+  // --- Idle watch (quiet controller polls) --------------------------------------
+  //
+  // One one-shot watch on the idle count: arming sets `*flag`, and the first
+  // change that takes IdleCount() outside [lo, hi] clears it and disarms.
+  // The watch is passive — it schedules no event, draws no random number and
+  // calls no model code — so arming it never changes a simulation. A
+  // controller whose next decision is known to be a no-op for every count in
+  // [lo, hi] polls `*flag` instead of the machine (DESIGN.md, "Quiet polls").
+  // A disarmed watch costs one compare per idle-count change.
+  //
+  // Arming first disarms (clearing any previous flag), then returns false and
+  // arms nothing when the count is already outside [lo, hi].
+  bool ArmIdleWatch(int lo, int hi, bool* flag);
+  // Clears the armed flag (if any) and disarms. Idempotent.
+  void DisarmIdleWatch();
   int NumCores() const { return spec_.num_cores; }
   const MachineSpec& spec() const { return spec_; }
   const std::string& name() const { return name_; }
@@ -300,6 +319,27 @@ class SimMachine {
   void ScheduleExhaustCheck(int job_id);
   void OnExhaustCheck(int job_id);
   void KickIdleCores(const CpuSet& mask);
+  // The only writer of idle_mask_ after construction: keeps idle_count_ equal
+  // to its popcount and checks the idle watch. Writing a core's current state
+  // is a no-op.
+  void SetCoreIdle(int core, bool idle) {
+    if (idle_mask_.Test(core) == idle) {
+      return;
+    }
+    if (idle) {
+      idle_mask_.Set(core);
+      ++idle_count_;
+    } else {
+      idle_mask_.Clear(core);
+      --idle_count_;
+    }
+    // Outside [watch_lo_, watch_lo_ + watch_span_] in one unsigned compare; a
+    // count below watch_lo_ wraps past the span. Disarmed, the span covers
+    // every count.
+    if (static_cast<uint32_t>(idle_count_ - watch_lo_) > watch_span_) {
+      DisarmIdleWatch();
+    }
+  }
   int PickIdleCore(const CpuSet& eff, int preferred) const;
   int PickQueueCore(const CpuSet& eff) const;
   SimDuration RateBudgetLeft(Job& job) const;  // lazily resets per interval
@@ -317,6 +357,12 @@ class SimMachine {
   std::vector<int> free_threads_;
   std::vector<Job> jobs_;
   CpuSet idle_mask_;
+  int idle_count_ = 0;
+  // The idle watch: [watch_lo_, watch_lo_ + watch_span_] and the flag it
+  // clears. Disarmed: lo 0, span UINT32_MAX, no flag.
+  int watch_lo_ = 0;
+  uint32_t watch_span_ = UINT32_MAX;
+  bool* watch_flag_ = nullptr;
   Metrics metrics_;
   std::deque<SimTime> recent_ready_times_;  // for the 5 us burst metric
   int64_t used_memory_bytes_ = 0;

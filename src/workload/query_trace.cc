@@ -54,12 +54,21 @@ SimTime OpenLoopClient::DrawNextArrival(SimTime from) {
   // accept unconditionally, so they cost exactly one draw per arrival.
   while (from < end_time_) {
     const double gap_ns = rng_.Exponential(static_cast<double>(kSecond) / peak_rate_);
-    // Floor at 1 tick so time always advances (see the class comment for the
-    // bias bound).
-    from += std::max<SimDuration>(1, static_cast<SimDuration>(std::llround(gap_ns)));
-    if (from >= end_time_) {
+    const SimDuration remaining = end_time_ - from;
+    // A gap past the rest of the window ends the client before llround, which
+    // a tiny rate would hand a gap beyond int64. The test never cuts a gap
+    // that fits: the next double above `remaining` exceeds it, and 2^63
+    // exceeds every int64.
+    if (gap_ns > static_cast<double>(remaining) || gap_ns >= 0x1p63) {
       break;
     }
+    // Floor at 1 tick so time always advances (see the class comment for the
+    // bias bound).
+    const SimDuration gap = std::max<SimDuration>(1, std::llround(gap_ns));
+    if (gap >= remaining) {
+      break;
+    }
+    from += gap;
     const double rate = shape_.RateAt(from - start_time_);
     if (rate >= peak_rate_ || rng_.NextDouble() * peak_rate_ < rate) {
       return from;

@@ -134,6 +134,10 @@ Status ScenarioSpec::Validate() const {
   if (measure <= 0) {
     return InvalidArgumentError("measure must be positive");
   }
+  // Runs end at warmup + measure on the int64 ns clock.
+  if (measure > std::numeric_limits<SimTime>::max() - warmup) {
+    return InvalidArgumentError("warmup + measure overflows the ns clock");
+  }
   if (trace_count == 0) {
     return InvalidArgumentError("trace_count must be positive");
   }

@@ -13,6 +13,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/index_node.h"
+#include "src/disk/disk.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/invariant_checker.h"
 #include "src/sim/simulator.h"
@@ -129,6 +130,31 @@ TEST(FaultPlanTest, ValidateRejectsNonFiniteAndOutOfRangeEvents) {
   event.kind = FaultKind::kCpuStraggler;
   event.severity = 1e10;  // not an int thread count
   EXPECT_FALSE(plan.Validate(1).ok());
+}
+
+// Regression: a finite but huge disk-degrade multiplier used to pass
+// Validate and overflow the double -> int64 cast in DiskDevice::ServiceTime
+// (UBSan float-cast-overflow). Every accepted severity must keep the slowest
+// request's service time on the clock.
+TEST(FaultPlanTest, DiskDegradeSeverityKeepsServiceTimeInRange) {
+  IoRequest request;
+  request.op = IoOp::kWrite;
+  request.bytes = 128LL * 1024 * 1024;  // an HDFS block on a random HDD write
+  Simulator sim;
+  const SimDuration healthy = DiskDevice(&sim, DiskSpec::Hdd(), "hdd").ServiceTime(request);
+  for (double severity : {2.0, 1e6, 1e15, 1e300}) {
+    FaultPlan plan;
+    plan.enabled = true;
+    plan.events.push_back(FaultEvent{FaultKind::kDiskDegrade, 0, 1.0, 1.0, severity});
+    const bool accepted = plan.Validate(1).ok();
+    EXPECT_EQ(accepted, severity <= 1e6) << severity;
+    if (!accepted) {
+      continue;
+    }
+    DiskDevice degraded(&sim, DiskSpec::Hdd(), "hdd");
+    degraded.SetLatencyMultiplier(severity);
+    EXPECT_GE(degraded.ServiceTime(request), healthy) << severity;
+  }
 }
 
 TEST(FaultPlanTest, ValidateBoundsNodesToTopology) {

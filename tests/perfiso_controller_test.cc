@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "src/platform/linux_platform.h"
 #include "src/platform/sim_platform.h"
 #include "src/sim/machine.h"
 #include "src/sim/simulator.h"
+#include "src/util/rng.h"
 #include "src/workload/bullies.h"
 
 namespace perfiso {
@@ -163,6 +167,30 @@ TEST(PerfIsoControllerTest, MemoryWatchdogKillsSecondary) {
   EXPECT_EQ(rig.machine->IdleCount(), 48);
 }
 
+// The memory check runs on every poll whose count is a multiple of n, also
+// when ApplyConfig changes n mid-run and on polls that skip the decision.
+TEST(PerfIsoControllerTest, MemoryCheckRunsOnEveryNthPoll) {
+  Rig rig;
+  PerfIsoConfig config = BlindConfig(8);
+  config.memory_check_every_n_polls = 16;
+  auto controller = rig.MakeController(config);
+  ASSERT_TRUE(controller.Initialize().ok());
+  controller.AttachToSimulator(&rig.sim);
+  rig.sim.RunUntil(FromMillis(100) + 1);
+  const int64_t polls_then = controller.stats().polls;
+  EXPECT_TRUE(controller.quiet());
+  EXPECT_EQ(controller.stats().memory_checks, polls_then / 16);
+  config.memory_check_every_n_polls = 7;
+  ASSERT_TRUE(controller.ApplyConfig(config).ok());
+  for (int ms = 101; ms <= 150; ++ms) {
+    rig.sim.RunUntil(FromMillis(ms) + 1);
+    const int64_t polls = controller.stats().polls;
+    ASSERT_EQ(polls, polls_then + ms - 100);
+    EXPECT_EQ(controller.stats().memory_checks, polls_then / 16 + polls / 7 - polls_then / 7)
+        << "poll " << polls;
+  }
+}
+
 TEST(PerfIsoControllerTest, RuntimeReconfiguration) {
   Rig rig;
   auto controller = rig.MakeController(BlindConfig(8));
@@ -254,6 +282,203 @@ TEST(PerfIsoControllerTest, SecondarySuspendedWhenPrimaryNeedsEverything) {
   rig.sim.RunUntil(4 * kSecond);
   EXPECT_FALSE(*rig.machine->JobSuspended(rig.secondary));
   EXPECT_EQ(controller.secondary_cores(), 40);
+}
+
+// Records every affinity update and IdleCores() read; with `allow_watch`
+// false it refuses the idle watch, like a platform that cannot provide one,
+// so its controller decides in full on every poll.
+class RecordingPlatform : public SimPlatform {
+ public:
+  RecordingPlatform(SimMachine* machine, bool allow_watch)
+      : SimPlatform(machine, nullptr), allow_watch_(allow_watch) {}
+
+  CpuSet IdleCores() override {
+    ++idle_reads;
+    return SimPlatform::IdleCores();
+  }
+  Status SetSecondaryAffinity(const CpuSet& mask) override {
+    updates.emplace_back(NowNs(), mask);
+    return SimPlatform::SetSecondaryAffinity(mask);
+  }
+  bool ArmIdleWatch(int lo, int hi, bool* flag) override {
+    if (!allow_watch_) {
+      return false;
+    }
+    const bool armed = SimPlatform::ArmIdleWatch(lo, hi, flag);
+    arms += armed ? 1 : 0;
+    return armed;
+  }
+
+  std::vector<std::pair<SimTime, CpuSet>> updates;
+  int64_t idle_reads = 0;
+  int64_t arms = 0;
+
+ private:
+  bool allow_watch_;
+};
+
+// One seeded scenario on one machine: random primary bursts around a
+// blind-isolated bully, with burst-free gaps in which the controller goes
+// quiet before each control-plane event lands: the kill switch off and on,
+// a runtime ApplyConfig, and a memory-floor crossing.
+struct DiffRun {
+  Simulator sim;
+  std::unique_ptr<SimMachine> machine;
+  std::unique_ptr<RecordingPlatform> platform;
+  JobId secondary;
+  std::unique_ptr<CpuBully> bully;
+  std::unique_ptr<PerfIsoController> controller;
+  Rng rng;
+  int quiet_at_events = 0;  // control-plane events that found the controller quiet
+
+  DiffRun(bool allow_watch, int bully_threads, uint64_t seed) : rng(seed) {
+    machine = std::make_unique<SimMachine>(&sim, MachineSpec{}, "m0");
+    platform = std::make_unique<RecordingPlatform>(machine.get(), allow_watch);
+    secondary = machine->CreateJob("secondary");
+    platform->AddSecondaryJob(secondary);
+    bully = std::make_unique<CpuBully>(machine.get(), secondary, bully_threads);
+    PerfIsoConfig config = BlindConfig(8);
+    config.min_free_memory_bytes = 8LL * 1024 * 1024 * 1024;
+    config.memory_check_every_n_polls = 16;
+    controller = std::make_unique<PerfIsoController>(platform.get(), config);
+    EXPECT_TRUE(controller->Initialize().ok());
+    controller->AttachToSimulator(&sim);
+  }
+
+  // Bursts of 1-30 primary threads at random gaps inside [from, to); each
+  // thread runs 0.1-40 ms of CPU, so the idle count steps through many values.
+  void ScheduleBursts(SimTime from, SimTime to) {
+    for (SimTime at = from + FromMicros(rng.UniformInt(100, 8000)); at < to;
+         at += FromMicros(rng.UniformInt(100, 8000))) {
+      std::vector<SimDuration> work(static_cast<size_t>(rng.UniformInt(1, 30)));
+      for (SimDuration& w : work) {
+        w = FromMicros(rng.UniformInt(100, 40000));
+      }
+      sim.Schedule(at, [this, work] {
+        for (SimDuration w : work) {
+          machine->SpawnThread("burst", TenantClass::kPrimary, JobId{}, w, nullptr);
+        }
+      });
+    }
+  }
+
+  void At(SimTime at, std::function<void()> action) {
+    sim.Schedule(at, [this, action] {
+      quiet_at_events += controller->quiet() ? 1 : 0;
+      action();
+    });
+  }
+
+  void Run() {
+    ScheduleBursts(0, FromMillis(150));
+    At(FromMillis(210), [this] { EXPECT_TRUE(controller->SetActive(false).ok()); });
+    At(FromMillis(235), [this] { EXPECT_TRUE(controller->SetActive(true).ok()); });
+    ScheduleBursts(FromMillis(240), FromMillis(400));
+    At(FromMillis(480), [this] {
+      PerfIsoConfig next = controller->config();
+      next.blind.buffer_cores = 4;
+      next.blind.idle_deadband = 1;
+      next.memory_check_every_n_polls = 7;
+      EXPECT_TRUE(controller->ApplyConfig(next).ok());
+    });
+    ScheduleBursts(FromMillis(485), FromMillis(700));
+    At(FromMillis(800), [this] {
+      EXPECT_TRUE(machine
+                      ->AddJobMemory(secondary,
+                                     machine->FreeMemoryBytes() - 4LL * 1024 * 1024 * 1024)
+                      .ok());
+    });
+    ScheduleBursts(FromMillis(850), FromMillis(1200));
+    sim.RunUntil(FromMillis(1300));
+  }
+};
+
+// A platform that accepts the idle watch but never fires it.
+class DeafWatchPlatform : public SimPlatform {
+ public:
+  using SimPlatform::SimPlatform;
+  bool ArmIdleWatch(int, int, bool*) override { return true; }
+  void DisarmIdleWatch() override {}
+};
+
+// A quiet poll trusts the watch. SimSan re-derives every skipped decision,
+// so a watch that misses the idle count leaving its range aborts there;
+// the plain build silently keeps the stale allocation.
+TEST(PerfIsoControllerTest, SimSanCatchesAQuietPollThatShouldHaveActed) {
+  const auto run = [] {
+    Simulator sim;
+    SimMachine machine(&sim, MachineSpec{}, "m0");
+    DeafWatchPlatform platform(&machine, nullptr);
+    const JobId secondary = machine.CreateJob("secondary");
+    platform.AddSecondaryJob(secondary);
+    CpuBully bully(&machine, secondary, 48);
+    PerfIsoController controller(&platform, BlindConfig(8));
+    EXPECT_TRUE(controller.Initialize().ok());
+    controller.AttachToSimulator(&sim);
+    sim.RunUntil(FromMillis(50));
+    EXPECT_TRUE(controller.quiet());
+    EXPECT_EQ(controller.secondary_cores(), 40);
+    for (int i = 0; i < 20; ++i) {
+      machine.SpawnThread("burst", TenantClass::kPrimary, JobId{}, FromMillis(300), nullptr);
+    }
+    sim.RunUntil(FromMillis(100));
+    return controller.secondary_cores();
+  };
+  if constexpr (kSimSanEnabled) {
+    EXPECT_DEATH(run(), "SimSan: quiet-poll");
+  } else {
+    EXPECT_EQ(run(), 40);  // should have shrunk to 20
+  }
+}
+
+TEST(PerfIsoControllerTest, QuietPollsMatchFullPollsExactly) {
+  for (int bully_threads : {8, 48}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("bully=" + std::to_string(bully_threads) + " seed=" + std::to_string(seed));
+      DiffRun watched(/*allow_watch=*/true, bully_threads, seed);
+      DiffRun full(/*allow_watch=*/false, bully_threads, seed);
+      watched.Run();
+      full.Run();
+
+      EXPECT_EQ(watched.platform->updates, full.platform->updates);
+      const PerfIsoController::Stats& a = watched.controller->stats();
+      const PerfIsoController::Stats& b = full.controller->stats();
+      EXPECT_EQ(a.polls, b.polls);
+      EXPECT_EQ(a.affinity_updates, b.affinity_updates);
+      EXPECT_EQ(a.rate_updates, b.rate_updates);
+      EXPECT_EQ(a.memory_checks, b.memory_checks);
+      EXPECT_EQ(a.memory_kills, b.memory_kills);
+      EXPECT_EQ(a.io_polls, b.io_polls);
+      EXPECT_EQ(a.memory_kills, 1);
+      const SimMachine::Metrics& ma = watched.machine->metrics();
+      const SimMachine::Metrics& mb = full.machine->metrics();
+      for (int tenant = 0; tenant < kNumTenantClasses; ++tenant) {
+        EXPECT_EQ(ma.busy_ns[tenant], mb.busy_ns[tenant]);
+      }
+      EXPECT_EQ(ma.dispatches, mb.dispatches);
+      EXPECT_EQ(ma.preemptions, mb.preemptions);
+      EXPECT_EQ(ma.steals, mb.steals);
+      EXPECT_EQ(ma.threads_spawned, mb.threads_spawned);
+      EXPECT_EQ(ma.max_ready_burst_5us, mb.max_ready_burst_5us);
+      EXPECT_EQ(ma.primary_sched_delay_us.Digest(), mb.primary_sched_delay_us.Digest());
+      EXPECT_EQ(watched.sim.stats().events_executed, full.sim.stats().events_executed);
+      EXPECT_EQ(watched.sim.stats().events_scheduled, full.sim.stats().events_scheduled);
+      EXPECT_EQ(watched.sim.stats().events_cancelled, full.sim.stats().events_cancelled);
+
+      // The watch did its job: quiet when the control-plane events landed
+      // (the kill switch's "on" too when the off window kept the range), and
+      // far fewer machine reads.
+      EXPECT_GE(watched.quiet_at_events, 3);
+      EXPECT_EQ(full.quiet_at_events, 0);
+      EXPECT_EQ(full.platform->arms, 0);
+      EXPECT_GT(watched.platform->arms, 0);
+      EXPECT_EQ(full.platform->idle_reads, b.polls);
+      if constexpr (!kSimSanEnabled) {  // SimSan re-reads on every quiet poll
+        EXPECT_LT(watched.platform->idle_reads * 2, full.platform->idle_reads);
+      }
+      EXPECT_TRUE(watched.machine->CheckInvariants().ok());
+    }
+  }
 }
 
 }  // namespace

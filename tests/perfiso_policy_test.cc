@@ -33,7 +33,7 @@ TEST(BlindIsolationPolicyTest, GrowsWhenIdleAboveBuffer) {
   BlindIsolationPolicy policy(Settings(8), 48);
   EXPECT_EQ(policy.secondary_cores(), 0);
   // All 48 cores idle: I=48 > B=8 -> S grows by I-B=40 (capped at 48-8=40).
-  auto mask = policy.Decide(CpuSet::FirstN(48));
+  auto mask = policy.Decide(48);
   ASSERT_TRUE(mask.has_value());
   EXPECT_EQ(policy.secondary_cores(), 40);
   EXPECT_EQ(mask->Count(), 40);
@@ -44,7 +44,7 @@ TEST(BlindIsolationPolicyTest, ShrinksWhenIdleBelowBuffer) {
   settings.initial_secondary_cores = 40;
   BlindIsolationPolicy policy(settings, 48);
   // Only 2 idle cores: I=2 < B=8 -> S -= 6.
-  auto mask = policy.Decide(CpuSet::FirstN(2));
+  auto mask = policy.Decide(2);
   ASSERT_TRUE(mask.has_value());
   EXPECT_EQ(policy.secondary_cores(), 34);
 }
@@ -54,7 +54,7 @@ TEST(BlindIsolationPolicyTest, SteadyStateIssuesNoUpdate) {
   settings.initial_secondary_cores = 20;
   BlindIsolationPolicy policy(settings, 48);
   // Exactly B idle cores: no change, no update.
-  EXPECT_FALSE(policy.Decide(CpuSet::FirstN(8)).has_value());
+  EXPECT_FALSE(policy.Decide(8).has_value());
   EXPECT_EQ(policy.secondary_cores(), 20);
 }
 
@@ -63,23 +63,23 @@ TEST(BlindIsolationPolicyTest, UpdateOnEveryPollAblation) {
   settings.initial_secondary_cores = 20;
   settings.update_on_every_poll = true;
   BlindIsolationPolicy policy(settings, 48);
-  EXPECT_TRUE(policy.Decide(CpuSet::FirstN(8)).has_value());  // unchanged but issued
+  EXPECT_TRUE(policy.Decide(8).has_value());  // unchanged but issued
 }
 
 TEST(BlindIsolationPolicyTest, UnitStepAblation) {
   BlindIsolationPolicy policy(Settings(8, /*proportional=*/false), 48);
-  policy.Decide(CpuSet::FirstN(48));
+  policy.Decide(48);
   EXPECT_EQ(policy.secondary_cores(), 1);  // grows one core at a time
-  policy.Decide(CpuSet::FirstN(48));
+  policy.Decide(48);
   EXPECT_EQ(policy.secondary_cores(), 2);
-  policy.Decide(CpuSet());
+  policy.Decide(0);
   EXPECT_EQ(policy.secondary_cores(), 1);  // shrinks one core at a time
 }
 
 TEST(BlindIsolationPolicyTest, NeverExceedsCoresMinusBuffer) {
   BlindIsolationPolicy policy(Settings(4), 16);
   for (int i = 0; i < 10; ++i) {
-    policy.Decide(CpuSet::FirstN(16));
+    policy.Decide(16);
   }
   EXPECT_EQ(policy.secondary_cores(), 12);
 }
@@ -88,7 +88,7 @@ TEST(BlindIsolationPolicyTest, CanShrinkToZero) {
   BlindIsolationSettings settings = Settings(8);
   settings.initial_secondary_cores = 3;
   BlindIsolationPolicy policy(settings, 48);
-  auto mask = policy.Decide(CpuSet());  // zero idle cores
+  auto mask = policy.Decide(0);  // zero idle cores
   ASSERT_TRUE(mask.has_value());
   EXPECT_EQ(policy.secondary_cores(), 0);
   EXPECT_TRUE(mask->Empty());
@@ -103,11 +103,48 @@ TEST(BlindIsolationPolicyTest, ConvergesToEquilibrium) {
   for (int primary : {10, 25, 4, 38, 0}) {
     for (int step = 0; step < 10; ++step) {
       const int busy = std::min(kCores, primary + policy.secondary_cores());
-      policy.Decide(CpuSet::FirstN(kCores - busy));
+      policy.Decide(kCores - busy);
     }
     EXPECT_EQ(policy.secondary_cores(), std::max(0, kCores - primary - kBuffer))
         << "primary=" << primary;
   }
+}
+
+// The quiet range is exact: over every setting that shapes a decision, every
+// secondary allocation and every idle count, Decide is a no-op that changes
+// no state if and only if the count is inside QuietRange().
+TEST(BlindIsolationPolicyTest, QuietRangeIsExactlyTheNoOpSet) {
+  constexpr int kCores = 48;
+  int quiet_cases = 0;
+  for (int buffer : {0, 1, 8, kCores - 1}) {
+    for (bool proportional : {true, false}) {
+      for (int deadband = 0; deadband <= 3; ++deadband) {
+        for (bool every_poll : {false, true}) {
+          for (int secondary = 0; secondary <= kCores - buffer; ++secondary) {
+            BlindIsolationSettings settings = Settings(buffer, proportional);
+            settings.idle_deadband = deadband;
+            settings.update_on_every_poll = every_poll;
+            settings.initial_secondary_cores = secondary;
+            const BlindIsolationPolicy fresh(settings, kCores);
+            ASSERT_EQ(fresh.secondary_cores(), secondary);
+            const BlindIsolationPolicy::IdleRange range = fresh.QuietRange();
+            EXPECT_EQ(range.Empty(), every_poll);
+            for (int idle = 0; idle <= kCores; ++idle) {
+              BlindIsolationPolicy policy = fresh;
+              const bool no_op =
+                  !policy.Decide(idle).has_value() && policy.secondary_cores() == secondary;
+              EXPECT_EQ(no_op, range.Contains(idle))
+                  << "B=" << buffer << " proportional=" << proportional
+                  << " deadband=" << deadband << " every_poll=" << every_poll
+                  << " S=" << secondary << " I=" << idle;
+              quiet_cases += no_op ? 1 : 0;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(quiet_cases, 0);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -248,6 +250,45 @@ TEST(ScenarioSpecTest, ValidateChecksClientAndTopology) {
 
   spec.tenants.cpu_bully_threads = -1;
   EXPECT_FALSE(spec.Validate().ok());
+}
+
+// Regression: a run ends at warmup + measure, and the bench harness added
+// the two unchecked, so a spec whose sum overflowed int64 reached the
+// simulator as a negative end time.
+TEST(ScenarioSpecTest, ValidateRejectsWarmupPlusMeasureOverflow) {
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  ScenarioSpec spec;
+  spec.warmup = kMax - 10;
+  spec.measure = 10;
+  EXPECT_TRUE(spec.Validate().ok());
+  spec.measure = 11;
+  EXPECT_FALSE(spec.Validate().ok());
+  spec.warmup = kSecond;
+  spec.measure = kMax;
+  EXPECT_FALSE(spec.Validate().ok());
+
+  ConfigMap map;
+  map.Set("workload.warmup_ns", kMax / 2 + 1);
+  map.Set("workload.measure_ns", kMax / 2 + 1);
+  EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
+
+  // The bench window stays on the clock however far the scale stretches it.
+  const char* saved = std::getenv("PERFISO_BENCH_SCALE");
+  const std::string saved_scale = saved != nullptr ? saved : "";
+  setenv("PERFISO_BENCH_SCALE", "100", 1);
+  spec.warmup = kMax - 10 * kSecond;
+  spec.measure = 5 * kSecond;
+  EXPECT_EQ(bench::ScaledMeasure(spec), 10 * kSecond);
+  spec.warmup = 0;
+  spec.measure = kMax / 2;
+  EXPECT_EQ(bench::ScaledMeasure(spec), kMax);
+  spec.measure = kSecond;
+  EXPECT_EQ(bench::ScaledMeasure(spec), 100 * kSecond);
+  if (saved != nullptr) {
+    setenv("PERFISO_BENCH_SCALE", saved_scale.c_str(), 1);
+  } else {
+    unsetenv("PERFISO_BENCH_SCALE");
+  }
 }
 
 TEST(ScenarioSpecTest, ClientKindNamesRoundTrip) {

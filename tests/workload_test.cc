@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "src/sim/machine.h"
@@ -144,6 +145,55 @@ TEST(OpenLoopClientTest, GapsAreFlooredAtOneTick) {
   ASSERT_EQ(arrivals.size(), static_cast<size_t>(kMicrosecond) - 1);
   for (size_t i = 0; i < arrivals.size(); ++i) {
     EXPECT_EQ(arrivals[i], static_cast<SimTime>(i + 1));
+  }
+}
+
+// Regression: at a tiny positive rate the drawn gap (~1e21 ns here) is past
+// int64. llround's out-of-range result used to be floored to a 1 ns gap, so
+// the client submitted dozens of queries one nanosecond apart in a window
+// that expects none. A gap past the window now ends the client before the
+// rounding.
+TEST(OpenLoopClientTest, TinyRateEndsTheClientBeforeRounding) {
+  Simulator sim;
+  Rng rng(14);
+  auto trace = GenerateTrace(TraceSpec{}, 4, &rng);
+  uint64_t submitted = 0;
+  OpenLoopClient client(&sim, std::move(trace), /*qps=*/1e-12, Rng(15),
+                        [&](const QueryWork&, SimTime) { ++submitted; });
+  client.Run(0, 10 * kSecond);
+  sim.RunUntilEmpty();
+  EXPECT_EQ(submitted, 0u);
+  EXPECT_EQ(client.submitted(), 0u);
+}
+
+// The early end is exact: at constant rates (one draw per arrival) the
+// client reproduces, arrival for arrival, the plain rule "advance by
+// max(1, llround(gap)) and stop at the window end" — including low rates
+// whose gaps often run past the window.
+TEST(OpenLoopClientTest, ArrivalsMatchTheRoundedGapRule) {
+  for (double qps : {2000.0, 3.0, 0.2}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      const SimTime end = 5 * kSecond;
+      std::vector<SimTime> expected;
+      Rng reference(seed);
+      for (SimTime at = 0;;) {
+        const double gap = reference.Exponential(static_cast<double>(kSecond) / qps);
+        at += std::max<SimDuration>(1, std::llround(gap));
+        if (at >= end) {
+          break;
+        }
+        expected.push_back(at);
+      }
+      Simulator sim;
+      Rng rng(16);
+      auto trace = GenerateTrace(TraceSpec{}, 4, &rng);
+      std::vector<SimTime> arrivals;
+      OpenLoopClient client(&sim, std::move(trace), qps, Rng(seed),
+                            [&](const QueryWork&, SimTime now) { arrivals.push_back(now); });
+      client.Run(0, end);
+      sim.RunUntilEmpty();
+      EXPECT_EQ(arrivals, expected) << "qps=" << qps << " seed=" << seed;
+    }
   }
 }
 
