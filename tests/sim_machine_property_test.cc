@@ -182,9 +182,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AffinityChurnTest, ::testing::Values(11, 22, 33,
 //
 // A fixed, seeded run that exercises every scheduling path at once: a 48-thread
 // secondary whose job mask flaps between seeded masks (and is now and then
-// suspended), seeded primary fan-out bursts, per-thread primary affinity, and
-// a rate-capped job. The expected counters are exact: any change to a
-// placement, steal victim or preemption moves at least one of them,
+// suspended), seeded primary fan-out bursts, primary jobs pinned to 8-core
+// ranges, and a rate-capped job. The expected counters are exact: any change
+// to a placement, steal victim or preemption moves at least one of them,
 // independently of the end-to-end golden digests. Update them only for a
 // deliberate change to the scheduling model.
 
@@ -217,20 +217,27 @@ TEST(SchedulerDecisionPinTest, BlindIsolationChurnIsBitExact) {
     masks.push_back(mask);
   }
 
-  // Primary fan-out: each burst wakes several workers at once, some pinned to
-  // a random core range, and some completions spawn a follow-up stage.
+  // One primary job per 8-core range [lo, lo + 8).
+  std::vector<JobId> pinned;
+  for (int lo = 0; lo <= kCores - 8; ++lo) {
+    pinned.push_back(machine.CreateJob("pinned"));
+    ASSERT_TRUE(machine.SetJobAffinity(pinned.back(), CpuSet::Range(lo, lo + 8)).ok());
+  }
+
+  // Primary fan-out: each burst wakes several workers at once, some in a job
+  // pinned to a random core range, and some completions spawn a follow-up
+  // stage.
   std::function<void(int)> spawn_worker = [&](int depth) {
     const SimDuration work = FromMicros(rng.Uniform(20, 900));
-    const ThreadId tid = machine.SpawnThread(
-        "worker", TenantClass::kPrimary, JobId{}, work, [&, depth](SimTime) {
-          if (depth < 2 && rng.Bernoulli(0.3)) {
-            spawn_worker(depth + 1);
-          }
-        });
-    if (machine.ThreadLive(tid) && rng.Bernoulli(0.2)) {
-      const int lo = static_cast<int>(rng.UniformInt(0, kCores - 8));
-      ASSERT_TRUE(machine.SetThreadAffinity(tid, CpuSet::Range(lo, lo + 8)).ok());
+    JobId job;
+    if (rng.Bernoulli(0.2)) {
+      job = pinned[static_cast<size_t>(rng.UniformInt(0, kCores - 8))];
     }
+    machine.SpawnThread("worker", TenantClass::kPrimary, job, work, [&, depth](SimTime) {
+      if (depth < 2 && rng.Bernoulli(0.3)) {
+        spawn_worker(depth + 1);
+      }
+    });
   };
 
   constexpr SimDuration kPoll = FromMicros(250);
@@ -259,13 +266,13 @@ TEST(SchedulerDecisionPinTest, BlindIsolationChurnIsBitExact) {
   machine.SettleAccounting();
 
   const SimMachine::Metrics& m = machine.metrics();
-  EXPECT_EQ(m.dispatches, 23659);
-  EXPECT_EQ(m.preemptions, 9867);
-  EXPECT_EQ(m.steals, 1272);
-  EXPECT_EQ(m.busy_ns[0], 6147404739);
-  EXPECT_EQ(m.busy_ns[1], 3737458381);
-  EXPECT_EQ(m.busy_ns[2], 1962077933);
-  EXPECT_EQ(machine.IdleMask().ToString(), "6,26-36,38-47");
+  EXPECT_EQ(m.dispatches, 20398);
+  EXPECT_EQ(m.preemptions, 6643);
+  EXPECT_EQ(m.steals, 1158);
+  EXPECT_EQ(m.busy_ns[0], 6120715564);
+  EXPECT_EQ(m.busy_ns[1], 3422869284);
+  EXPECT_EQ(m.busy_ns[2], 1960044953);
+  EXPECT_EQ(machine.IdleMask().ToString(), "5,7,31-33,35-47");
 }
 
 }  // namespace

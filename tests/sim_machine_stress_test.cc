@@ -32,7 +32,7 @@ TEST_P(MachineFuzzTest, RandomOpsPreserveInvariants) {
   std::vector<ThreadId> threads;
 
   for (int step = 0; step < 600; ++step) {
-    const int op = static_cast<int>(rng.UniformInt(0, 9));
+    const int op = static_cast<int>(rng.UniformInt(0, 8));
     const JobId job = jobs[static_cast<size_t>(rng.UniformInt(0, 2))];
     switch (op) {
       case 0:
@@ -72,21 +72,7 @@ TEST_P(MachineFuzzTest, RandomOpsPreserveInvariants) {
         ASSERT_TRUE(machine.SetJobSuspended(job, rng.Bernoulli(0.5)).ok());
         break;
       }
-      case 7: {  // thread affinity on a random live thread
-        if (!threads.empty()) {
-          const auto tid = threads[static_cast<size_t>(
-              rng.UniformInt(0, static_cast<int64_t>(threads.size()) - 1))];
-          if (machine.ThreadLive(tid)) {
-            CpuSet mask = CpuSet::FromMask64(rng.Next() & 0xFF);
-            if (mask.Empty()) {
-              mask = CpuSet::FirstN(8);
-            }
-            (void)machine.SetThreadAffinity(tid, mask);
-          }
-        }
-        break;
-      }
-      case 8: {  // kill a whole job
+      case 7: {  // kill a whole job
         if (rng.Bernoulli(0.1)) {
           (void)machine.KillJob(job);
           // Dead jobs stay dead; replace with a fresh one.

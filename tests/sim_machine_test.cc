@@ -271,35 +271,6 @@ TEST(SimMachineTest, BurstMetricCountsReadyThreads) {
   EXPECT_GE(machine.metrics().max_ready_burst_5us, 15);
 }
 
-TEST(SimMachineTest, ThreadAffinityIntersectsJobMask) {
-  Simulator sim;
-  SimMachine machine(&sim, TinySpec(4), "m0");
-  const JobId job = machine.CreateJob("sec");
-  ASSERT_TRUE(machine.SetJobAffinity(job, CpuSet::Range(0, 2)).ok());
-  const ThreadId tid = machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
-  ASSERT_TRUE(machine.SetThreadAffinity(tid, CpuSet::Single(1)).ok());
-  sim.RunUntil(FromMillis(5));
-  EXPECT_FALSE(machine.IdleMask().Test(1));
-  EXPECT_TRUE(machine.IdleMask().Test(0));
-}
-
-// A thread mask disjoint from the job mask is rejected and must leave the
-// thread's affinity untouched: widening the job later may not act on it.
-TEST(SimMachineTest, RejectedThreadAffinityIsNotKept) {
-  Simulator sim;
-  SimMachine machine(&sim, TinySpec(4), "m0");
-  const JobId job = machine.CreateJob("sec");
-  ASSERT_TRUE(machine.SetJobAffinity(job, CpuSet::Range(0, 2)).ok());
-  const ThreadId tid = machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
-  ASSERT_EQ(machine.IdleMask(), CpuSet::Range(1, 4));  // running on core 0
-  EXPECT_EQ(machine.SetThreadAffinity(tid, CpuSet::Single(3)).code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(machine.SetJobAffinity(job, CpuSet::FirstN(4)).ok());
-  EXPECT_EQ(machine.metrics().preemptions, 0);
-  EXPECT_EQ(machine.IdleMask(), CpuSet::Range(1, 4));
-  EXPECT_TRUE(machine.CheckInvariants().ok());
-}
-
 TEST(SimMachineTest, MemoryAccounting) {
   Simulator sim;
   MachineSpec spec = TinySpec(1);
