@@ -224,7 +224,7 @@ int main() {
   {
     ControllerRig rig;
     volatile int sink = 0;
-    idle_ns = MeasureNsPerOp(kIters, [&](int) { sink += rig.platform->IdleCores().Count(); });
+    idle_ns = MeasureNsPerOp(kIters, [&](int) { sink = sink + rig.platform->IdleCores().Count(); });
     poll_ns = MeasureNsPerOp(kIters, [&](int) { rig.controller->Poll(); });
     affinity_ns = MeasureNsPerOp(kIters / 10, [&](int i) {
       const int cores = (i & 1) != 0 ? 16 : 8;  // force a real update every call
@@ -239,7 +239,7 @@ int main() {
     spec.context_switch = 0;
     SimMachine machine(&sim, spec, "m0");
     dispatch_ns = MeasureNsPerOp(kIters / 10, [&](int) {
-      machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, 1000, nullptr);
+      machine.SpawnThread(TenantClass::kPrimary, JobId{}, 1000, nullptr);
       sim.RunUntilEmpty();
     });
   }

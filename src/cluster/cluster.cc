@@ -69,7 +69,7 @@ void Cluster::SubmitQuery(const QueryWork& work, IndexServer::QueryDoneFn done) 
   next_row_ = (next_row_ + 1) % options_.topology.rows;
   SimMachine* tla = tla_machines_[static_cast<size_t>(pending->tla_machine)].get();
   tla->SpawnThread(
-      "tla-fwd", TenantClass::kPrimary, JobId{}, FromMicros(options_.tla_cpu_us),
+      TenantClass::kPrimary, JobId{}, FromMicros(options_.tla_cpu_us),
       [this, pending](SimTime now) {
         // Pick the MLA within the row (TLA load balancing), skipping nodes
         // the health checks know to be crashed. With nothing crashed the
@@ -137,8 +137,7 @@ void Cluster::RunMla(const std::shared_ptr<PendingQuery>& pending) {
         auto merge = [this, pending, &mla](SimTime) {
           // Merge work on the MLA machine for this leaf response.
           mla.machine().SpawnThread(
-              "mla-merge", TenantClass::kPrimary, mla.server().job(),
-              FromMicros(options_.mla_merge_cpu_us),
+              TenantClass::kPrimary, mla.server().job(), FromMicros(options_.mla_merge_cpu_us),
               [this, pending](SimTime) {
                 if (--pending->leaves_left == 0) {
                   FinalizeMla(pending);
@@ -171,8 +170,7 @@ void Cluster::FinalizeMla(const std::shared_ptr<PendingQuery>& pending) {
   // All leaf slots accounted for: finalize on the MLA, reply to the TLA.
   IndexNodeRig& mla = *index_nodes_[static_cast<size_t>(pending->mla_node)];
   mla.machine().SpawnThread(
-      "mla-final", TenantClass::kPrimary, mla.server().job(),
-      FromMicros(options_.mla_finalize_cpu_us),
+      TenantClass::kPrimary, mla.server().job(), FromMicros(options_.mla_finalize_cpu_us),
       [this, pending](SimTime now) {
         mla_latency_ms_.Add(ToMillis(now - pending->mla_arrival));
         fabric_->Send(
@@ -181,8 +179,7 @@ void Cluster::FinalizeMla(const std::shared_ptr<PendingQuery>& pending) {
             [this, pending](SimTime) {
               SimMachine* tla = tla_machines_[static_cast<size_t>(pending->tla_machine)].get();
               tla->SpawnThread(
-                  "tla-reply", TenantClass::kPrimary, JobId{},
-                  FromMicros(options_.tla_cpu_us),
+                  TenantClass::kPrimary, JobId{}, FromMicros(options_.tla_cpu_us),
                   [this, pending](SimTime end) {
                     const int cols = options_.topology.columns;
                     const double coverage =

@@ -40,18 +40,6 @@ Status IoScheduler::SetPriority(int owner, int priority) {
   return OkStatus();
 }
 
-Status IoScheduler::SetWeight(int owner, double weight) {
-  auto it = owners_.find(owner);
-  if (it == owners_.end()) {
-    return NotFoundError("unregistered I/O owner");
-  }
-  if (weight <= 0) {
-    return InvalidArgumentError("weight must be positive");
-  }
-  it->second.weight = weight;
-  return OkStatus();
-}
-
 Status IoScheduler::SetBandwidthCap(int owner, double bytes_per_sec) {
   auto it = owners_.find(owner);
   if (it == owners_.end()) {
@@ -294,11 +282,6 @@ const IoScheduler::OwnerSchedStats& IoScheduler::Stats(int owner) const {
   static const OwnerSchedStats kEmpty;
   auto it = owners_.find(owner);
   return it == owners_.end() ? kEmpty : it->second.stats;
-}
-
-size_t IoScheduler::QueuedRequests(int owner) const {
-  auto it = owners_.find(owner);
-  return it == owners_.end() ? 0 : it->second.queue.size();
 }
 
 }  // namespace perfiso

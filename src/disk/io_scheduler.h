@@ -46,7 +46,6 @@ class IoScheduler {
   void RegisterOwner(int owner, std::string name, int priority, double weight);
 
   Status SetPriority(int owner, int priority);
-  Status SetWeight(int owner, double weight);
   // caps <= 0 clear the limit.
   Status SetBandwidthCap(int owner, double bytes_per_sec);
   Status SetIopsCap(int owner, double iops);
@@ -74,7 +73,6 @@ class IoScheduler {
     LatencyRecorder total_latency_us;  // submit-to-complete incl. queueing
   };
   const OwnerSchedStats& Stats(int owner) const;
-  size_t QueuedRequests(int owner) const;
   int outstanding() const { return outstanding_; }
 
   StripedVolume* volume() const { return volume_; }

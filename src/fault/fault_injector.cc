@@ -105,8 +105,7 @@ void FaultInjector::Inject(size_t event_index) {
       auto& spawned = straggler_threads_[event_index];
       spawned.reserve(static_cast<size_t>(threads));
       for (int t = 0; t < threads; ++t) {
-        spawned.push_back(
-            node.machine().SpawnLoopThread("fault-straggler", TenantClass::kOs, JobId{}));
+        spawned.push_back(node.machine().SpawnLoopThread(TenantClass::kOs, JobId{}));
       }
       if (tracer_ != nullptr) {
         tracer_->Instant("fault.straggler", track_, now);

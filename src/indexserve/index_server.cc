@@ -61,7 +61,7 @@ void IndexServer::SubmitQuery(const QueryWork& work, QueryDoneFn done) {
 
   // Network receive path runs in kernel context (OS tenant, outside the job).
   machine_->SpawnThread(
-      "is-recv", TenantClass::kOs, JobId{}, ScaledUs(config_.receive_cpu_us, 1.0),
+      TenantClass::kOs, JobId{}, ScaledUs(config_.receive_cpu_us, 1.0),
       [this, ref = q.ref()](SimTime) {
         if (QueryState* live = Find(ref)) {
           StartParse(*live);
@@ -158,7 +158,7 @@ void IndexServer::StartParse(QueryState& q) {
   // Parse and query-understanding run as one burst on the same pool thread
   // (no intermediate wake point).
   machine_->SpawnThread(
-      "is-parse", TenantClass::kPrimary, job_,
+      TenantClass::kPrimary, job_,
       ScaledUs(config_.parse_cpu_us + config_.understand_cpu_us, q.work.size_factor),
       [this, ref = q.ref()](SimTime) {
         if (QueryState* live = Find(ref)) {
@@ -218,7 +218,7 @@ void IndexServer::StartChunk(QueryState& q, int chunk, bool is_hedge) {
   const bool miss = q.rng.Bernoulli(config_.chunk_miss_rate);
 
   machine_->SpawnThread(
-      "is-chunk", TenantClass::kPrimary, job_, cpu,
+      TenantClass::kPrimary, job_, cpu,
       [this, ref = q.ref(), chunk, miss](SimTime) {
         QueryState* live = Find(ref);
         if (live == nullptr) {
@@ -242,7 +242,7 @@ void IndexServer::StartChunk(QueryState& q, int chunk, bool is_hedge) {
                                             live->work.size_factor),
                             trace_ctx = live->trace_ctx](SimTime) {
           machine_->SpawnThread(
-              "is-chunk-post", TenantClass::kPrimary, job_, cost,
+              TenantClass::kPrimary, job_, cost,
               [this, ref, chunk](SimTime) {
                 if (QueryState* still_live = Find(ref)) {
                   ChunkDone(*still_live, chunk);
@@ -362,7 +362,7 @@ void IndexServer::StartRank(QueryState& q) {
       1.0, q.rng.LogNormal(std::log(config_.rank_cpu_median_us), config_.rank_cpu_sigma) *
                q.work.size_factor));
   machine_->SpawnThread(
-      "is-rank", TenantClass::kPrimary, job_, cpu,
+      TenantClass::kPrimary, job_, cpu,
       [this, ref = q.ref()](SimTime) {
         if (QueryState* live = Find(ref)) {
           StartSnippets(*live);
@@ -402,7 +402,7 @@ void IndexServer::SubmitSnippetRead(QueryState& q) {
       return;
     }
     machine_->SpawnThread(
-        "is-snippet", TenantClass::kPrimary, job_,
+        TenantClass::kPrimary, job_,
         ScaledUs(config_.snippet_cpu_us, live->work.size_factor),
         [this, ref](SimTime) {
           if (QueryState* still_live = Find(ref)) {
@@ -438,8 +438,7 @@ void IndexServer::CompleteNow(QueryState& q) {
     ++stats_.completions_while_crashed;
   }
   // Network send path (OS tenant).
-  machine_->SpawnThread("is-send", TenantClass::kOs, JobId{},
-                        ScaledUs(config_.send_cpu_us, 1.0), nullptr);
+  machine_->SpawnThread(TenantClass::kOs, JobId{}, ScaledUs(config_.send_cpu_us, 1.0), nullptr);
 
   const QueryResult result =
       ResultOf(q, /*dropped=*/machine_->sim()->Now() - q.arrival > config_.timeout);

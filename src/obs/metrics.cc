@@ -160,22 +160,4 @@ std::string TimeseriesSampler::ToJson() const {
   return out.str();
 }
 
-std::string TimeseriesSampler::ToCsv() const {
-  const std::vector<std::string> columns = registry_->ColumnNames();
-  std::ostringstream out;
-  out << "time_s";
-  for (const std::string& column : columns) {
-    out << "," << column;
-  }
-  out << "\n";
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    out << FormatDouble(ToSeconds(times_[r]));
-    for (size_t c = 0; c < columns.size(); ++c) {
-      out << "," << FormatDouble(c < rows_[r].size() ? rows_[r][c] : 0);
-    }
-    out << "\n";
-  }
-  return out.str();
-}
-
 }  // namespace perfiso

@@ -127,8 +127,6 @@ class TimeseriesSampler {
 
   // {"period_ns":..., "times_ns":[...], "series":{"name":[...],...}}
   std::string ToJson() const;
-  // Header row "time_s,<col>,..." then one row per sample.
-  std::string ToCsv() const;
 
  private:
   MetricsRegistry* registry_;

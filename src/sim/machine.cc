@@ -63,13 +63,13 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
   job.affinity = effective;
 
   // Preempt running threads that are now on disallowed cores, and pull queued
-  // threads off disallowed cores' queues; both get re-placed afterwards.
+  // threads off disallowed cores' queues; both get re-placed afterwards. A
+  // queued thread that stays widens its core's `reach` to the new mask.
   std::vector<int> displaced;
   std::vector<int> freed_cores;
   for (int tid : job.threads) {
     Thread& t = threads_[static_cast<size_t>(tid)];
-    RefreshEff(t);
-    if (t.state == Thread::State::kRunning && !t.eff.Test(t.core)) {
+    if (t.state == Thread::State::kRunning && !effective.Test(t.core)) {
       ChargeRun(t);
       sim_->CancelOwned(t.slice_event);
       ++metrics_.preemptions;
@@ -79,7 +79,9 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
       t.state = Thread::State::kReady;
       t.core = -1;
       displaced.push_back(tid);
-    } else if (t.state == Thread::State::kReady && t.queued && !t.eff.Test(t.core)) {
+    } else if (t.queued && effective.Test(t.core)) {
+      cores_[static_cast<size_t>(t.core)].reach |= effective;
+    } else if (t.queued) {
       RemoveFromQueue(tid);
       displaced.push_back(tid);
     }
@@ -206,19 +208,16 @@ int SimMachine::AllocThreadSlot() {
   return static_cast<int>(threads_.size()) - 1;
 }
 
-ThreadId SimMachine::SpawnThread(const std::string& thread_name, TenantClass tenant, JobId job,
-                                 SimDuration work, CompletionFn on_complete,
-                                 uint64_t trace_ctx) {
+ThreadId SimMachine::SpawnThread(TenantClass tenant, JobId job, SimDuration work,
+                                 CompletionFn on_complete, uint64_t trace_ctx) {
   const int tid = AllocThreadSlot();
   Thread& t = threads_[static_cast<size_t>(tid)];
   t = Thread{};
-  t.name = thread_name;
   t.tenant = tenant;
   t.job = job.valid() ? job.value : -1;
   t.state = Thread::State::kReady;
   t.remaining = std::max<SimDuration>(1, work);
   t.loop = false;
-  t.affinity = all_cores_;
   t.on_complete = std::move(on_complete);
   t.core = -1;
   t.trace_ctx = trace_ctx;
@@ -226,7 +225,6 @@ ThreadId SimMachine::SpawnThread(const std::string& thread_name, TenantClass ten
     assert(jobs_[static_cast<size_t>(t.job)].live);
     jobs_[static_cast<size_t>(t.job)].threads.push_back(tid);
   }
-  RefreshEff(t);
   ++metrics_.threads_spawned;
   t.ready_since = sim_->Now();
   NoteReadyBurst(sim_->Now());
@@ -234,46 +232,10 @@ ThreadId SimMachine::SpawnThread(const std::string& thread_name, TenantClass ten
   return ThreadId{tid};
 }
 
-ThreadId SimMachine::SpawnLoopThread(const std::string& thread_name, TenantClass tenant,
-                                     JobId job) {
-  const ThreadId tid = SpawnThread(thread_name, tenant, job, kSecond, nullptr);
+ThreadId SimMachine::SpawnLoopThread(TenantClass tenant, JobId job) {
+  const ThreadId tid = SpawnThread(tenant, job, kSecond, nullptr);
   threads_[static_cast<size_t>(tid.value)].loop = true;
   return tid;
-}
-
-Status SimMachine::SetThreadAffinity(ThreadId tid, const CpuSet& mask) {
-  if (!ThreadLive(tid)) {
-    return InvalidArgumentError("no such thread");
-  }
-  Thread& t = threads_[static_cast<size_t>(tid.value)];
-  const CpuSet effective = mask & all_cores_;
-  if (effective.Empty()) {
-    return InvalidArgumentError("thread affinity mask has no valid cores");
-  }
-  if (t.job >= 0 && (effective & jobs_[static_cast<size_t>(t.job)].affinity).Empty()) {
-    return FailedPreconditionError("thread mask disjoint from job mask");
-  }
-  t.affinity = effective;
-  RefreshEff(t);
-  if (t.state == Thread::State::kRunning && !t.eff.Test(t.core)) {
-    const int core = t.core;
-    ChargeRun(t);
-    sim_->CancelOwned(t.slice_event);
-    ++metrics_.preemptions;
-    NoteStopRunning(t);
-    cores_[static_cast<size_t>(core)].running = -1;
-    SetCoreIdle(core, true);
-    t.state = Thread::State::kReady;
-    t.core = -1;
-    MakeReady(tid.value);
-    if (cores_[static_cast<size_t>(core)].running < 0) {
-      DispatchNext(core);
-    }
-  } else if (t.state == Thread::State::kReady && t.queued && !t.eff.Test(t.core)) {
-    RemoveFromQueue(tid.value);
-    MakeReady(tid.value);
-  }
-  return OkStatus();
 }
 
 Status SimMachine::KillThread(ThreadId tid) {
@@ -307,13 +269,6 @@ bool SimMachine::ThreadLive(ThreadId tid) const {
 }
 
 // --- Scheduling core ----------------------------------------------------------
-
-void SimMachine::RefreshEff(Thread& t) {
-  t.eff = t.job < 0 ? t.affinity : t.affinity & jobs_[static_cast<size_t>(t.job)].affinity;
-  if (t.queued) {
-    cores_[static_cast<size_t>(t.core)].reach |= t.eff;
-  }
-}
 
 SimDuration SimMachine::RateBudgetLeft(Job& job) const {
   const int64_t idx = sim_->Now() / spec_.throttle_interval;
@@ -380,7 +335,7 @@ Status SimMachine::SetJobSuspended(JobId job_id, bool suspended) {
       if (t.state != Thread::State::kReady || !JobDispatchable(t)) {
         continue;
       }
-      const int idle_core = PickIdleCore(t.eff, -1);
+      const int idle_core = PickIdleCore(Allowed(t), -1);
       if (idle_core < 0) {
         continue;
       }
@@ -436,17 +391,17 @@ void SimMachine::OnExhaustCheck(int job_id) {
   ScheduleExhaustCheck(job_id);  // recomputes: throttles now or re-arms later
 }
 
-int SimMachine::PickIdleCore(const CpuSet& eff, int preferred) const {
-  if (preferred >= 0 && idle_mask_.Test(preferred) && eff.Test(preferred)) {
+int SimMachine::PickIdleCore(const CpuSet& allowed, int preferred) const {
+  if (preferred >= 0 && idle_mask_.Test(preferred) && allowed.Test(preferred)) {
     return preferred;
   }
-  return (idle_mask_ & eff).Lowest();
+  return (idle_mask_ & allowed).Lowest();
 }
 
-int SimMachine::PickQueueCore(const CpuSet& eff) const {
+int SimMachine::PickQueueCore(const CpuSet& allowed) const {
   int best = -1;
   int best_len = 0;
-  for (int core = eff.Lowest(); core >= 0; core = eff.NextAfter(core)) {
+  for (int core = allowed.Lowest(); core >= 0; core = allowed.NextAfter(core)) {
     const int len = cores_[static_cast<size_t>(core)].len;
     if (best < 0 || len < best_len) {
       best = core;
@@ -471,20 +426,15 @@ void SimMachine::NoteReadyBurst(SimTime now) {
 void SimMachine::MakeReady(int tid) {
   Thread& t = threads_[static_cast<size_t>(tid)];
   assert(t.state == Thread::State::kReady && !t.queued);
-  const CpuSet* eff = &t.eff;
-  if (eff->Empty()) {
-    // Thread mask became disjoint from its job mask (the job shrank under the
-    // thread). Fall back to the job mask — the job's limits take precedence.
-    eff = t.job >= 0 ? &jobs_[static_cast<size_t>(t.job)].affinity : &all_cores_;
-  }
+  const CpuSet& allowed = Allowed(t);
   if (JobDispatchable(t)) {
-    const int idle_core = PickIdleCore(*eff, t.core);
+    const int idle_core = PickIdleCore(allowed, t.core);
     if (idle_core >= 0) {
       Dispatch(idle_core, tid, /*context_switch=*/true);
       return;
     }
   }
-  const int queue_core = PickQueueCore(*eff);
+  const int queue_core = PickQueueCore(allowed);
   assert(queue_core >= 0);
   Enqueue(queue_core, tid);
 }
@@ -615,12 +565,12 @@ void SimMachine::OnSliceEnd(int core, int tid) {
     return;
   }
 
-  // Quantum expired: yield to a waiting eligible thread if any, else renew.
+  // Quantum expired: yield to a waiting dispatchable thread if any, else
+  // renew. A core queues only threads allowed on it.
   Core& c = cores_[static_cast<size_t>(core)];
   bool waiter_exists = false;
   for (int w = c.head; w >= 0; w = threads_[static_cast<size_t>(w)].q_next) {
-    const Thread& waiter = threads_[static_cast<size_t>(w)];
-    if (waiter.eff.Test(core) && JobDispatchable(waiter)) {
+    if (JobDispatchable(threads_[static_cast<size_t>(w)])) {
       waiter_exists = true;
       break;
     }
@@ -641,22 +591,16 @@ void SimMachine::OnSliceEnd(int core, int tid) {
 void SimMachine::DispatchNext(int core) {
   Core& c = cores_[static_cast<size_t>(core)];
   assert(c.running < 0);
-  std::vector<int> displaced;  // threads whose affinity no longer allows this core
 
+  // The front-most dispatchable thread of this core's queue. A throttled or
+  // suspended one stays queued until its job can run again.
   int chosen = -1;
-  for (int tid = c.head; tid >= 0;) {
-    Thread& t = threads_[static_cast<size_t>(tid)];
-    const int next = t.q_next;
-    if (!t.eff.Test(core)) {
-      RemoveFromQueue(tid);
-      displaced.push_back(tid);
-    } else if (JobDispatchable(t)) {
+  for (int tid = c.head; tid >= 0; tid = threads_[static_cast<size_t>(tid)].q_next) {
+    if (JobDispatchable(threads_[static_cast<size_t>(tid)])) {
       chosen = tid;
       RemoveFromQueue(tid);
       break;
     }
-    // Otherwise throttled: it stays queued until its job is unthrottled.
-    tid = next;
   }
 
   if (chosen < 0) {
@@ -674,11 +618,11 @@ void SimMachine::DispatchNext(int core) {
       int found = -1;
       for (int w = oc.head; w >= 0; w = threads_[static_cast<size_t>(w)].q_next) {
         const Thread& waiter = threads_[static_cast<size_t>(w)];
-        if (waiter.eff.Test(core) && JobDispatchable(waiter)) {
+        if (Allowed(waiter).Test(core) && JobDispatchable(waiter)) {
           found = w;  // queues are FIFO; the front-most eligible is the oldest here
           break;
         }
-        walked |= waiter.eff;
+        walked |= Allowed(waiter);
       }
       if (found < 0) {
         oc.reach = walked;  // the whole queue was walked: tighten to the exact union
@@ -701,10 +645,6 @@ void SimMachine::DispatchNext(int core) {
   } else {
     SetCoreIdle(core, true);
   }
-
-  for (int tid : displaced) {
-    MakeReady(tid);
-  }
 }
 
 void SimMachine::Enqueue(int core, int tid) {
@@ -721,7 +661,7 @@ void SimMachine::Enqueue(int core, int tid) {
   }
   c.tail = tid;
   ++c.len;
-  c.reach |= t.eff;
+  c.reach |= Allowed(t);
 }
 
 void SimMachine::RemoveFromQueue(int tid) {
@@ -802,7 +742,7 @@ void SimMachine::UnthrottleJob(int job_id) {
     if (t.state != Thread::State::kReady || !JobDispatchable(t)) {
       continue;
     }
-    const int idle_core = PickIdleCore(t.eff, -1);
+    const int idle_core = PickIdleCore(Allowed(t), -1);
     if (idle_core < 0) {
       continue;  // other threads may have wider masks
     }
@@ -890,8 +830,8 @@ Status SimMachine::CheckInvariants() const {
       }
     }
     // The FIFO: links agree both ways, tail and len match the walk, and
-    // `reach` covers every queued thread's effective mask. The walk is
-    // bounded so a cycle is reported instead of looping forever.
+    // `reach` covers every queued thread's allowed mask. The walk is bounded
+    // so a cycle is reported instead of looping forever.
     int prev = -1;
     size_t walked = 0;
     for (int tid = c.head; tid >= 0; tid = threads_[static_cast<size_t>(tid)].q_next) {
@@ -905,7 +845,7 @@ Status SimMachine::CheckInvariants() const {
       if (t.state != Thread::State::kReady || !t.queued || t.core != core) {
         return InternalError("queued thread state mismatch on core " + std::to_string(core));
       }
-      if (!t.eff.Minus(c.reach).Empty()) {
+      if (!Allowed(t).Minus(c.reach).Empty()) {
         return InternalError("reach of core " + std::to_string(core) +
                              " misses the mask of queued thread " + std::to_string(tid));
       }
@@ -917,7 +857,7 @@ Status SimMachine::CheckInvariants() const {
     }
   }
   // Every ready+queued thread appears in exactly one queue, an unqueued one
-  // has no links, and a live thread's cached mask is current.
+  // has no links, and a running or queued thread's core is one it may use.
   for (size_t tid = 0; tid < threads_.size(); ++tid) {
     const Thread& t = threads_[tid];
     const int expected = t.state == Thread::State::kReady && t.queued ? 1 : 0;
@@ -929,13 +869,9 @@ Status SimMachine::CheckInvariants() const {
     if (!t.queued && (t.q_prev >= 0 || t.q_next >= 0)) {
       return InternalError("unqueued thread " + std::to_string(tid) + " has FIFO links");
     }
-    if (t.state == Thread::State::kReady || t.state == Thread::State::kRunning) {
-      const CpuSet fresh =
-          t.job < 0 ? t.affinity : t.affinity & jobs_[static_cast<size_t>(t.job)].affinity;
-      if (t.eff != fresh) {
-        return InternalError("cached effective mask of thread " + std::to_string(tid) +
-                             " is stale");
-      }
+    if ((t.state == Thread::State::kRunning || t.queued) && !Allowed(t).Test(t.core)) {
+      return InternalError("thread " + std::to_string(tid) + " sits on core " +
+                           std::to_string(t.core) + " outside its job mask");
     }
     if (t.state != Thread::State::kRunning && sim_->Pending(t.slice_event)) {
       return InternalError("non-running thread " + std::to_string(tid) +

@@ -28,12 +28,13 @@
 // workloads express blocking on I/O or fan-out). Loop threads (bullies) have
 // unbounded work; their progress is their accumulated CPU time.
 //
+// A thread may run on exactly its job's cores (every core without a job);
+// affinity is set per job, never per thread, as with Windows Job Objects.
 // Blind isolation re-pins the secondary every poll, so the run queues are
-// built to cost what the eligible work costs (DESIGN.md §2): each thread
-// caches its effective mask (thread mask ∩ job mask), ready queues are
+// built to cost what the eligible work costs (DESIGN.md §2): ready queues are
 // intrusive FIFOs linked through the threads (O(1) push and unlink), and each
-// core keeps `reach`, a superset of its queued threads' effective masks, so a
-// steal scan skips every core whose queue cannot hold a candidate.
+// core keeps `reach`, a superset of its queued threads' job masks, so a steal
+// scan skips every core whose queue cannot hold a candidate.
 #ifndef PERFISO_SRC_SIM_MACHINE_H_
 #define PERFISO_SRC_SIM_MACHINE_H_
 
@@ -106,7 +107,7 @@ class SimMachine {
   JobId CreateJob(const std::string& name);
 
   // Restricts all threads of `job` to `mask`. Running threads on disallowed
-  // cores are preempted immediately; queued threads are re-routed.
+  // cores are preempted immediately; queued threads on them are re-routed.
   Status SetJobAffinity(JobId job, const CpuSet& mask);
   StatusOr<CpuSet> JobAffinity(JobId job) const;
 
@@ -140,16 +141,11 @@ class SimMachine {
   // `job` may be invalid (unmanaged thread, full affinity). `trace_ctx`
   // optionally ties the thread's scheduling to a query trace: its run-queue
   // waits and executed slices become cpu-wait/service spans of that query.
-  ThreadId SpawnThread(const std::string& name, TenantClass tenant, JobId job, SimDuration work,
-                       CompletionFn on_complete, uint64_t trace_ctx = 0);
+  ThreadId SpawnThread(TenantClass tenant, JobId job, SimDuration work, CompletionFn on_complete,
+                       uint64_t trace_ctx = 0);
 
   // Spawns a thread with unbounded work (e.g. a CPU bully worker).
-  ThreadId SpawnLoopThread(const std::string& name, TenantClass tenant, JobId job);
-
-  // Restricts a single thread to `mask` (intersected with its job's mask).
-  // Models a primary that affinitizes its own threads (§4.2). A mask disjoint
-  // from the job's is rejected (FAILED_PRECONDITION) and changes nothing.
-  Status SetThreadAffinity(ThreadId tid, const CpuSet& mask);
+  ThreadId SpawnLoopThread(TenantClass tenant, JobId job);
 
   Status KillThread(ThreadId tid);
   bool ThreadLive(ThreadId tid) const;
@@ -217,9 +213,10 @@ class SimMachine {
   void SettleAccounting();
 
   // Verifies internal consistency (idle mask vs. core state, queue
-  // membership and FIFO links in both directions, queue lengths, cached
-  // effective masks, each core's `reach` covering its queued threads, job
-  // thread lists and running counts, accounting bounds).
+  // membership and FIFO links in both directions, queue lengths, every
+  // running or queued thread on a core of its job mask, each core's `reach`
+  // covering its queued threads, job thread lists and running counts,
+  // accounting bounds).
   // O(threads + cores); intended for tests and debugging.
   Status CheckInvariants() const;
 
@@ -230,16 +227,11 @@ class SimMachine {
 
  private:
   struct Thread {
-    std::string name;
     TenantClass tenant = TenantClass::kPrimary;
     int job = -1;
     enum class State { kFree, kReady, kRunning, kFinished } state = State::kFree;
     SimDuration remaining = 0;
     bool loop = false;  // unbounded work
-    CpuSet affinity;    // thread-level mask (full by default)
-    // Effective mask = affinity ∩ job mask, cached. Refreshed (RefreshEff)
-    // whenever either mask changes; may be empty if the job shrank under it.
-    CpuSet eff;
     CompletionFn on_complete;
     // The pending end-of-slice event while kRunning. Preemption and kill
     // cancel it eagerly, so a stale slice event never sits in the queue.
@@ -283,15 +275,17 @@ class SimMachine {
     int head = -1;
     int tail = -1;
     int len = 0;
-    // Always a superset of the union of the queued threads' `eff`: widened on
-    // every push and mask change, narrowed to the exact union when a steal
-    // scan walks the whole queue without finding a candidate, and cleared
-    // when the queue empties.
+    // Always a superset of the union of the queued threads' job masks: widened
+    // on every push and job-mask change, narrowed to the exact union when a
+    // steal scan walks the whole queue without finding a candidate, and
+    // cleared when the queue empties.
     CpuSet reach;
   };
 
-  // Recomputes t.eff; a queued thread's new mask widens its core's `reach`.
-  void RefreshEff(Thread& t);
+  // The cores `t` may run on: its job's mask, or every core without a job.
+  const CpuSet& Allowed(const Thread& t) const {
+    return t.job < 0 ? all_cores_ : jobs_[static_cast<size_t>(t.job)].affinity;
+  }
   bool JobDispatchable(const Thread& t) const;  // job not throttled / over budget
 
   int AllocThreadSlot();
@@ -340,8 +334,8 @@ class SimMachine {
       DisarmIdleWatch();
     }
   }
-  int PickIdleCore(const CpuSet& eff, int preferred) const;
-  int PickQueueCore(const CpuSet& eff) const;
+  int PickIdleCore(const CpuSet& allowed, int preferred) const;
+  int PickQueueCore(const CpuSet& allowed) const;
   SimDuration RateBudgetLeft(Job& job) const;  // lazily resets per interval
   void NoteReadyBurst(SimTime now);
   void FinishThread(int tid, bool run_callback);

@@ -83,15 +83,6 @@ double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigm
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
-double Rng::Pareto(double scale, double alpha) {
-  assert(scale > 0 && alpha > 0);
-  double u = NextDouble();
-  if (u <= 0.0) {
-    u = 0x1.0p-53;
-  }
-  return scale / std::pow(u, 1.0 / alpha);
-}
-
 Rng Rng::Fork() { return Rng(Next() ^ 0xd1b54a32d192ed03ULL); }
 
 }  // namespace perfiso

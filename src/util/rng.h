@@ -42,9 +42,6 @@ class Rng {
   // Bernoulli trial with probability p of returning true.
   bool Bernoulli(double p);
 
-  // Pareto (bounded below by `scale`, shape `alpha` > 0).
-  double Pareto(double scale, double alpha);
-
   // Splits off an independently-seeded child stream; used to give each
   // simulated machine / tenant its own stream so runs stay reproducible when
   // components are added or reordered.

@@ -4,17 +4,17 @@
 
 namespace perfiso {
 
-CpuBully::CpuBully(SimMachine* machine, JobId job, int threads, const std::string& name)
+CpuBully::CpuBully(SimMachine* machine, JobId job, int threads)
     : machine_(machine), job_(job), threads_(threads) {
   assert(threads >= 0);
   assert(job.valid());
   for (int i = 0; i < threads; ++i) {
-    machine_->SpawnLoopThread(name + "-w" + std::to_string(i), TenantClass::kSecondary, job_);
+    machine_->SpawnLoopThread(TenantClass::kSecondary, job_);
   }
 }
 
 CpuBully::CpuBully(SimMachine* machine, int threads, const std::string& name)
-    : CpuBully(machine, machine->CreateJob(name), threads, name) {}
+    : CpuBully(machine, machine->CreateJob(name), threads) {}
 
 double CpuBully::Progress() const {
   auto cpu = machine_->JobCpuTime(job_);
@@ -45,7 +45,7 @@ void DiskBully::IssueOne() {
   }
   // Synchronous pattern: a tiny CPU burst (issuing thread), then the I/O,
   // then the next I/O from the completion.
-  machine_->SpawnThread("disk-bully-io", TenantClass::kSecondary, job_, options_.cpu_per_io,
+  machine_->SpawnThread(TenantClass::kSecondary, job_, options_.cpu_per_io,
                         [this](SimTime) {
                           IoRequest request;
                           request.owner = options_.owner;
@@ -89,7 +89,7 @@ void HdfsClient::Start() {
   cpu_ticker_ = std::make_unique<PeriodicTask>(
       sim_, sim_->Now(), std::max<SimDuration>(period, FromMicros(100)), [this, burst](SimTime) {
         if (running_) {
-          machine_->SpawnThread("hdfs-cpu", TenantClass::kSecondary, job_, burst, nullptr);
+          machine_->SpawnThread(TenantClass::kSecondary, job_, burst, nullptr);
         }
       });
   IssueClientIo();
@@ -170,8 +170,8 @@ void NetworkBully::SendBlock() {
   }
   // Closed loop per stream: a pipeline-thread CPU burst, then the block on
   // the wire, then the next block once the far end acknowledges delivery.
-  machine_->SpawnThread("net-bully-tx", TenantClass::kSecondary, job_,
-                        options_.cpu_per_block, [this](SimTime) {
+  machine_->SpawnThread(TenantClass::kSecondary, job_, options_.cpu_per_block,
+                        [this](SimTime) {
                           if (!running_) {  // Stop() raced the CPU burst
                             return;
                           }
@@ -205,7 +205,7 @@ void MlTrainingJob::Start() {
   }
   running_ = true;
   for (int i = 0; i < options_.worker_threads; ++i) {
-    machine_->SpawnLoopThread("ml-train-w" + std::to_string(i), TenantClass::kSecondary, job_);
+    machine_->SpawnLoopThread(TenantClass::kSecondary, job_);
   }
   ticker_ = std::make_unique<PeriodicTask>(sim_, sim_->Now() + options_.read_period,
                                            options_.read_period,

@@ -28,8 +28,7 @@ namespace perfiso {
 class CpuBully {
  public:
   // Spawns workers inside an existing job object (the unified secondary job).
-  CpuBully(SimMachine* machine, JobId job, int threads,
-           const std::string& name = "cpu-bully");
+  CpuBully(SimMachine* machine, JobId job, int threads);
   // Convenience: creates a dedicated job object first.
   CpuBully(SimMachine* machine, int threads, const std::string& name = "cpu-bully");
 

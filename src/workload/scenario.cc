@@ -141,6 +141,9 @@ Status ScenarioSpec::Validate() const {
   if (trace_count == 0) {
     return InvalidArgumentError("trace_count must be positive");
   }
+  if (trace_count > kMaxTraceCount) {
+    return InvalidArgumentError("trace_count must be <= " + std::to_string(kMaxTraceCount));
+  }
   PERFISO_RETURN_IF_ERROR(obs.Validate());
   // Fault nodes must fit the topology (single-box scenarios have one node).
   const int64_t nodes = topology.columns > 0 ? int64_t{topology.columns} * topology.rows : 1;

@@ -62,6 +62,11 @@ struct TopologySpec {
   int tla_machines = 2;
 };
 
+// Largest accepted trace length. The trace is generated up front, one
+// QueryWork per query, so an unbounded count would be one allocation of any
+// size; 2^22 queries is about 200x the 20,000 the registry and benches use.
+inline constexpr size_t kMaxTraceCount = size_t{1} << 22;
+
 // Closed-loop client parameters (ignored for kOpenLoop).
 struct ClosedLoopSpec {
   int outstanding = 32;
@@ -101,7 +106,7 @@ struct ScenarioSpec {
   // Trace replay determinism: the synthetic trace and both clients draw from
   // fixed seeds, so a spec's result is a pure function of its fields (the
   // parallel-runner contract, DESIGN.md §4).
-  size_t trace_count = 20000;
+  size_t trace_count = 20000;  // at most kMaxTraceCount
   uint64_t trace_seed = 2017;
   uint64_t client_seed = 7;
   // Seeds the single box only: a cluster seeds each node from

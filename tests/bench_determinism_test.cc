@@ -193,8 +193,7 @@ TEST(BenchDeterminismTest, ShapedScenariosParallelMatchesSequential) {
 //
 // Update procedure (ONLY when a results-affecting change is intended, and
 // say so in the commit message):
-//   PERFISO_UPDATE_GOLDENS=1 ./bench_determinism_test \
-//       --gtest_filter='*PinnedScenario*'
+//   PERFISO_UPDATE_GOLDENS=1 ./bench_determinism_test --gtest_filter='*PinnedScenario*'
 // prints the new table; paste it over kGoldens below. The values depend on
 // libm (exp/log/cos in the RNG and load shapes), so they are tied to the
 // toolchain the suite runs on; a digest mismatch after a compiler/libc bump

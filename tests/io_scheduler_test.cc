@@ -122,7 +122,6 @@ TEST(IoSchedulerTest, UnregisteredOwnerGetsDefaults) {
 TEST(IoSchedulerTest, SettingKnobsOnUnknownOwnerFails) {
   Rig rig;
   EXPECT_FALSE(rig.scheduler->SetPriority(5, 0).ok());
-  EXPECT_FALSE(rig.scheduler->SetWeight(5, 2).ok());
   EXPECT_FALSE(rig.scheduler->SetBandwidthCap(5, 100).ok());
   EXPECT_FALSE(rig.scheduler->SetIopsCap(5, 100).ok());
   EXPECT_FALSE(rig.scheduler->Priority(5).ok());

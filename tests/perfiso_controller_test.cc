@@ -80,8 +80,7 @@ TEST(PerfIsoControllerTest, ReactsToPrimaryBurst) {
   // A burst of primary threads occupies 20 of the buffer/primary cores.
   rig.sim.Schedule(FromMillis(20), [&] {
     for (int i = 0; i < 20; ++i) {
-      rig.machine->SpawnThread("burst", TenantClass::kPrimary, JobId{}, FromMillis(300),
-                               nullptr);
+      rig.machine->SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(300), nullptr);
     }
   });
   rig.sim.RunUntil(FromMillis(100));
@@ -273,7 +272,7 @@ TEST(PerfIsoControllerTest, SecondarySuspendedWhenPrimaryNeedsEverything) {
   controller.AttachToSimulator(&rig.sim);
   // Saturate the machine with primary work.
   for (int i = 0; i < 48; ++i) {
-    rig.machine->SpawnThread("p", TenantClass::kPrimary, JobId{}, 2 * kSecond, nullptr);
+    rig.machine->SpawnThread(TenantClass::kPrimary, JobId{}, 2 * kSecond, nullptr);
   }
   rig.sim.RunUntil(kSecond);
   EXPECT_EQ(controller.secondary_cores(), 0);
@@ -356,7 +355,7 @@ struct DiffRun {
       }
       sim.Schedule(at, [this, work] {
         for (SimDuration w : work) {
-          machine->SpawnThread("burst", TenantClass::kPrimary, JobId{}, w, nullptr);
+          machine->SpawnThread(TenantClass::kPrimary, JobId{}, w, nullptr);
         }
       });
     }
@@ -419,7 +418,7 @@ TEST(PerfIsoControllerTest, SimSanCatchesAQuietPollThatShouldHaveActed) {
     EXPECT_TRUE(controller.quiet());
     EXPECT_EQ(controller.secondary_cores(), 40);
     for (int i = 0; i < 20; ++i) {
-      machine.SpawnThread("burst", TenantClass::kPrimary, JobId{}, FromMillis(300), nullptr);
+      machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(300), nullptr);
     }
     sim.RunUntil(FromMillis(100));
     return controller.secondary_cores();

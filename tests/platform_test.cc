@@ -34,7 +34,7 @@ struct SimRig {
 TEST(SimPlatformTest, IdleCoresReflectsMachine) {
   SimRig rig;
   EXPECT_EQ(rig.platform->IdleCores().Count(), 8);
-  rig.machine->SpawnLoopThread("hog", TenantClass::kSecondary, rig.job);
+  rig.machine->SpawnLoopThread(TenantClass::kSecondary, rig.job);
   rig.sim.RunUntil(kMillisecond);
   EXPECT_EQ(rig.platform->IdleCores().Count(), 7);
 }
@@ -58,8 +58,8 @@ TEST(SimPlatformTest, AffinityAppliesToAllSecondaryJobs) {
   SimRig rig;
   const JobId job2 = rig.machine->CreateJob("secondary2");
   rig.platform->AddSecondaryJob(job2);
-  rig.machine->SpawnLoopThread("a", TenantClass::kSecondary, rig.job);
-  rig.machine->SpawnLoopThread("b", TenantClass::kSecondary, job2);
+  rig.machine->SpawnLoopThread(TenantClass::kSecondary, rig.job);
+  rig.machine->SpawnLoopThread(TenantClass::kSecondary, job2);
   ASSERT_TRUE(rig.platform->SetSecondaryAffinity(CpuSet::Single(7)).ok());
   EXPECT_EQ(*rig.machine->JobAffinity(rig.job), CpuSet::Single(7));
   EXPECT_EQ(*rig.machine->JobAffinity(job2), CpuSet::Single(7));

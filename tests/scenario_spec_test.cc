@@ -291,6 +291,21 @@ TEST(ScenarioSpecTest, ValidateRejectsWarmupPlusMeasureOverflow) {
   }
 }
 
+// Regression: the trace is generated up front with one reserve() of
+// trace_count records, and Validate accepted any count, so a typo such as
+// 2^40 asked for a 40 TiB allocation.
+TEST(ScenarioSpecTest, ValidateRejectsTraceCountAboveTheBound) {
+  ScenarioSpec spec;
+  spec.trace_count = kMaxTraceCount;
+  EXPECT_TRUE(spec.Validate().ok());
+  spec.trace_count = kMaxTraceCount + 1;
+  EXPECT_FALSE(spec.Validate().ok());
+
+  ConfigMap map;
+  map.Set("workload.trace.count", "1099511627776");
+  EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
+}
+
 TEST(ScenarioSpecTest, ClientKindNamesRoundTrip) {
   for (ClientKind kind : {ClientKind::kOpenLoop, ClientKind::kClosedLoop}) {
     auto parsed = ParseEnum<ClientKind>(NameOf(kind));

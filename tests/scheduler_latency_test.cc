@@ -39,7 +39,7 @@ struct DelayRig {
     primary_driver = std::make_unique<PeriodicTask>(
         &sim, 0, FromMillis(1), [this, burst](SimTime) {
           for (int i = 0; i < burst; ++i) {
-            machine->SpawnThread("p", TenantClass::kPrimary, JobId{}, FromMicros(200), nullptr);
+            machine->SpawnThread(TenantClass::kPrimary, JobId{}, FromMicros(200), nullptr);
           }
         });
   }

@@ -289,7 +289,7 @@ TEST_P(MachineOnEngineTest, RateCapAndAffinityChurnKeepInvariants) {
   const JobId capped = machine.CreateJob("capped");
   const JobId free_job = machine.CreateJob("free");
   for (int i = 0; i < 4; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, capped);
+    machine.SpawnLoopThread(TenantClass::kSecondary, capped);
   }
 
   for (int step = 0; step < 400; ++step) {
@@ -309,8 +309,8 @@ TEST_P(MachineOnEngineTest, RateCapAndAffinityChurnKeepInvariants) {
         break;
       }
       case 3:  // short primary bursts compete for cores
-        machine.SpawnThread("burst", TenantClass::kPrimary, free_job,
-                            FromMicros(rng.Uniform(5, 500)), nullptr);
+        machine.SpawnThread(TenantClass::kPrimary, free_job, FromMicros(rng.Uniform(5, 500)),
+                            nullptr);
         break;
       case 4:  // suspend/resume
         ASSERT_TRUE(machine.SetJobSuspended(capped, rng.Bernoulli(0.5)).ok());

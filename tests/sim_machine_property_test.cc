@@ -34,7 +34,7 @@ TEST_P(WorkConservationTest, LoopThreadsSaturateExactly) {
   SimMachine machine(&sim, SpecWith(cores, FromMillis(10)), "m0");
   const JobId job = machine.CreateJob("hogs");
   for (int i = 0; i < threads; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   const SimDuration window = FromMillis(200);
   sim.RunUntil(window);
@@ -64,7 +64,7 @@ TEST_P(ConservationTest, BusyTimeEqualsWorkSubmitted) {
     const SimDuration work = FromMicros(rng.Uniform(50, 3000));
     total_work += work;
     ++spawns;
-    machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, work, [&, depth](SimTime) {
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, work, [&, depth](SimTime) {
       ++completions;
       if (depth < 3) {
         const int children = static_cast<int>(rng.UniformInt(0, 3));
@@ -101,7 +101,7 @@ TEST_P(RateCapTest, MeasuredFractionMatchesCap) {
   const JobId job = machine.CreateJob("capped");
   ASSERT_TRUE(machine.SetJobCpuRateCap(job, cap).ok());
   for (int i = 0; i < threads; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   const SimDuration window = 2 * kSecond;
   sim.RunUntil(window);
@@ -130,7 +130,7 @@ TEST_P(AffinityCapacityTest, RestrictedJobBoundedByMask) {
   const JobId job = machine.CreateJob("sec");
   ASSERT_TRUE(machine.SetJobAffinity(job, CpuSet::Range(kCores - allowed, kCores)).ok());
   for (int i = 0; i < kCores; ++i) {  // more threads than allowed cores
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   const SimDuration window = FromMillis(500);
   sim.RunUntil(window);
@@ -152,7 +152,7 @@ TEST_P(AffinityChurnTest, AccountingSurvivesRandomMaskChanges) {
   Rng rng(GetParam());
   const JobId job = machine.CreateJob("sec");
   for (int i = 0; i < kCores; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   // Change the mask every millisecond to a random non-empty subset.
   SimDuration allowed_integral = 0;  // sum over time of allowed core count
@@ -198,13 +198,13 @@ TEST(SchedulerDecisionPinTest, BlindIsolationChurnIsBitExact) {
 
   const JobId secondary = machine.CreateJob("secondary");
   for (int i = 0; i < 48; ++i) {
-    machine.SpawnLoopThread("bully", TenantClass::kSecondary, secondary);
+    machine.SpawnLoopThread(TenantClass::kSecondary, secondary);
   }
   const JobId capped = machine.CreateJob("capped");
   ASSERT_TRUE(machine.SetJobCpuRateCap(capped, 0.1).ok());
   ASSERT_TRUE(machine.SetJobAffinity(capped, CpuSet::Range(8, 40)).ok());
   for (int i = 0; i < 12; ++i) {
-    machine.SpawnLoopThread("capped", TenantClass::kOs, capped);
+    machine.SpawnLoopThread(TenantClass::kOs, capped);
   }
 
   constexpr int kMasks = 8;
@@ -233,7 +233,7 @@ TEST(SchedulerDecisionPinTest, BlindIsolationChurnIsBitExact) {
     if (rng.Bernoulli(0.2)) {
       job = pinned[static_cast<size_t>(rng.UniformInt(0, kCores - 8))];
     }
-    machine.SpawnThread("worker", TenantClass::kPrimary, job, work, [&, depth](SimTime) {
+    machine.SpawnThread(TenantClass::kPrimary, job, work, [&, depth](SimTime) {
       if (depth < 2 && rng.Bernoulli(0.3)) {
         spawn_worker(depth + 1);
       }

@@ -40,11 +40,11 @@ TEST_P(MachineFuzzTest, RandomOpsPreserveInvariants) {
         const SimDuration work = FromMicros(rng.Uniform(10, 4000));
         const TenantClass tenant =
             rng.Bernoulli(0.5) ? TenantClass::kPrimary : TenantClass::kSecondary;
-        threads.push_back(machine.SpawnThread("w", tenant, job, work, nullptr));
+        threads.push_back(machine.SpawnThread(tenant, job, work, nullptr));
         break;
       }
       case 2: {  // spawn a loop thread
-        threads.push_back(machine.SpawnLoopThread("hog", TenantClass::kSecondary, job));
+        threads.push_back(machine.SpawnLoopThread(TenantClass::kSecondary, job));
         break;
       }
       case 3: {  // kill a random thread (may already be dead: both paths ok)
@@ -114,7 +114,7 @@ TEST(MachineStressTest, SuspendResumeChurnLosesNoCpuAccounting) {
   SimMachine machine(&sim, spec, "m0");
   const JobId job = machine.CreateJob("sec");
   for (int i = 0; i < 4; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   // Suspend for 1 ms out of every 2 ms, 100 times.
   for (int cycle = 0; cycle < 100; ++cycle) {
@@ -140,7 +140,7 @@ TEST(MachineStressTest, RepeatedAffinityFlappingUnderLoad) {
   SimMachine machine(&sim, spec, "m0");
   const JobId job = machine.CreateJob("sec");
   for (int i = 0; i < 16; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   // Flap between disjoint masks every 100 us for 100 ms.
   for (int i = 0; i < 1000; ++i) {

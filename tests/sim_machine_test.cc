@@ -30,7 +30,7 @@ TEST(SimMachineTest, SingleThreadRunsToCompletion) {
   Simulator sim;
   SimMachine machine(&sim, TinySpec(1), "m0");
   SimTime done_at = -1;
-  machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, FromMillis(3),
+  machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(3),
                       [&](SimTime now) { done_at = now; });
   EXPECT_EQ(machine.IdleCount(), 0);  // dispatched immediately
   sim.RunUntilEmpty();
@@ -45,7 +45,7 @@ TEST(SimMachineTest, ContextSwitchChargedToOs) {
   spec.context_switch = FromMicros(2);
   SimMachine machine(&sim, spec, "m0");
   SimTime done_at = -1;
-  machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, FromMillis(1),
+  machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(1),
                       [&](SimTime now) { done_at = now; });
   sim.RunUntilEmpty();
   EXPECT_EQ(done_at, FromMillis(1) + FromMicros(2));
@@ -58,9 +58,9 @@ TEST(SimMachineTest, RoundRobinOnOneCore) {
   SimMachine machine(&sim, TinySpec(1, FromMillis(10)), "m0");
   SimTime done_a = -1;
   SimTime done_b = -1;
-  machine.SpawnThread("a", TenantClass::kPrimary, JobId{}, FromMillis(15),
+  machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(15),
                       [&](SimTime now) { done_a = now; });
-  machine.SpawnThread("b", TenantClass::kPrimary, JobId{}, FromMillis(15),
+  machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(15),
                       [&](SimTime now) { done_b = now; });
   sim.RunUntilEmpty();
   // a: [0,10) + [20,25); b: [10,20) + [25,30).
@@ -71,10 +71,10 @@ TEST(SimMachineTest, RoundRobinOnOneCore) {
 TEST(SimMachineTest, WakeTakesIdleCoreImmediately) {
   Simulator sim;
   SimMachine machine(&sim, TinySpec(2), "m0");
-  machine.SpawnLoopThread("hog", TenantClass::kSecondary, JobId{});
+  machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
   SimTime done_at = -1;
   sim.Schedule(FromMillis(5), [&] {
-    machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, FromMillis(1),
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(1),
                         [&](SimTime now) { done_at = now; });
   });
   sim.RunUntil(FromMillis(100));
@@ -89,10 +89,10 @@ TEST(SimMachineTest, NoWakePreemptionOfEqualPriority) {
   // CPU-bound thread; it waits for the quantum to expire.
   Simulator sim;
   SimMachine machine(&sim, TinySpec(1, FromMillis(10)), "m0");
-  machine.SpawnLoopThread("hog", TenantClass::kSecondary, JobId{});
+  machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
   SimTime done_at = -1;
   sim.Schedule(FromMillis(3), [&] {
-    machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, FromMillis(1),
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(1),
                         [&](SimTime now) { done_at = now; });
   });
   sim.RunUntil(FromMillis(100));
@@ -107,7 +107,7 @@ TEST(SimMachineTest, QuantumRenewalWithoutWaiters) {
   Simulator sim;
   SimMachine machine(&sim, TinySpec(1, FromMillis(10)), "m0");
   const JobId job = machine.CreateJob("bully");
-  machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);
   sim.RunUntil(FromMillis(95));
   // Hog runs continuously; renewals must not accumulate context switches.
   EXPECT_EQ(*machine.JobCpuTime(job), FromMillis(95));
@@ -119,7 +119,7 @@ TEST(SimMachineTest, JobAffinityRestrictsPlacement) {
   SimMachine machine(&sim, TinySpec(2), "m0");
   const JobId job = machine.CreateJob("sec");
   ASSERT_TRUE(machine.SetJobAffinity(job, CpuSet::Single(1)).ok());
-  machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);
   sim.RunUntil(FromMillis(5));
   EXPECT_EQ(machine.IdleMask(), CpuSet::Single(0));  // core 1 busy, core 0 idle
 }
@@ -128,7 +128,7 @@ TEST(SimMachineTest, ShrinkingAffinityPreemptsImmediately) {
   Simulator sim;
   SimMachine machine(&sim, TinySpec(2), "m0");
   const JobId job = machine.CreateJob("sec");
-  machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);
   sim.RunUntil(FromMillis(5));
   EXPECT_FALSE(machine.IdleMask().Test(0));  // hog took the lowest idle core
   ASSERT_TRUE(machine.SetJobAffinity(job, CpuSet::Single(1)).ok());
@@ -144,8 +144,8 @@ TEST(SimMachineTest, GrowingAffinityPicksUpQueuedThreads) {
   SimMachine machine(&sim, TinySpec(2, FromMillis(50)), "m0");
   const JobId job = machine.CreateJob("sec");
   ASSERT_TRUE(machine.SetJobAffinity(job, CpuSet::Single(0)).ok());
-  machine.SpawnLoopThread("hog1", TenantClass::kSecondary, job);
-  machine.SpawnLoopThread("hog2", TenantClass::kSecondary, job);  // queues behind hog1
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);  // hog1, on core 0
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);  // hog2, queues behind hog1
   sim.RunUntil(FromMillis(5));
   EXPECT_TRUE(machine.IdleMask().Test(1));
   ASSERT_TRUE(machine.SetJobAffinity(job, CpuSet::FirstN(2)).ok());
@@ -167,7 +167,7 @@ TEST(SimMachineTest, RateCapEnforcesDutyCycle) {
   SimMachine machine(&sim, TinySpec(1), "m0");  // throttle interval 20 ms
   const JobId job = machine.CreateJob("sec");
   ASSERT_TRUE(machine.SetJobCpuRateCap(job, 0.25).ok());
-  machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);
   sim.RunUntil(kSecond);
   // 25% of one core: 5 ms per 20 ms interval, 50 intervals.
   EXPECT_EQ(*machine.JobCpuTime(job), FromMillis(250));
@@ -179,7 +179,7 @@ TEST(SimMachineTest, RateCapAppliesAcrossCores) {
   const JobId job = machine.CreateJob("sec");
   ASSERT_TRUE(machine.SetJobCpuRateCap(job, 0.5).ok());
   for (int i = 0; i < 4; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   sim.RunUntil(kSecond);
   // 50% of 4 cores = 2 core-seconds per second.
@@ -191,10 +191,10 @@ TEST(SimMachineTest, ThrottledJobFreesCoresForOthers) {
   SimMachine machine(&sim, TinySpec(1, FromMillis(100)), "m0");
   const JobId job = machine.CreateJob("sec");
   ASSERT_TRUE(machine.SetJobCpuRateCap(job, 0.10).ok());  // 2 ms per 20 ms
-  machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);
   SimTime done_at = -1;
   sim.Schedule(FromMillis(3), [&] {
-    machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, FromMillis(1),
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(1),
                         [&](SimTime now) { done_at = now; });
   });
   sim.RunUntil(FromMillis(100));
@@ -208,7 +208,7 @@ TEST(SimMachineTest, RemovingRateCapUnthrottles) {
   SimMachine machine(&sim, TinySpec(1), "m0");
   const JobId job = machine.CreateJob("sec");
   ASSERT_TRUE(machine.SetJobCpuRateCap(job, 0.05).ok());
-  machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);
   sim.RunUntil(FromMillis(100));
   ASSERT_TRUE(machine.SetJobCpuRateCap(job, 0).ok());
   const SimDuration before = *machine.JobCpuTime(job);
@@ -219,12 +219,12 @@ TEST(SimMachineTest, RemovingRateCapUnthrottles) {
 TEST(SimMachineTest, WorkStealingWhenCoreIdles) {
   Simulator sim;
   SimMachine machine(&sim, TinySpec(2, FromMillis(50)), "m0");
-  machine.SpawnLoopThread("hog0", TenantClass::kSecondary, JobId{});
-  const ThreadId hog1 = machine.SpawnLoopThread("hog1", TenantClass::kSecondary, JobId{});
+  machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});  // hog0, on core 0
+  const ThreadId hog1 = machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
   SimTime done_at = -1;
   sim.Schedule(FromMillis(1), [&] {
     // Queues on core 0 (lowest id wins the shortest-queue tie).
-    machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, FromMillis(1),
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(1),
                         [&](SimTime now) { done_at = now; });
   });
   sim.Schedule(FromMillis(2), [&] { ASSERT_TRUE(machine.KillThread(hog1).ok()); });
@@ -240,7 +240,7 @@ TEST(SimMachineTest, KillJobTerminatesAllThreads) {
   SimMachine machine(&sim, TinySpec(4), "m0");
   const JobId job = machine.CreateJob("sec");
   for (int i = 0; i < 8; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   sim.RunUntil(FromMillis(5));
   EXPECT_EQ(machine.IdleCount(), 0);
@@ -256,7 +256,7 @@ TEST(SimMachineTest, JobCpuTimeIncludesInFlightSlice) {
   Simulator sim;
   SimMachine machine(&sim, TinySpec(1, kSecond), "m0");
   const JobId job = machine.CreateJob("sec");
-  machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);
   sim.RunUntil(FromMillis(7));  // mid-slice
   EXPECT_EQ(*machine.JobCpuTime(job), FromMillis(7));
 }
@@ -265,7 +265,7 @@ TEST(SimMachineTest, BurstMetricCountsReadyThreads) {
   Simulator sim;
   SimMachine machine(&sim, TinySpec(4), "m0");
   for (int i = 0; i < 15; ++i) {
-    machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, FromMicros(100), nullptr);
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMicros(100), nullptr);
   }
   sim.RunUntilEmpty();
   EXPECT_GE(machine.metrics().max_ready_burst_5us, 15);
@@ -289,8 +289,8 @@ TEST(SimMachineTest, CompletionCallbackCanSpawn) {
   Simulator sim;
   SimMachine machine(&sim, TinySpec(1), "m0");
   SimTime chained_done = -1;
-  machine.SpawnThread("parent", TenantClass::kPrimary, JobId{}, FromMillis(1), [&](SimTime) {
-    machine.SpawnThread("child", TenantClass::kPrimary, JobId{}, FromMillis(2),
+  machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(1), [&](SimTime) {
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(2),
                         [&](SimTime now) { chained_done = now; });
   });
   sim.RunUntilEmpty();

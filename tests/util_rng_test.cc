@@ -88,13 +88,6 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(hits / 100000.0, 0.3, 0.01);
 }
 
-TEST(RngTest, ParetoBoundedBelowByScale) {
-  Rng rng(29);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(rng.Pareto(2.0, 1.5), 2.0);
-  }
-}
-
 TEST(RngTest, ForkProducesIndependentStream) {
   Rng parent(31);
   Rng child = parent.Fork();
