@@ -1,14 +1,15 @@
 // Micro-benchmarks for the mechanisms PerfIso relies on being cheap: the
 // idle-core query, one controller poll, an affinity update, thread dispatch,
-// and raw event-engine throughput. The paper's design requires "a
-// low-latency, low-overhead means of obtaining CPU utilization information"
-// (§3.1.1); the reproduction additionally requires the event engine itself to
-// be off the critical path of every figure.
+// raw event-engine throughput, and the disk stack's per-IO cost. The paper's
+// design requires "a low-latency, low-overhead means of obtaining CPU
+// utilization information" (§3.1.1); the reproduction additionally requires
+// the event engine itself to be off the critical path of every figure.
 //
 // Heap allocations are counted via the global operator new replacement at the
 // bottom of this file, so "allocations per event" is measured, not claimed.
-// The engine's steady state must allocate nothing and fire no dead events;
-// the binary exits 1 if either is violated, so the smoke ctest fails.
+// The engine's steady state must allocate nothing and fire no dead events,
+// and the disk stack may allocate at most once per 1,000 IOs; the binary
+// exits 1 if any of these is violated, so the smoke ctest fails.
 //
 // Results are recorded into BENCH_micro_overheads.json like every other
 // bench. No external benchmark library is required.
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/disk/io_scheduler.h"
 #include "src/perfiso/controller.h"
 #include "src/platform/sim_platform.h"
 #include "src/sim/machine.h"
@@ -137,6 +139,72 @@ double MeasureCancelThroughput(int batch, int rounds) {
   return static_cast<double>(batch) * rounds / elapsed;  // schedule+cancel pairs/sec
 }
 
+// --- Disk stack ----------------------------------------------------------------
+//
+// Chained IOs through an IoScheduler over a 4-drive SSD stripe, split between
+// two owners in different bands: each completion submits the chain's next IO
+// with a callback that captures one pointer (small enough for std::function's
+// inline buffer, so the caller adds no allocation of its own). The bound
+// leaves room for the amortized growth of the per-owner latency records; the
+// requests themselves must live in the scheduler's warm slot pool.
+
+constexpr int kDiskChains = 48;
+// 32 IOs in service, 8 waiting in drive queues, 8 in the owner queues.
+constexpr int kDiskMaxOutstanding = 40;
+
+struct DiskChain {
+  IoScheduler* io = nullptr;
+  int owner = 0;
+  uint64_t* completed = nullptr;
+
+  void SubmitNext() {
+    IoRequest request;
+    request.owner = owner;
+    request.bytes = 4096;
+    request.on_complete = [this](SimTime) {
+      ++*completed;
+      SubmitNext();
+    };
+    io->Submit(std::move(request));
+  }
+};
+
+struct DiskScore {
+  double ios_per_sec = 0;
+  double allocs_per_io = 0;  // steady state, after the slot and event pools are warm
+};
+
+// Warms up for `warmup` of simulated time, then wall-clocks the next
+// `measured_ios` completions.
+DiskScore MeasureDiskStack(SimDuration warmup, uint64_t measured_ios) {
+  Simulator sim;
+  StripedVolume volume(DiskSpec::Ssd(), 4, "ssd");
+  IoScheduler io(&sim, &volume, kDiskMaxOutstanding);
+  io.RegisterOwner(1, "primary", /*priority=*/0, /*weight=*/1);
+  io.RegisterOwner(2, "secondary", /*priority=*/1, /*weight=*/1);
+  uint64_t completed = 0;
+  std::vector<DiskChain> chains(kDiskChains);
+  for (size_t i = 0; i < chains.size(); ++i) {
+    chains[i] = DiskChain{&io, 1 + static_cast<int>(i % 2), &completed};
+    chains[i].SubmitNext();
+  }
+  sim.RunUntil(warmup);
+  const uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  const uint64_t completed_before = completed;
+  const auto start = Clock::now();
+  while (completed < completed_before + measured_ios) {
+    sim.Step();
+  }
+  const double elapsed = SecondsSince(start);
+  const uint64_t allocs_after = g_heap_allocs.load(std::memory_order_relaxed);
+  const auto ios = static_cast<double>(completed - completed_before);
+
+  DiskScore score;
+  score.ios_per_sec = ios / elapsed;
+  score.allocs_per_io = static_cast<double>(allocs_after - allocs_before) / ios;
+  return score;
+}
+
 // --- PerfIso control-plane micro costs ---------------------------------------
 
 struct ControllerRig {
@@ -216,6 +284,26 @@ int main() {
                  pooled.allocs_per_event, static_cast<unsigned long long>(pooled.dead_fires));
   }
 
+  // Disk stack: at most one allocation per 1,000 IOs in steady state. The
+  // warmup crosses several turns of the event wheel's top level (~16.8 ms),
+  // so the engine's far-future heap has reached its working size too.
+  const DiskScore disk =
+      MeasureDiskStack(FromMillis(50), static_cast<uint64_t>(200'000 * BenchScale()));
+  std::printf("disk stack (%d chained IOs, 4-drive SSD stripe, 2 owners):\n", kDiskChains);
+  std::printf("  %10.2f M IOs/s   %8.5f heap allocs/IO\n", disk.ios_per_sec / 1e6,
+              disk.allocs_per_io);
+  ReportRow("disk_stack", {
+                              {"ios_per_sec", disk.ios_per_sec},
+                              {"allocs_per_io_steady", disk.allocs_per_io},
+                          });
+  const bool disk_ok = disk.allocs_per_io <= 1e-3;
+  if (!disk_ok) {
+    std::fprintf(stderr,
+                 "micro_overheads: FAIL: the disk stack's steady state must allocate at most "
+                 "once per 1,000 IOs (allocs/IO %.4f)\n",
+                 disk.allocs_per_io);
+  }
+
   // Control-plane costs (the "syscalls" the controller's tight loop issues).
   const int kIters = static_cast<int>(200'000 * BenchScale());
   double idle_ns;
@@ -255,13 +343,13 @@ int main() {
                                  {"affinity_update_ns", affinity_ns},
                                  {"thread_round_trip_ns", dispatch_ns},
                              });
-  return engine_ok ? 0 : 1;
+  return engine_ok && disk_ok ? 0 : 1;
 }
 
 // --- Allocation counting -----------------------------------------------------
 //
-// Replacing the global allocation functions lets the engine section report
-// measured allocations per event. Counting is relaxed-atomic; the replacement
+// Replacing the global allocation functions lets the engine and disk sections
+// report measured allocations per event and per IO. Counting is relaxed-atomic; the replacement
 // otherwise forwards to malloc/free.
 std::atomic<uint64_t> g_heap_allocs{0};
 

@@ -11,9 +11,9 @@ IndexNodeRig::IndexNodeRig(Simulator* sim, const IndexNodeOptions& options,
     : sim_(sim), rng_(options.seed) {
   machine_ = std::make_unique<SimMachine>(sim, options.machine, name);
   ssd_volume_ =
-      std::make_unique<StripedVolume>(sim, DiskSpec::Ssd(), options.ssd_drives, name + "-ssd");
+      std::make_unique<StripedVolume>(DiskSpec::Ssd(), options.ssd_drives, name + "-ssd");
   hdd_volume_ =
-      std::make_unique<StripedVolume>(sim, DiskSpec::Hdd(), options.hdd_drives, name + "-hdd");
+      std::make_unique<StripedVolume>(DiskSpec::Hdd(), options.hdd_drives, name + "-hdd");
   // Outstanding bounds: keep SSDs saturated (deep NCQ), keep HDD queues
   // shallow so priority decisions matter.
   ssd_sched_ = std::make_unique<IoScheduler>(sim, ssd_volume_.get(),

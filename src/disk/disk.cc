@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "src/disk/io_scheduler.h"
+
 namespace perfiso {
 
 DiskSpec DiskSpec::Ssd() {
@@ -27,8 +29,8 @@ DiskSpec DiskSpec::Hdd() {
   return spec;
 }
 
-DiskDevice::DiskDevice(Simulator* sim, DiskSpec spec, std::string name)
-    : sim_(sim), spec_(std::move(spec)), name_(std::move(name)) {
+DiskDevice::DiskDevice(DiskSpec spec, std::string name)
+    : spec_(std::move(spec)), name_(std::move(name)) {
   assert(spec_.concurrency > 0 && spec_.bandwidth_bps > 0);
 }
 
@@ -48,169 +50,45 @@ SimDuration DiskDevice::ServiceTime(const IoRequest& request) const {
   return service;
 }
 
-void DiskDevice::Submit(IoRequest request) {
-  queue_.push_back(std::move(request));
-  TryStart();
-}
-
 void DiskDevice::EnableTracing(Tracer* tracer, int process) {
   tracer_ = tracer;
   track_ = tracer->RegisterTrack(process, name_);
 }
 
-size_t DiskDevice::AllocInflightSlot() {
-  if (!free_slots_.empty()) {
-    const size_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  inflight_.emplace_back();
-  return inflight_.size() - 1;
-}
-
-void DiskDevice::TryStart() {
-  while (active_ < spec_.concurrency && !queue_.empty()) {
-    IoRequest request = std::move(queue_.front());
-    queue_.pop_front();
-    const SimDuration service = ServiceTime(request);
-    last_was_sequential_ = request.sequential;
-    ++active_;
-    busy_ns_ += service;
-    const size_t slot = AllocInflightSlot();
-    const int64_t bytes = request.bytes;
-    inflight_[slot].started = sim_->Now();
-    inflight_[slot].service = service;
-    inflight_[slot].trace_ctx = request.trace_ctx;
-    if (tracer_ != nullptr && request.trace_ctx != 0 &&
-        sim_->Now() > request.submit_time) {
-      tracer_->Span(request.trace_ctx, "disk.queue", SpanCategory::kDiskQueue,
-                    track_, request.submit_time, sim_->Now());
-    }
-    // Capture only what the completion needs (this + slot + bytes + the
-    // callback) so the event stays within the engine's inline budget; disk
-    // completions are the fattest hot-path event, so guard the budget at
-    // compile time rather than spilling silently. The trace context rides in
-    // the inflight slot for the same reason.
-    auto completion = [this, slot, bytes, done = std::move(request.on_complete)] {
-      const SimTime started = inflight_[slot].started;
-      const uint64_t trace_ctx = inflight_[slot].trace_ctx;
-      inflight_[slot] = InFlight{};
-      free_slots_.push_back(slot);
-      --active_;
-      ++completed_ops_;
-      completed_bytes_ += bytes;
-      if (tracer_ != nullptr && trace_ctx != 0) {
-        tracer_->Span(trace_ctx, "disk.service", SpanCategory::kService, track_,
-                      started, sim_->Now());
-      }
-      if (done) {
-        done(sim_->Now());
-      }
-      TryStart();
-    };
-    static_assert(sizeof(completion) <= EventCallback::kInlineBytes,
-                  "disk completion events must stay inline in the event pool");
-    inflight_[slot].done_event = sim_->ScheduleAfter(service, std::move(completion));
-  }
-}
-
-int DiskDevice::CancelAll() {
-  int dropped = static_cast<int>(queue_.size());
-  queue_.clear();
-  for (size_t slot = 0; slot < inflight_.size(); ++slot) {
-    if (sim_->Cancel(inflight_[slot].done_event)) {
-      // Roll back the unserved remainder of the charged service time.
-      busy_ns_ -= inflight_[slot].started + inflight_[slot].service - sim_->Now();
-      inflight_[slot] = InFlight{};
-      free_slots_.push_back(slot);
-      --active_;
-      ++dropped;
-    }
-  }
-  assert(active_ == 0);
-  return dropped;
-}
-
-StripedVolume::StripedVolume(Simulator* sim, const DiskSpec& spec, int num_drives,
-                             std::string name)
-    : sim_(sim), name_(std::move(name)) {
+StripedVolume::StripedVolume(const DiskSpec& spec, int num_drives, std::string name)
+    : name_(std::move(name)) {
   assert(num_drives > 0);
   drives_.reserve(static_cast<size_t>(num_drives));
   for (int i = 0; i < num_drives; ++i) {
-    drives_.push_back(
-        std::make_unique<DiskDevice>(sim, spec, name_ + "-d" + std::to_string(i)));
+    drives_.emplace_back(spec, name_ + "-d" + std::to_string(i));
   }
-}
-
-void StripedVolume::Submit(IoRequest request) {
-  request.submit_time = sim_->Now();
-  OwnerIoStats& stats = owner_stats_[request.owner];
-  auto user_cb = std::move(request.on_complete);
-  const SimTime submit_time = request.submit_time;
-  const int64_t bytes = request.bytes;
-  request.on_complete = [this, &stats, submit_time, bytes,
-                         user_cb = std::move(user_cb)](SimTime now) {
-    ++stats.ops;
-    stats.bytes += bytes;
-    stats.latency_us.Add(ToMicros(now - submit_time));
-    if (user_cb) {
-      user_cb(now);
-    }
-  };
-  drives_[next_drive_]->Submit(std::move(request));
-  next_drive_ = (next_drive_ + 1) % drives_.size();
-}
-
-int StripedVolume::CancelAll() {
-  int dropped = 0;
-  for (const auto& drive : drives_) {
-    dropped += drive->CancelAll();
-  }
-  return dropped;
 }
 
 void StripedVolume::SetLatencyMultiplier(double multiplier) {
-  for (const auto& drive : drives_) {
-    drive->SetLatencyMultiplier(multiplier);
+  for (DiskDevice& drive : drives_) {
+    drive.SetLatencyMultiplier(multiplier);
   }
-}
-
-size_t StripedVolume::TotalQueueDepth() const {
-  size_t depth = 0;
-  for (const auto& drive : drives_) {
-    depth += drive->QueueDepth();
-  }
-  return depth;
 }
 
 int64_t StripedVolume::CompletedOps() const {
   int64_t ops = 0;
-  for (const auto& drive : drives_) {
-    ops += drive->CompletedOps();
+  for (const DiskDevice& drive : drives_) {
+    ops += drive.CompletedOps();
   }
   return ops;
 }
 
-int64_t StripedVolume::CompletedBytes() const {
-  int64_t bytes = 0;
-  for (const auto& drive : drives_) {
-    bytes += drive->CompletedBytes();
-  }
-  return bytes;
+const OwnerIoStats& StripedVolume::OwnerStats(int owner) const {
+  static const OwnerIoStats kEmpty;
+  return scheduler_ == nullptr ? kEmpty : scheduler_->Stats(owner);
 }
-
-const OwnerIoStats& StripedVolume::OwnerStats(int owner) const { return owner_stats_[owner]; }
 
 int StripedVolume::EnableTracing(Tracer* tracer) {
   const int pid = tracer->RegisterProcess(name_);
-  for (const auto& drive : drives_) {
-    drive->EnableTracing(tracer, pid);
+  for (DiskDevice& drive : drives_) {
+    drive.EnableTracing(tracer, pid);
   }
   return pid;
-}
-
-double StripedVolume::NominalBandwidth() const {
-  return drives_.empty() ? 0 : drives_[0]->spec().bandwidth_bps * num_drives();
 }
 
 }  // namespace perfiso

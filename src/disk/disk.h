@@ -6,23 +6,27 @@
 // with a fixed per-op latency plus a transfer time, with a seek penalty for
 // non-sequential HDD accesses, and bounded internal concurrency (NCQ-style
 // for SSDs, single-actuator for HDDs).
+//
+// These classes model the hardware only: spec, service time, fault
+// multiplier, trace track and completed-op count. Every request — its
+// callback, its wait in an owner or drive queue, its time in service and its
+// completion — belongs to the IoScheduler in front of the volume
+// (src/disk/io_scheduler.h).
 #ifndef PERFISO_SRC_DISK_DISK_H_
 #define PERFISO_SRC_DISK_DISK_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/obs/trace.h"
-#include "src/sim/simulator.h"
 #include "src/util/sim_time.h"
 #include "src/util/stats.h"
 
 namespace perfiso {
+
+class IoScheduler;
 
 enum class IoOp { kRead, kWrite };
 
@@ -49,40 +53,26 @@ struct IoRequest {
   int64_t bytes = 4096;
   bool sequential = false;
   std::function<void(SimTime)> on_complete;
-  SimTime submit_time = 0;  // filled by the volume on submission
   // Query trace this request belongs to (0 = untraced): its queueing and
-  // service become disk-queue/service spans on the serving drive's track.
+  // service become disk-queue/service spans on the scheduler's and the
+  // serving drive's tracks.
   uint64_t trace_ctx = 0;
 };
 
-// Cumulative per-owner I/O accounting.
+// Cumulative per-owner I/O accounting, kept by the IoScheduler.
 struct OwnerIoStats {
-  int64_t ops = 0;
-  int64_t bytes = 0;
-  LatencyRecorder latency_us;  // submit-to-complete
+  int64_t submitted = 0;
+  int64_t dispatched = 0;
+  int64_t ops = 0;    // completed
+  int64_t bytes = 0;  // completed
+  LatencyRecorder total_latency_us;  // submit-to-complete, scheduler queueing included
 };
 
 class DiskDevice {
  public:
-  DiskDevice(Simulator* sim, DiskSpec spec, std::string name);
+  DiskDevice(DiskSpec spec, std::string name);
 
-  DiskDevice(const DiskDevice&) = delete;
-  DiskDevice& operator=(const DiskDevice&) = delete;
-
-  // Enqueues a request; it is serviced FIFO subject to device concurrency.
-  void Submit(IoRequest request);
-
-  // Device-reset model (power loss / hot unplug, for failure-injection
-  // scenarios): drops every queued request and cancels every in-flight
-  // completion eagerly — no completion callback runs, and the cancelled
-  // events leave the simulator queue. Returns the number of dropped requests.
-  int CancelAll();
-
-  size_t QueueDepth() const { return queue_.size() + static_cast<size_t>(active_); }
   int64_t CompletedOps() const { return completed_ops_; }
-  int64_t CompletedBytes() const { return completed_bytes_; }
-  SimDuration BusyTime() const { return busy_ns_; }
-  const DiskSpec& spec() const { return spec_; }
 
   // Service time for a request on an otherwise-idle device.
   SimDuration ServiceTime(const IoRequest& request) const;
@@ -93,83 +83,49 @@ class DiskDevice {
   // arithmetic entirely, so a never-degraded device is bit-identical to one
   // without the feature.
   void SetLatencyMultiplier(double multiplier) { latency_multiplier_ = multiplier; }
-  double latency_multiplier() const { return latency_multiplier_; }
 
   // Registers this drive as a track of `process` (its volume); traced
   // requests then report queue/service spans there.
   void EnableTracing(Tracer* tracer, int process);
 
  private:
-  void TryStart();
-  size_t AllocInflightSlot();
+  friend class IoScheduler;
 
-  Simulator* sim_;
   DiskSpec spec_;
   std::string name_;
   Tracer* tracer_ = nullptr;
   int32_t track_ = Tracer::kNoTrack;
-  std::deque<IoRequest> queue_;
-  // Requests inside the device: the completion event (so CancelAll can pull
-  // it out of the simulator queue) and the dispatch time + service charged to
-  // busy_ns_ up front (the unserved remainder is rolled back on cancel).
-  // Slots recycle via free_slots_.
-  struct InFlight {
-    // Lifecycle owned by DiskDevice: completion resets the slot, CancelAll
-    // pulls every armed event before reuse.
-    EventHandle done_event;  // NOLINT(perfiso-LIFE-001)
-    SimTime started = 0;
-    SimDuration service = 0;
-    // Stored here rather than captured: the completion lambda exactly fills
-    // the event pool's inline budget.
-    uint64_t trace_ctx = 0;
-  };
-  std::vector<InFlight> inflight_;
-  std::vector<size_t> free_slots_;
-  int active_ = 0;
   int64_t completed_ops_ = 0;
-  int64_t completed_bytes_ = 0;
-  SimDuration busy_ns_ = 0;
-  bool last_was_sequential_ = false;
   double latency_multiplier_ = 1.0;
 };
 
-// N identical devices in a stripe; requests are distributed round-robin
-// (stripe unit >= request size, so a request touches one device).
+// N identical devices in a stripe; the scheduler in front distributes
+// requests round-robin (stripe unit >= request size, so a request touches one
+// device).
 class StripedVolume {
  public:
-  StripedVolume(Simulator* sim, const DiskSpec& spec, int num_drives, std::string name);
-
-  void Submit(IoRequest request);
-
-  // Resets every drive (see DiskDevice::CancelAll); returns dropped requests.
-  int CancelAll();
+  StripedVolume(const DiskSpec& spec, int num_drives, std::string name);
 
   // Applies a fault-injection latency multiplier to every drive.
   void SetLatencyMultiplier(double multiplier);
 
   int num_drives() const { return static_cast<int>(drives_.size()); }
-  const std::string& name() const { return name_; }
-  size_t TotalQueueDepth() const;
   int64_t CompletedOps() const;
-  int64_t CompletedBytes() const;
 
-  // Per-owner counters (the PerfIso I/O throttler polls these to compute
-  // per-process IOPS with a moving average, §4.1).
+  // The fronting scheduler's per-owner counters (IoScheduler::Stats). Kept
+  // only for the perfbench harness, which reads them through the volume.
   const OwnerIoStats& OwnerStats(int owner) const;
-
-  // Aggregate nominal bandwidth of the stripe, bytes/sec.
-  double NominalBandwidth() const;
 
   // Registers the volume as a tracer process with one track per drive;
   // returns the process id so a fronting scheduler can add its own track.
   int EnableTracing(Tracer* tracer);
 
  private:
-  Simulator* sim_;
+  friend class IoScheduler;
+
   std::string name_;
-  std::vector<std::unique_ptr<DiskDevice>> drives_;
-  size_t next_drive_ = 0;
-  mutable std::map<int, OwnerIoStats> owner_stats_;
+  std::vector<DiskDevice> drives_;
+  const IoScheduler* scheduler_ = nullptr;  // set by the scheduler in front
 };
 
 }  // namespace perfiso

@@ -1,14 +1,22 @@
 #include "src/disk/io_scheduler.h"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <utility>
 
 namespace perfiso {
 
 IoScheduler::IoScheduler(Simulator* sim, StripedVolume* volume, int max_outstanding)
-    : sim_(sim), volume_(volume), max_outstanding_(max_outstanding) {
+    : sim_(sim),
+      volume_(volume),
+      max_outstanding_(max_outstanding),
+      drives_(volume->drives_.size()) {
   assert(max_outstanding > 0);
+  assert(volume->scheduler_ == nullptr);
+  volume->scheduler_ = this;
 }
 
 void IoScheduler::RegisterOwner(int owner, std::string name, int priority, double weight) {
@@ -70,51 +78,116 @@ Status IoScheduler::SetIopsCap(int owner, double iops) {
   return OkStatus();
 }
 
-StatusOr<int> IoScheduler::Priority(int owner) const {
-  auto it = owners_.find(owner);
-  if (it == owners_.end()) {
-    return NotFoundError("unregistered I/O owner");
-  }
-  return it->second.priority;
-}
-
 void IoScheduler::Submit(IoRequest request) {
   Owner& owner = GetOrCreateOwner(request.owner);
   ++owner.stats.submitted;
-  const SimTime submitted = sim_->Now();
-  OwnerSchedStats& stats = owner.stats;
-  auto user_cb = std::move(request.on_complete);
-  const int64_t bytes = request.bytes;
-  request.on_complete = [this, &stats, submitted, bytes,
-                         user_cb = std::move(user_cb)](SimTime now) {
-    ++stats.completed;
-    stats.bytes_completed += bytes;
-    stats.total_latency_us.Add(ToMicros(now - submitted));
-    --outstanding_;
-    if (user_cb) {
-      user_cb(now);
-    }
-    Pump();
-  };
-  // Stamp scheduler entry so the dispatch below can report queueing time;
-  // the volume overwrites this with the dispatch time on its own Submit.
-  request.submit_time = submitted;
-  owner.queue.push_back(std::move(request));
+  const size_t slot = AllocSlot();
+  Slot& s = slots_[slot];
+  s.request = std::move(request);
+  s.owner = &owner;
+  s.queued = sim_->Now();
+  PushBack(owner.queue, slot);
+  ++queued_;
   Pump();
 }
 
+size_t IoScheduler::AllocSlot() {
+  ++occupied_;
+  if (free_slot_ == kNoSlot) {
+    slots_.emplace_back();
+    return slots_.size() - 1;
+  }
+  const size_t slot = free_slot_;
+  free_slot_ = slots_[slot].next;
+  slots_[slot].next = kNoSlot;
+  return slot;
+}
+
+void IoScheduler::PushBack(Fifo& fifo, size_t slot) {
+  if (fifo.empty()) {
+    fifo.head = slot;
+  } else {
+    slots_[fifo.tail].next = slot;
+  }
+  fifo.tail = slot;
+}
+
+size_t IoScheduler::PopFront(Fifo& fifo) {
+  const size_t slot = fifo.head;
+  Slot& s = slots_[slot];
+  fifo.head = s.next;
+  s.next = kNoSlot;
+  if (fifo.empty()) {
+    fifo.tail = kNoSlot;
+  }
+  return slot;
+}
+
+void IoScheduler::StartDrive(size_t d) {
+  Drive& drive = drives_[d];
+  const DiskDevice& device = volume_->drives_[d];
+  while (drive.active < device.spec_.concurrency && !drive.queue.empty()) {
+    const size_t slot = PopFront(drive.queue);
+    Slot& s = slots_[slot];
+    ++drive.active;
+    s.started = sim_->Now();
+    if (device.tracer_ != nullptr && s.request.trace_ctx != 0 && s.started > s.dispatched) {
+      device.tracer_->Span(s.request.trace_ctx, "disk.queue", SpanCategory::kDiskQueue,
+                           device.track_, s.dispatched, s.started);
+    }
+    s.done_event =
+        sim_->ScheduleAfter(device.ServiceTime(s.request), [this, slot] { Complete(slot); });
+  }
+}
+
+void IoScheduler::Complete(size_t slot) {
+  const SimTime now = sim_->Now();
+  Slot& s = slots_[slot];
+  const size_t d = s.drive;
+  DiskDevice& device = volume_->drives_[d];
+  --drives_[d].active;
+  ++device.completed_ops_;
+  if (device.tracer_ != nullptr && s.request.trace_ctx != 0) {
+    device.tracer_->Span(s.request.trace_ctx, "disk.service", SpanCategory::kService,
+                         device.track_, s.started, now);
+  }
+  OwnerIoStats& stats = s.owner->stats;
+  ++stats.ops;
+  stats.bytes += s.request.bytes;
+  stats.total_latency_us.Add(ToMicros(now - s.queued));
+  --outstanding_;
+  // Free the slot before the callback runs: it may Submit again.
+  std::function<void(SimTime)> done = std::move(s.request.on_complete);
+  s = Slot{};
+  s.next = free_slot_;
+  free_slot_ = slot;
+  --occupied_;
+  if (done) {
+    done(now);
+  }
+  Pump();
+  StartDrive(d);
+}
+
 int IoScheduler::CancelAll() {
-  int dropped = 0;
+  for (Slot& s : slots_) {
+    sim_->Cancel(s.done_event);
+  }
+  const int dropped = occupied_;
+  // Dropping the slots destroys their callbacks unrun; the pool keeps its
+  // capacity for the restart.
+  slots_.clear();
+  free_slot_ = kNoSlot;
+  occupied_ = 0;
+  queued_ = 0;
+  outstanding_ = 0;
   for (auto& entry : owners_) {
-    dropped += static_cast<int>(entry.second.queue.size());
-    entry.second.queue.clear();
+    entry.second.queue = Fifo{};
     entry.second.deficit_bytes = 0;
   }
-  dropped += volume_->CancelAll();
-  // The cancelled in-flight requests would have decremented outstanding_ in
-  // their completion wrapper; that wrapper will never run now, so reset the
-  // count here or dispatch stalls forever after a restart.
-  outstanding_ = 0;
+  for (Drive& drive : drives_) {
+    drive = Drive{};
+  }
   resume_owner_ = {-1, -1, -1};
   sim_->CancelOwned(retry_event_);
   return dropped;
@@ -152,20 +225,23 @@ void IoScheduler::ChargeCaps(Owner& owner, const IoRequest& request, SimTime now
 }
 
 bool IoScheduler::ServeBand(int priority, SimTime now, SimTime* earliest_retry) {
-  // Owners in this band with pending work, in stable (id) order. An owner
-  // whose queue drained loses its banked deficit (standard DWRR).
-  std::vector<std::map<int, Owner>::iterator> band;
-  for (auto it = owners_.begin(); it != owners_.end(); ++it) {
-    if (it->second.priority != priority) {
+  // The band is this priority's owners with pending work, in stable (id)
+  // order. An owner whose queue drained loses its banked deficit (standard
+  // DWRR). Dispatch runs no callback, so the band cannot change while it is
+  // served below.
+  int band_size = 0;
+  for (auto& entry : owners_) {
+    Owner& owner = entry.second;
+    if (owner.priority != priority) {
       continue;
     }
-    if (it->second.queue.empty()) {
-      it->second.deficit_bytes = 0;
+    if (owner.queue.empty()) {
+      owner.deficit_bytes = 0;
       continue;
     }
-    band.push_back(it);
+    ++band_size;
   }
-  if (band.empty()) {
+  if (band_size == 0) {
     return false;
   }
 
@@ -174,30 +250,24 @@ bool IoScheduler::ServeBand(int priority, SimTime now, SimTime* earliest_retry) 
   // continue with that owner — without granting a fresh quantum — so weight
   // ratios hold even when only one request can be in flight at a time.
   const auto p = static_cast<size_t>(priority);
-  size_t start = 0;
+  auto it = owners_.end();
   bool resuming = false;
   if (resume_owner_[p] >= 0) {
-    for (size_t i = 0; i < band.size(); ++i) {
-      if (band[i]->first == resume_owner_[p]) {
-        start = i;
-        resuming = true;
-        break;
-      }
-    }
+    it = owners_.find(resume_owner_[p]);
+    resuming = it != owners_.end() && it->second.priority == priority &&
+               !it->second.queue.empty();
   }
   if (!resuming) {
-    for (size_t i = 0; i < band.size(); ++i) {
-      if (band[i]->first > last_served_[p]) {
-        start = i;
-        break;
-      }
-    }
+    it = NextInBand(owners_.upper_bound(last_served_[p]), priority);
   }
   resume_owner_[p] = -1;
 
   bool progressed = false;
-  for (size_t visit = 0; visit < band.size(); ++visit) {
-    auto it = band[(start + visit) % band.size()];
+  for (int visit = 0; visit < band_size; ++visit) {
+    if (visit > 0) {
+      // Unvisited band members still have work, so the walk ends on one.
+      it = NextInBand(std::next(it), priority);
+    }
     Owner& owner = it->second;
     // One quantum per visit (unless resuming a cut-short drain), then drain
     // while the deficit, the caps, and the outstanding bound allow. Draining
@@ -207,7 +277,7 @@ bool IoScheduler::ServeBand(int priority, SimTime now, SimTime* earliest_retry) 
       // otherwise an owner with requests larger than its bank could starve
       // forever.
       const double cap = std::max(4 * owner.weight * kQuantumBytes,
-                                  static_cast<double>(owner.queue.front().bytes));
+                                  static_cast<double>(slots_[owner.queue.head].request.bytes));
       owner.deficit_bytes =
           std::min(owner.deficit_bytes + owner.weight * kQuantumBytes, cap);
     }
@@ -217,24 +287,29 @@ bool IoScheduler::ServeBand(int priority, SimTime now, SimTime* earliest_retry) 
         drained_by_deficit_or_caps = true;
         break;
       }
-      const IoRequest& head = owner.queue.front();
+      const IoRequest& head = slots_[owner.queue.head].request;
       if (owner.deficit_bytes < static_cast<double>(head.bytes) ||
           !CapsAllow(owner, head, now, earliest_retry)) {
         drained_by_deficit_or_caps = true;
         break;
       }
-      IoRequest request = std::move(owner.queue.front());
-      owner.queue.pop_front();
-      owner.deficit_bytes -= static_cast<double>(request.bytes);
-      ChargeCaps(owner, request, now);
+      const size_t slot = PopFront(owner.queue);
+      --queued_;
+      Slot& s = slots_[slot];
+      owner.deficit_bytes -= static_cast<double>(s.request.bytes);
+      ChargeCaps(owner, s.request, now);
       ++owner.stats.dispatched;
       ++outstanding_;
-      if (tracer_ != nullptr && request.trace_ctx != 0 &&
-          now > request.submit_time) {
-        tracer_->Span(request.trace_ctx, "io.sched.queue",
-                      SpanCategory::kDiskQueue, track_, request.submit_time, now);
+      if (tracer_ != nullptr && s.request.trace_ctx != 0 && now > s.queued) {
+        tracer_->Span(s.request.trace_ctx, "io.sched.queue", SpanCategory::kDiskQueue, track_,
+                      s.queued, now);
       }
-      volume_->Submit(std::move(request));
+      // Stripe round-robin onto the drives.
+      s.dispatched = now;
+      s.drive = next_drive_;
+      next_drive_ = (next_drive_ + 1) % drives_.size();
+      PushBack(drives_[s.drive].queue, slot);
+      StartDrive(s.drive);
       progressed = true;
     }
     last_served_[p] = it->first;
@@ -246,6 +321,18 @@ bool IoScheduler::ServeBand(int priority, SimTime now, SimTime* earliest_retry) 
     }
   }
   return progressed;
+}
+
+std::map<int, IoScheduler::Owner>::iterator IoScheduler::NextInBand(
+    std::map<int, Owner>::iterator it, int priority) {
+  for (;; ++it) {
+    if (it == owners_.end()) {
+      it = owners_.begin();
+    }
+    if (it->second.priority == priority && !it->second.queue.empty()) {
+      return it;
+    }
+  }
 }
 
 void IoScheduler::Pump() {
@@ -278,8 +365,8 @@ void IoScheduler::Pump() {
   }
 }
 
-const IoScheduler::OwnerSchedStats& IoScheduler::Stats(int owner) const {
-  static const OwnerSchedStats kEmpty;
+const OwnerIoStats& IoScheduler::Stats(int owner) const {
+  static const OwnerIoStats kEmpty;
   auto it = owners_.find(owner);
   return it == owners_.end() ? kEmpty : it->second.stats;
 }

@@ -1,5 +1,7 @@
 #include "src/fault/invariant_checker.h"
 
+#include <utility>
+
 namespace perfiso {
 
 std::string InvariantReport::ToString() const {
@@ -88,6 +90,24 @@ void InvariantChecker::CheckRig(IndexNodeRig& rig, bool expect_drained,
   const Status machine_ok = rig.machine().CheckInvariants();
   if (!machine_ok.ok()) {
     report->Violation(rig.machine().name() + ": " + machine_ok.ToString());
+  }
+  // Every request the disk stack holds sits in one scheduler slot: queued at
+  // the scheduler or outstanding at a drive. A leaked or double-freed slot
+  // breaks the equality.
+  const std::pair<const char*, const IoScheduler*> schedulers[] = {
+      {"ssd", &rig.ssd_scheduler()}, {"hdd", &rig.hdd_scheduler()}};
+  for (const auto& [volume, io] : schedulers) {
+    if (io->occupied_slots() != io->queued() + io->outstanding()) {
+      report->Violation(rig.machine().name() + " " + volume +
+                        " io slots: occupied=" + std::to_string(io->occupied_slots()) +
+                        " but queued=" + std::to_string(io->queued()) +
+                        " outstanding=" + std::to_string(io->outstanding()));
+    }
+    if (expect_drained && io->queued() + io->outstanding() != 0) {
+      report->Violation(rig.machine().name() + " " + volume + " drained run still has io queued=" +
+                        std::to_string(io->queued()) +
+                        " outstanding=" + std::to_string(io->outstanding()));
+    }
   }
   // A quiet controller skips its decision because the idle watch guarantees
   // the count is inside the no-op range; that holds at any instant.

@@ -8,6 +8,10 @@
 //     inflight (and inflight == 0 once the simulation drains).
 //   * Query slots — the server's occupied query slots equal inflight, so a
 //     leaked or double-freed slot fails every checked run.
+//   * IO slots — each of a rig's IoSchedulers has as many occupied request
+//     slots as requests queued at it plus requests outstanding at its drives,
+//     so a leaked or double-freed slot fails every checked run; both counts
+//     are 0 once the simulation drains.
 //   * No completions while crashed — a dead machine delivers nothing
 //     (IndexServer::Stats::completions_while_crashed stays 0).
 //   * Budget caps — hedges never exceed the hedge budget; retries only happen

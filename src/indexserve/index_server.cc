@@ -522,7 +522,7 @@ void IndexServer::Crash() {
   }
   // The log pipeline dies with the process: buffered bytes are lost and
   // stalled completions were failed above. In-flight HDD writes are cancelled
-  // by the rig (volume CancelAll), so their completions never fire.
+  // by the rig (IoScheduler::CancelAll), so their completions never fire.
   log_waiters_.clear();
   log_buffered_bytes_ = 0;
   log_inflight_bytes_ = 0;

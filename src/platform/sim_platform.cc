@@ -66,7 +66,7 @@ StatusOr<int64_t> SimPlatform::IoOpsCompleted(int owner) {
   if (hdd_scheduler_ == nullptr) {
     return UnimplementedError("no shared disk scheduler on this machine");
   }
-  return hdd_scheduler_->Stats(owner).completed;
+  return hdd_scheduler_->Stats(owner).ops;
 }
 
 Status SimPlatform::SetEgressRateCap(double bytes_per_sec) {

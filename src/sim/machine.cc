@@ -786,7 +786,6 @@ void SimMachine::KickIdleCores(const CpuSet& mask) {
 void SimMachine::FinishThread(int tid, bool run_callback) {
   Thread& t = threads_[static_cast<size_t>(tid)];
   sim_->CancelOwned(t.slice_event);  // no-op on the completion path (already fired + cleared)
-  t.state = Thread::State::kFinished;
   if (t.job >= 0) {
     auto& siblings = jobs_[static_cast<size_t>(t.job)].threads;
     auto it = std::find(siblings.begin(), siblings.end(), tid);

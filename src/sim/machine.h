@@ -229,7 +229,7 @@ class SimMachine {
   struct Thread {
     TenantClass tenant = TenantClass::kPrimary;
     int job = -1;
-    enum class State { kFree, kReady, kRunning, kFinished } state = State::kFree;
+    enum class State { kFree, kReady, kRunning } state = State::kFree;
     SimDuration remaining = 0;
     bool loop = false;  // unbounded work
     CompletionFn on_complete;

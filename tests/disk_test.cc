@@ -2,20 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include "src/disk/io_scheduler.h"
 #include "src/sim/simulator.h"
 
 namespace perfiso {
 namespace {
 
-TEST(DiskDeviceTest, ServiceTimeComposition) {
+// A volume behind the scheduler that owns its requests; `max_outstanding`
+// large enough that drive queues, not the scheduler, hold the backlog.
+struct Stack {
   Simulator sim;
+  StripedVolume volume;
+  IoScheduler scheduler;
+
+  Stack(const DiskSpec& spec, int drives, int max_outstanding = 64)
+      : volume(spec, drives, "vol"), scheduler(&sim, &volume, max_outstanding) {}
+
+  void Submit(int owner, int64_t bytes, std::function<void(SimTime)> done = nullptr) {
+    IoRequest request;
+    request.owner = owner;
+    request.bytes = bytes;
+    request.on_complete = std::move(done);
+    scheduler.Submit(std::move(request));
+  }
+};
+
+TEST(DiskDeviceTest, ServiceTimeComposition) {
   DiskSpec spec;
   spec.read_latency = FromMicros(100);
   spec.write_latency = FromMicros(50);
   spec.seek_penalty = FromMillis(5);
   spec.bandwidth_bps = 1e9;  // 1 GB/s -> 64 KB transfers in 65.536 us
   spec.concurrency = 1;
-  DiskDevice device(&sim, spec, "d0");
+  DiskDevice device(spec, "d0");
 
   IoRequest sequential_read;
   sequential_read.op = IoOp::kRead;
@@ -30,40 +49,31 @@ TEST(DiskDeviceTest, ServiceTimeComposition) {
 }
 
 TEST(DiskDeviceTest, CompletionCallbackAtServiceTime) {
-  Simulator sim;
-  DiskSpec spec = DiskSpec::Ssd();
-  DiskDevice device(&sim, spec, "d0");
-  IoRequest request;
-  request.op = IoOp::kRead;
-  request.bytes = 4096;
-  request.sequential = false;
+  Stack stack(DiskSpec::Ssd(), 1);
   SimTime done_at = -1;
-  request.on_complete = [&](SimTime now) { done_at = now; };
-  device.Submit(std::move(request));
-  sim.RunUntilEmpty();
-  EXPECT_EQ(done_at, device.ServiceTime(IoRequest{0, IoOp::kRead, 4096, false, nullptr, 0}));
-  EXPECT_EQ(device.CompletedOps(), 1);
-  EXPECT_EQ(device.CompletedBytes(), 4096);
+  stack.Submit(0, 4096, [&](SimTime now) { done_at = now; });
+  stack.sim.RunUntilEmpty();
+  EXPECT_EQ(done_at, DiskDevice(DiskSpec::Ssd(), "ref").ServiceTime(IoRequest{}));
+  EXPECT_EQ(stack.volume.CompletedOps(), 1);
+  EXPECT_EQ(stack.scheduler.Stats(0).bytes, 4096);
 }
 
 TEST(DiskDeviceTest, ConcurrencyLimitQueues) {
-  Simulator sim;
   DiskSpec spec;
   spec.read_latency = FromMillis(1);
   spec.write_latency = FromMillis(1);
   spec.seek_penalty = 0;
   spec.bandwidth_bps = 1e12;  // transfer time negligible
   spec.concurrency = 2;
-  DiskDevice device(&sim, spec, "d0");
+  Stack stack(spec, 1);
   std::vector<SimTime> completions;
   for (int i = 0; i < 4; ++i) {
-    IoRequest request;
-    request.bytes = 1;
-    request.on_complete = [&](SimTime now) { completions.push_back(now); };
-    device.Submit(std::move(request));
+    stack.Submit(0, 1, [&](SimTime now) { completions.push_back(now); });
   }
-  EXPECT_EQ(device.QueueDepth(), 4u);
-  sim.RunUntilEmpty();
+  // All four sit at the drive: two in service, two in its queue.
+  EXPECT_EQ(stack.scheduler.outstanding(), 4);
+  EXPECT_EQ(stack.sim.PendingEvents(), 2u);
+  stack.sim.RunUntilEmpty();
   ASSERT_EQ(completions.size(), 4u);
   // Two waves of two: ~1 ms and ~2 ms.
   EXPECT_EQ(completions[0], completions[1]);
@@ -71,108 +81,90 @@ TEST(DiskDeviceTest, ConcurrencyLimitQueues) {
   EXPECT_EQ(completions[2], 2 * completions[0]);
 }
 
-// Device-reset model on handle-based completions: cancelled in-flight I/O
+// Device-reset model on handle-based completions: cancelled in-service I/O
 // leaves the simulator queue eagerly (no dead completion events), callbacks
-// never run, and the device keeps working afterwards.
+// never run, every slot goes back to the pool, and the stack keeps working
+// afterwards.
 TEST(DiskDeviceTest, CancelAllDropsInflightAndQueuedRequests) {
-  Simulator sim;
   DiskSpec spec = DiskSpec::Ssd();
   spec.concurrency = 2;
-  DiskDevice device(&sim, spec, "d0");
+  Stack stack(spec, 1, /*max_outstanding=*/4);
 
   int completions = 0;
-  for (int i = 0; i < 5; ++i) {  // 2 in flight + 3 queued
-    IoRequest request;
-    request.bytes = 4096;
-    request.on_complete = [&completions](SimTime) { ++completions; };
-    device.Submit(std::move(request));
+  for (int i = 0; i < 5; ++i) {  // 2 in service + 2 in the drive queue + 1 queued
+    stack.Submit(0, 4096, [&completions](SimTime) { ++completions; });
   }
-  ASSERT_EQ(device.QueueDepth(), 5u);
-  ASSERT_EQ(sim.PendingEvents(), 2u);  // one completion event per in-flight op
+  ASSERT_EQ(stack.scheduler.outstanding(), 4);
+  ASSERT_EQ(stack.scheduler.queued(), 1);
+  ASSERT_EQ(stack.scheduler.occupied_slots(), 5);
+  ASSERT_EQ(stack.sim.PendingEvents(), 2u);  // one completion event per op in service
 
-  EXPECT_EQ(device.CancelAll(), 5);
-  EXPECT_EQ(sim.PendingEvents(), 0u);  // completions left the queue eagerly
-  EXPECT_EQ(device.QueueDepth(), 0u);
-  // Nothing was served (cancelled at the dispatch instant), so the service
-  // time charged up front must be rolled back in full.
-  EXPECT_EQ(device.BusyTime(), 0);
-  sim.RunUntilEmpty();
+  EXPECT_EQ(stack.scheduler.CancelAll(), 5);
+  EXPECT_EQ(stack.sim.PendingEvents(), 0u);  // completions left the queue eagerly
+  EXPECT_EQ(stack.scheduler.occupied_slots(), 0);
+  EXPECT_EQ(stack.scheduler.outstanding(), 0);
+  EXPECT_EQ(stack.scheduler.queued(), 0);
+  stack.sim.RunUntilEmpty();
   EXPECT_EQ(completions, 0);
-  EXPECT_EQ(device.CompletedOps(), 0);
+  EXPECT_EQ(stack.volume.CompletedOps(), 0);
 
-  // The device still serves new work after the reset.
-  IoRequest after;
-  after.bytes = 4096;
-  after.on_complete = [&completions](SimTime) { ++completions; };
-  device.Submit(std::move(after));
-  sim.RunUntilEmpty();
+  // The stack still serves new work after the reset.
+  stack.Submit(0, 4096, [&completions](SimTime) { ++completions; });
+  stack.sim.RunUntilEmpty();
   EXPECT_EQ(completions, 1);
-  EXPECT_EQ(device.CompletedOps(), 1);
+  EXPECT_EQ(stack.volume.CompletedOps(), 1);
+  EXPECT_EQ(stack.scheduler.occupied_slots(), 0);
 }
 
 TEST(StripedVolumeTest, CancelAllResetsEveryDrive) {
-  Simulator sim;
-  StripedVolume volume(&sim, DiskSpec::Hdd(), 4, "hdd");
+  Stack stack(DiskSpec::Hdd(), 4);
   int completions = 0;
   for (int i = 0; i < 8; ++i) {
-    IoRequest request;
-    request.bytes = 4096;
-    request.on_complete = [&completions](SimTime) { ++completions; };
-    volume.Submit(std::move(request));
+    stack.Submit(0, 4096, [&completions](SimTime) { ++completions; });
   }
-  EXPECT_EQ(volume.CancelAll(), 8);
-  sim.RunUntilEmpty();
+  EXPECT_EQ(stack.sim.PendingEvents(), 4u);  // one op in service per drive
+  EXPECT_EQ(stack.scheduler.CancelAll(), 8);
+  stack.sim.RunUntilEmpty();
   EXPECT_EQ(completions, 0);
-  EXPECT_EQ(volume.TotalQueueDepth(), 0u);
+  EXPECT_EQ(stack.scheduler.occupied_slots(), 0);
 }
 
 TEST(DiskDeviceTest, HddSlowerThanSsdForRandomReads) {
-  Simulator sim;
-  DiskDevice ssd(&sim, DiskSpec::Ssd(), "ssd");
-  DiskDevice hdd(&sim, DiskSpec::Hdd(), "hdd");
-  IoRequest random_read{0, IoOp::kRead, 8192, false, nullptr, 0};
+  DiskDevice ssd(DiskSpec::Ssd(), "ssd");
+  DiskDevice hdd(DiskSpec::Hdd(), "hdd");
+  IoRequest random_read;
+  random_read.bytes = 8192;
   EXPECT_GT(hdd.ServiceTime(random_read), 10 * ssd.ServiceTime(random_read));
 }
 
 TEST(StripedVolumeTest, RoundRobinAcrossDrives) {
-  Simulator sim;
   DiskSpec spec = DiskSpec::Ssd();
   spec.concurrency = 1;
-  StripedVolume volume(&sim, spec, 4, "vol");
-  int completed = 0;
+  Stack stack(spec, 4);
+  std::vector<SimTime> completions;
   for (int i = 0; i < 4; ++i) {
-    IoRequest request;
-    request.bytes = 4096;
-    request.on_complete = [&](SimTime) { ++completed; };
-    volume.Submit(std::move(request));
+    stack.Submit(0, 4096, [&](SimTime now) { completions.push_back(now); });
   }
   // All four go to distinct drives, so all complete at the same instant.
-  sim.RunUntilEmpty();
-  EXPECT_EQ(completed, 4);
-  EXPECT_EQ(volume.CompletedOps(), 4);
+  stack.sim.RunUntilEmpty();
+  ASSERT_EQ(completions.size(), 4u);
+  EXPECT_EQ(completions.front(), completions.back());
+  EXPECT_EQ(stack.volume.CompletedOps(), 4);
 }
 
 TEST(StripedVolumeTest, PerOwnerStats) {
-  Simulator sim;
-  StripedVolume volume(&sim, DiskSpec::Ssd(), 2, "vol");
+  Stack stack(DiskSpec::Ssd(), 2);
   for (int i = 0; i < 6; ++i) {
-    IoRequest request;
-    request.owner = i % 2 == 0 ? 10 : 20;
-    request.bytes = 1024;
-    volume.Submit(std::move(request));
+    stack.Submit(i % 2 == 0 ? 10 : 20, 1024);
   }
-  sim.RunUntilEmpty();
-  EXPECT_EQ(volume.OwnerStats(10).ops, 3);
-  EXPECT_EQ(volume.OwnerStats(20).ops, 3);
-  EXPECT_EQ(volume.OwnerStats(10).bytes, 3 * 1024);
-  EXPECT_EQ(volume.OwnerStats(99).ops, 0);
-  EXPECT_GT(volume.OwnerStats(10).latency_us.Mean(), 0);
-}
-
-TEST(StripedVolumeTest, NominalBandwidthScalesWithDrives) {
-  Simulator sim;
-  StripedVolume volume(&sim, DiskSpec::Hdd(), 4, "vol");
-  EXPECT_DOUBLE_EQ(volume.NominalBandwidth(), 4 * DiskSpec::Hdd().bandwidth_bps);
+  stack.sim.RunUntilEmpty();
+  EXPECT_EQ(stack.volume.OwnerStats(10).ops, 3);
+  EXPECT_EQ(stack.volume.OwnerStats(20).ops, 3);
+  EXPECT_EQ(stack.volume.OwnerStats(10).bytes, 3 * 1024);
+  EXPECT_EQ(stack.volume.OwnerStats(99).ops, 0);
+  EXPECT_GT(stack.volume.OwnerStats(10).total_latency_us.Mean(), 0);
+  // The volume's view is the scheduler's table.
+  EXPECT_EQ(&stack.volume.OwnerStats(10), &stack.scheduler.Stats(10));
 }
 
 }  // namespace

@@ -140,8 +140,7 @@ TEST(FaultPlanTest, DiskDegradeSeverityKeepsServiceTimeInRange) {
   IoRequest request;
   request.op = IoOp::kWrite;
   request.bytes = 128LL * 1024 * 1024;  // an HDFS block on a random HDD write
-  Simulator sim;
-  const SimDuration healthy = DiskDevice(&sim, DiskSpec::Hdd(), "hdd").ServiceTime(request);
+  const SimDuration healthy = DiskDevice(DiskSpec::Hdd(), "hdd").ServiceTime(request);
   for (double severity : {2.0, 1e6, 1e15, 1e300}) {
     FaultPlan plan;
     plan.enabled = true;
@@ -151,7 +150,7 @@ TEST(FaultPlanTest, DiskDegradeSeverityKeepsServiceTimeInRange) {
     if (!accepted) {
       continue;
     }
-    DiskDevice degraded(&sim, DiskSpec::Hdd(), "hdd");
+    DiskDevice degraded(DiskSpec::Hdd(), "hdd");
     degraded.SetLatencyMultiplier(severity);
     EXPECT_GE(degraded.ServiceTime(request), healthy) << severity;
   }

@@ -122,7 +122,7 @@ TEST(IndexServePropertyTest, SsdTrafficMatchesMissRate) {
   // chunk reads ~= miss_rate * chunks, plus snippet_reads per query.
   const double expected = 0.5 * static_cast<double>(fanout_total) +
                           3.0 * static_cast<double>(trace.size());
-  EXPECT_NEAR(static_cast<double>(stats.completed), expected, expected * 0.06);
+  EXPECT_NEAR(static_cast<double>(stats.ops), expected, expected * 0.06);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ struct Rig {
     spec.seek_penalty = 0;
     spec.bandwidth_bps = 1e12;
     spec.concurrency = 1;
-    volume = std::make_unique<StripedVolume>(&sim, spec, 1, "vol");
+    volume = std::make_unique<StripedVolume>(spec, 1, "vol");
     scheduler = std::make_unique<IoScheduler>(&sim, volume.get(), max_outstanding);
   }
 
@@ -112,11 +112,15 @@ TEST(IoSchedulerTest, ClearingCapRestoresThroughput) {
 
 TEST(IoSchedulerTest, UnregisteredOwnerGetsDefaults) {
   Rig rig;
-  int done = 0;
-  rig.Submit(77, 512, [&](SimTime) { ++done; });
+  rig.scheduler->RegisterOwner(1, "middle", /*priority=*/1, /*weight=*/1);
+  std::vector<int> completion_order;
+  // Occupy the device so the next two queue in the scheduler; the
+  // unregistered owner submits first but sits in the lowest band.
+  rig.Submit(1, 512, [&](SimTime) { completion_order.push_back(1); });
+  rig.Submit(77, 512, [&](SimTime) { completion_order.push_back(77); });
+  rig.Submit(1, 512, [&](SimTime) { completion_order.push_back(1); });
   rig.sim.RunUntilEmpty();
-  EXPECT_EQ(done, 1);
-  EXPECT_EQ(*rig.scheduler->Priority(77), IoScheduler::kNumPriorities - 1);
+  EXPECT_EQ(completion_order, (std::vector<int>{1, 1, 77}));
 }
 
 TEST(IoSchedulerTest, SettingKnobsOnUnknownOwnerFails) {
@@ -124,7 +128,6 @@ TEST(IoSchedulerTest, SettingKnobsOnUnknownOwnerFails) {
   EXPECT_FALSE(rig.scheduler->SetPriority(5, 0).ok());
   EXPECT_FALSE(rig.scheduler->SetBandwidthCap(5, 100).ok());
   EXPECT_FALSE(rig.scheduler->SetIopsCap(5, 100).ok());
-  EXPECT_FALSE(rig.scheduler->Priority(5).ok());
 }
 
 TEST(IoSchedulerTest, PriorityChangeAppliesToQueuedWork) {
@@ -155,9 +158,11 @@ TEST(IoSchedulerTest, StatsTrackLifecycle) {
   const auto& stats = rig.scheduler->Stats(1);
   EXPECT_EQ(stats.submitted, 5);
   EXPECT_EQ(stats.dispatched, 5);
-  EXPECT_EQ(stats.completed, 5);
-  EXPECT_EQ(stats.bytes_completed, 5 * 1024);
+  EXPECT_EQ(stats.ops, 5);
+  EXPECT_EQ(stats.bytes, 5 * 1024);
+  EXPECT_EQ(stats.total_latency_us.Count(), 5u);
   EXPECT_EQ(rig.scheduler->outstanding(), 0);
+  EXPECT_EQ(rig.scheduler->occupied_slots(), 0);
 }
 
 }  // namespace

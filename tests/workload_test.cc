@@ -292,7 +292,7 @@ struct DiskRig {
     machine_spec.num_cores = 4;
     machine_spec.context_switch = 0;
     machine = std::make_unique<SimMachine>(&sim, machine_spec, "m0");
-    volume = std::make_unique<StripedVolume>(&sim, DiskSpec::Hdd(), 4, "hdd");
+    volume = std::make_unique<StripedVolume>(DiskSpec::Hdd(), 4, "hdd");
     scheduler = std::make_unique<IoScheduler>(&sim, volume.get(), 4);
     job = machine->CreateJob("secondary");
   }
