@@ -13,6 +13,7 @@
 
 #include "bench/harness.h"
 #include "src/cluster/cluster.h"
+#include "src/fault/fault_injector.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace_export.h"
 #include "src/sim/simulator.h"
@@ -358,8 +359,11 @@ TEST(BenchDeterminismTest, ClusterScenarioInjectsFaultPlan) {
 // through RunClusterScenario. The two-rack row runs a network bully on every
 // index node (egress-capped on even nodes only) under tracing, so it covers
 // the rack uplinks, the egress-bucket wake, TX preemption and the fabric's
-// trace spans. Fields a row does not measure stay 0. Same update procedure as
-// kGoldens, with --gtest_filter='*PinnedCluster*'.
+// trace spans. The faulted row crashes one leaf, then a whole row, under
+// tracing, so it covers the fan-out skip of a crashed leaf, crash-raced
+// leaf rejects, and the TLA-side failure of a query with no live MLA. Fields
+// a row does not measure stay 0. Same update procedure as kGoldens, with
+// --gtest_filter='*PinnedCluster*'.
 struct ClusterPin {
   uint64_t events = 0;
   uint64_t leaf = 0;
@@ -370,6 +374,8 @@ struct ClusterPin {
   int64_t completed = 0;
   int64_t flows_in_flight = 0;
   uint64_t trace_hash = 0;  // FNV-1a of the Chrome-trace export
+  int64_t failed = 0;
+  int64_t degraded = 0;
 
   bool operator==(const ClusterPin&) const = default;
 };
@@ -445,6 +451,47 @@ ClusterPin RunTwoRackTracedGolden() {
   return pin;
 }
 
+ClusterPin RunFaultedClusterGolden() {
+  Simulator sim;
+  ClusterOptions options;
+  options.topology = ClusterTopology{4, 2, 1};
+  Cluster cluster(&sim, options);
+  // Leaf 1 (row 0) dies mid-run, at an instant that lands while an MLA's
+  // request to it is on the wire (a crash-raced reject); later every node of
+  // row 1 dies at once, so the TLA fails the queries it routes there.
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.events.push_back(FaultEvent{FaultKind::kNodeCrash, 1, 0.10026, 0.1, 1.0});
+  for (int node = 4; node < 8; ++node) {
+    plan.events.push_back(FaultEvent{FaultKind::kNodeCrash, node, 0.25, 0.1, 1.0});
+  }
+  FaultInjector injector(&sim, plan, &cluster);
+  injector.Arm();
+  ObsSpec spec;
+  spec.enabled = true;
+  ObsContext obs(spec);
+  cluster.EnableTracing(&obs.tracer);
+
+  Rng rng(31);
+  auto trace = GenerateTrace(TraceSpec{}, 2000, &rng);
+  OpenLoopClient client(&sim, std::move(trace), 800, Rng(32),
+                        [&](const QueryWork& work, SimTime) { cluster.SubmitQuery(work); });
+  client.Run(0, 9 * kSecond / 20);
+  sim.RunUntilEmpty();
+
+  ClusterPin pin;
+  pin.events = sim.EventsExecuted();
+  pin.leaf = cluster.MergedLeafLatency().Digest();
+  pin.mla = cluster.MlaLatency().Digest();
+  pin.tla = cluster.TlaLatency().Digest();
+  pin.primary_flow = cluster.fabric().FlowLatencyMs(NetClass::kPrimary).Digest();
+  pin.completed = cluster.queries_completed();
+  pin.trace_hash = Fnv1a(ExportChromeTrace(obs.tracer));
+  pin.failed = cluster.queries_failed();
+  pin.degraded = cluster.queries_degraded();
+  return pin;
+}
+
 struct ClusterGolden {
   const char* name;
   ClusterPin (*run)();
@@ -454,10 +501,13 @@ struct ClusterGolden {
 const ClusterGolden kClusterGoldens[] = {
     {"one-rack", RunOneRackGolden,
      {599387, 0x657fac51fb605de0ULL, 0x1a64abbb1af33fd0ULL, 0xd4e9c2ccd83b7188ULL,
-      0xf354cce25d3df5c0ULL, 0x0000000000000000ULL, 6518, 0, 0x0000000000000000ULL}},
+      0xf354cce25d3df5c0ULL, 0x0000000000000000ULL, 6518, 0, 0x0000000000000000ULL, 0, 0}},
     {"two-rack-traced", RunTwoRackTracedGolden,
      {424284, 0xeb31dee166260156ULL, 0x00f594b3b431b32eULL, 0x21560089b77d0ca6ULL,
-      0x5f54dacec071bfdcULL, 0x3a56e1ae5b888a4bULL, 413, 80, 0xe52d21b71b238a3fULL}},
+      0x5f54dacec071bfdcULL, 0x3a56e1ae5b888a4bULL, 413, 80, 0xe52d21b71b238a3fULL, 0, 0}},
+    {"faulted", RunFaultedClusterGolden,
+     {38775, 0xdb845a618f8945c6ULL, 0x5b462909873dbf1aULL, 0xe64ff824e2c19bdaULL,
+      0x1c88b53b2a0cf85cULL, 0x0000000000000000ULL, 308, 0, 0x061013fc86eb9692ULL, 38, 39}},
 };
 
 TEST(GoldenDigestTest, PinnedClusterDigests) {
@@ -467,14 +517,15 @@ TEST(GoldenDigestTest, PinnedClusterDigests) {
     if (update) {
       std::printf(
           "    {\"%s\", ...,\n     {%llu, 0x%016llxULL, 0x%016llxULL, 0x%016llxULL,\n"
-          "      0x%016llxULL, 0x%016llxULL, %lld, %lld, 0x%016llxULL}},\n",
+          "      0x%016llxULL, 0x%016llxULL, %lld, %lld, 0x%016llxULL, %lld, %lld}},\n",
           golden.name, static_cast<unsigned long long>(got.events),
           static_cast<unsigned long long>(got.leaf), static_cast<unsigned long long>(got.mla),
           static_cast<unsigned long long>(got.tla),
           static_cast<unsigned long long>(got.primary_flow),
           static_cast<unsigned long long>(got.secondary_flow),
           static_cast<long long>(got.completed), static_cast<long long>(got.flows_in_flight),
-          static_cast<unsigned long long>(got.trace_hash));
+          static_cast<unsigned long long>(got.trace_hash), static_cast<long long>(got.failed),
+          static_cast<long long>(got.degraded));
       continue;
     }
     EXPECT_EQ(got.events, golden.pin.events) << golden.name;
@@ -486,6 +537,8 @@ TEST(GoldenDigestTest, PinnedClusterDigests) {
     EXPECT_EQ(got.completed, golden.pin.completed) << golden.name;
     EXPECT_EQ(got.flows_in_flight, golden.pin.flows_in_flight) << golden.name;
     EXPECT_EQ(got.trace_hash, golden.pin.trace_hash) << golden.name;
+    EXPECT_EQ(got.failed, golden.pin.failed) << golden.name;
+    EXPECT_EQ(got.degraded, golden.pin.degraded) << golden.name;
   }
 }
 

@@ -449,5 +449,47 @@ TEST(FaultInjectionTest, ClusterCrashKeepsRoutingViewInSync) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+TEST(FaultInjectionTest, WholeRowCrashFailsQueriesAtTheTla) {
+  // Every node of the only row is down, so no MLA can take a query: the TLA
+  // fails each one after its own request processing, with nothing served and
+  // no coverage sample.
+  Simulator sim;
+  ClusterOptions options;
+  options.topology = ClusterTopology{3, 1, 1};
+  Cluster cluster(&sim, options);
+  FaultPlan plan;
+  plan.enabled = true;
+  for (int node = 0; node < 3; ++node) {
+    plan.events.push_back(FaultEvent{FaultKind::kNodeCrash, node, 0.01, 0.1, 1.0});
+  }
+  FaultInjector injector(&sim, plan, &cluster);
+  injector.Arm();
+  sim.RunUntil(FromMillis(20));  // inside the crash window
+
+  std::vector<QueryResult> results;
+  for (uint64_t id = 1; id <= 5; ++id) {
+    cluster.SubmitQuery(MakeQuery(id),
+                        [&results](const QueryResult& r) { results.push_back(r); });
+  }
+  sim.RunUntilEmpty();
+
+  ASSERT_EQ(results.size(), 5u);
+  for (const QueryResult& r : results) {
+    EXPECT_TRUE(r.dropped);
+    EXPECT_EQ(r.chunks_served, 0);
+    EXPECT_EQ(r.chunks_total, 3);
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(r.latency_ms, ToMillis(r.finish_time - r.submit_time));
+  }
+  EXPECT_EQ(cluster.queries_failed(), 5);
+  EXPECT_EQ(cluster.queries_completed(), 0);
+  EXPECT_EQ(cluster.queries_degraded(), 0);
+  EXPECT_EQ(cluster.LeafCoverage().Count(), 0u);
+  EXPECT_EQ(cluster.TlaLatency().Count(), 0u);
+  InvariantReport report;
+  InvariantChecker::CheckCluster(cluster, /*expect_drained=*/true, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 }  // namespace
 }  // namespace perfiso
