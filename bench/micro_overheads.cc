@@ -180,8 +180,8 @@ DiskScore MeasureDiskStack(SimDuration warmup, uint64_t measured_ios) {
   Simulator sim;
   StripedVolume volume(DiskSpec::Ssd(), 4, "ssd");
   IoScheduler io(&sim, &volume, kDiskMaxOutstanding);
-  io.RegisterOwner(1, "primary", /*priority=*/0, /*weight=*/1);
-  io.RegisterOwner(2, "secondary", /*priority=*/1, /*weight=*/1);
+  io.RegisterOwner(1, /*priority=*/0, /*weight=*/1);
+  io.RegisterOwner(2, /*priority=*/1, /*weight=*/1);
   uint64_t completed = 0;
   std::vector<DiskChain> chains(kDiskChains);
   for (size_t i = 0; i < chains.size(); ++i) {

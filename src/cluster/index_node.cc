@@ -33,7 +33,7 @@ void IndexNodeRig::StartCpuBully(int threads) {
 
 void IndexNodeRig::StartDiskBully(const DiskBully::Options& options) {
   assert(disk_bully_ == nullptr);
-  hdd_sched_->RegisterOwner(options.owner, "disk-bully", /*priority=*/1, /*weight=*/1);
+  hdd_sched_->RegisterOwner(options.owner, /*priority=*/1, /*weight=*/1);
   disk_bully_ = std::make_unique<DiskBully>(sim_, machine_.get(), hdd_sched_.get(),
                                             secondary_job_, options, rng_.Fork());
   disk_bully_->Start();
@@ -41,9 +41,8 @@ void IndexNodeRig::StartDiskBully(const DiskBully::Options& options) {
 
 void IndexNodeRig::StartHdfsClient(const HdfsClient::Options& options) {
   assert(hdfs_client_ == nullptr);
-  hdd_sched_->RegisterOwner(options.owner, "hdfs-client", /*priority=*/1, /*weight=*/1);
-  hdd_sched_->RegisterOwner(options.owner + 1, "hdfs-replication", /*priority=*/1,
-                            /*weight=*/1);
+  hdd_sched_->RegisterOwner(options.owner, /*priority=*/1, /*weight=*/1);
+  hdd_sched_->RegisterOwner(options.owner + 1, /*priority=*/1, /*weight=*/1);
   hdfs_client_ = std::make_unique<HdfsClient>(sim_, machine_.get(), hdd_sched_.get(),
                                               secondary_job_, options, rng_.Fork());
   hdfs_client_->Start();
@@ -51,7 +50,7 @@ void IndexNodeRig::StartHdfsClient(const HdfsClient::Options& options) {
 
 void IndexNodeRig::StartMlTraining(const MlTrainingJob::Options& options) {
   assert(ml_training_ == nullptr);
-  hdd_sched_->RegisterOwner(options.owner, "ml-training", /*priority=*/2, /*weight=*/1);
+  hdd_sched_->RegisterOwner(options.owner, /*priority=*/2, /*weight=*/1);
   ml_training_ = std::make_unique<MlTrainingJob>(sim_, machine_.get(), hdd_sched_.get(),
                                                  secondary_job_, options);
   ml_training_->Start();

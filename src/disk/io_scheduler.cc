@@ -19,20 +19,10 @@ IoScheduler::IoScheduler(Simulator* sim, StripedVolume* volume, int max_outstand
   volume->scheduler_ = this;
 }
 
-void IoScheduler::RegisterOwner(int owner, std::string name, int priority, double weight) {
+void IoScheduler::RegisterOwner(int owner, int priority, double weight) {
   Owner& state = owners_[owner];
-  state.name = std::move(name);
   state.priority = std::clamp(priority, 0, kNumPriorities - 1);
   state.weight = weight > 0 ? weight : 1.0;
-}
-
-IoScheduler::Owner& IoScheduler::GetOrCreateOwner(int owner) {
-  auto it = owners_.find(owner);
-  if (it == owners_.end()) {
-    RegisterOwner(owner, "owner-" + std::to_string(owner), kNumPriorities - 1, 1.0);
-    it = owners_.find(owner);
-  }
-  return it->second;
 }
 
 Status IoScheduler::SetPriority(int owner, int priority) {
@@ -79,7 +69,7 @@ Status IoScheduler::SetIopsCap(int owner, double iops) {
 }
 
 void IoScheduler::Submit(IoRequest request) {
-  Owner& owner = GetOrCreateOwner(request.owner);
+  Owner& owner = owners_[request.owner];  // unregistered: the Owner defaults
   ++owner.stats.submitted;
   const size_t slot = AllocSlot();
   Slot& s = slots_[slot];

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/disk/disk.h"
@@ -50,7 +49,7 @@ class IoScheduler {
 
   // Registers a submitting process. Requests from unregistered owners get
   // priority kNumPriorities-1 and weight 1.
-  void RegisterOwner(int owner, std::string name, int priority, double weight);
+  void RegisterOwner(int owner, int priority, double weight);
 
   Status SetPriority(int owner, int priority);
   // caps <= 0 clear the limit.
@@ -92,7 +91,6 @@ class IoScheduler {
   };
 
   struct Owner {
-    std::string name;
     int priority = kNumPriorities - 1;
     double weight = 1.0;
     double deficit_bytes = 0;
@@ -125,7 +123,6 @@ class IoScheduler {
     int active = 0;
   };
 
-  Owner& GetOrCreateOwner(int owner);
   void PushBack(Fifo& fifo, size_t slot);
   size_t PopFront(Fifo& fifo);
   size_t AllocSlot();

@@ -22,9 +22,9 @@ IndexServer::IndexServer(SimMachine* machine, IoScheduler* ssd, IoScheduler* hdd
   assert(machine_ != nullptr && ssd_ != nullptr);
   job_ = machine_->CreateJob("indexserve");
   (void)machine_->AddJobMemory(job_, config_.working_set_bytes);
-  ssd_->RegisterOwner(kIoOwnerIndexData, "indexserve-data", /*priority=*/0, /*weight=*/8);
+  ssd_->RegisterOwner(kIoOwnerIndexData, /*priority=*/0, /*weight=*/8);
   if (hdd_ != nullptr) {
-    hdd_->RegisterOwner(kIoOwnerIndexLog, "indexserve-log", /*priority=*/0, /*weight=*/4);
+    hdd_->RegisterOwner(kIoOwnerIndexLog, /*priority=*/0, /*weight=*/4);
   }
 }
 

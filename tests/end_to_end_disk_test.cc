@@ -41,8 +41,7 @@ DiskRunResult RunDiskScenario(bool with_bully, bool protect) {
     if (!protect) {
       // "No isolation": the bully competes at the same band with a huge
       // weight, swamping DWRR like an unmanaged OS queue would.
-      rig.hdd_scheduler().RegisterOwner(kIoOwnerDiskBully, "bully", /*priority=*/0,
-                                        /*weight=*/100);
+      rig.hdd_scheduler().RegisterOwner(kIoOwnerDiskBully, /*priority=*/0, /*weight=*/100);
     } else {
       PerfIsoConfig config;
       config.cpu_mode = CpuIsolationMode::kNone;  // isolate the disk effect

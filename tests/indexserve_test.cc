@@ -162,7 +162,7 @@ TEST(IndexServerTest, LogBackpressureStallsCompletions) {
   options.indexserve.log_buffer_cap_bytes = 128 * 1024;
   IndexNodeRig rig(&sim, options, "m0");
   // Saturate the lone HDD with bully traffic at equal priority.
-  rig.hdd_scheduler().RegisterOwner(kIoOwnerDiskBully, "bully", /*priority=*/0, /*weight=*/50);
+  rig.hdd_scheduler().RegisterOwner(kIoOwnerDiskBully, /*priority=*/0, /*weight=*/50);
   DiskBully::Options bully_options;
   bully_options.queue_depth = 16;
   bully_options.block_bytes = 1024 * 1024;

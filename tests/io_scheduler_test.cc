@@ -37,8 +37,8 @@ struct Rig {
 
 TEST(IoSchedulerTest, HigherPriorityDispatchesFirst) {
   Rig rig;
-  rig.scheduler->RegisterOwner(1, "high", /*priority=*/0, /*weight=*/1);
-  rig.scheduler->RegisterOwner(2, "low", /*priority=*/2, /*weight=*/1);
+  rig.scheduler->RegisterOwner(1, /*priority=*/0, /*weight=*/1);
+  rig.scheduler->RegisterOwner(2, /*priority=*/2, /*weight=*/1);
   std::vector<int> completion_order;
   // Fill the device with one request so the next two queue in the scheduler.
   rig.Submit(2, 512, [&](SimTime) { completion_order.push_back(2); });
@@ -52,8 +52,8 @@ TEST(IoSchedulerTest, HigherPriorityDispatchesFirst) {
 
 TEST(IoSchedulerTest, DwrrSharesByWeightWithinBand) {
   Rig rig;
-  rig.scheduler->RegisterOwner(1, "heavy", 1, /*weight=*/3);
-  rig.scheduler->RegisterOwner(2, "light", 1, /*weight=*/1);
+  rig.scheduler->RegisterOwner(1, 1, /*weight=*/3);
+  rig.scheduler->RegisterOwner(2, 1, /*weight=*/1);
   int done1 = 0;
   int done2 = 0;
   for (int i = 0; i < 200; ++i) {
@@ -69,7 +69,7 @@ TEST(IoSchedulerTest, DwrrSharesByWeightWithinBand) {
 
 TEST(IoSchedulerTest, BandwidthCapLimitsThroughput) {
   Rig rig(/*max_outstanding=*/4);
-  rig.scheduler->RegisterOwner(1, "capped", 1, 1);
+  rig.scheduler->RegisterOwner(1, 1, 1);
   ASSERT_TRUE(rig.scheduler->SetBandwidthCap(1, 1e6).ok());  // 1 MB/s
   int64_t bytes_done = 0;
   for (int i = 0; i < 1000; ++i) {
@@ -83,7 +83,7 @@ TEST(IoSchedulerTest, BandwidthCapLimitsThroughput) {
 
 TEST(IoSchedulerTest, IopsCapLimitsRate) {
   Rig rig(4);
-  rig.scheduler->RegisterOwner(1, "capped", 1, 1);
+  rig.scheduler->RegisterOwner(1, 1, 1);
   ASSERT_TRUE(rig.scheduler->SetIopsCap(1, 20).ok());
   int ops = 0;
   for (int i = 0; i < 500; ++i) {
@@ -96,7 +96,7 @@ TEST(IoSchedulerTest, IopsCapLimitsRate) {
 
 TEST(IoSchedulerTest, ClearingCapRestoresThroughput) {
   Rig rig(4);
-  rig.scheduler->RegisterOwner(1, "capped", 1, 1);
+  rig.scheduler->RegisterOwner(1, 1, 1);
   ASSERT_TRUE(rig.scheduler->SetIopsCap(1, 10).ok());
   int ops = 0;
   for (int i = 0; i < 500; ++i) {
@@ -112,7 +112,7 @@ TEST(IoSchedulerTest, ClearingCapRestoresThroughput) {
 
 TEST(IoSchedulerTest, UnregisteredOwnerGetsDefaults) {
   Rig rig;
-  rig.scheduler->RegisterOwner(1, "middle", /*priority=*/1, /*weight=*/1);
+  rig.scheduler->RegisterOwner(1, /*priority=*/1, /*weight=*/1);
   std::vector<int> completion_order;
   // Occupy the device so the next two queue in the scheduler; the
   // unregistered owner submits first but sits in the lowest band.
@@ -132,8 +132,8 @@ TEST(IoSchedulerTest, SettingKnobsOnUnknownOwnerFails) {
 
 TEST(IoSchedulerTest, PriorityChangeAppliesToQueuedWork) {
   Rig rig;
-  rig.scheduler->RegisterOwner(1, "a", 2, 1);
-  rig.scheduler->RegisterOwner(2, "b", 2, 1);
+  rig.scheduler->RegisterOwner(1, 2, 1);
+  rig.scheduler->RegisterOwner(2, 2, 1);
   std::vector<int> order;
   rig.Submit(1, 512, [&](SimTime) { order.push_back(1); });  // occupies device
   for (int i = 0; i < 3; ++i) {
@@ -150,7 +150,7 @@ TEST(IoSchedulerTest, PriorityChangeAppliesToQueuedWork) {
 
 TEST(IoSchedulerTest, StatsTrackLifecycle) {
   Rig rig;
-  rig.scheduler->RegisterOwner(1, "a", 0, 1);
+  rig.scheduler->RegisterOwner(1, 0, 1);
   for (int i = 0; i < 5; ++i) {
     rig.Submit(1, 1024);
   }
