@@ -34,9 +34,7 @@ Cluster::Cluster(Simulator* sim, const ClusterOptions& options)
       assert(endpoint == static_cast<int>(index_nodes_.size()));
       (void)endpoint;
       // Secondary flows leaving this machine drain its PerfIso egress bucket.
-      SimPlatform* platform = &rig->platform();
-      fabric_->SetEgressBucketProvider(endpoint,
-                                       [platform] { return platform->egress_bucket(); });
+      fabric_->netdev(endpoint).tx().SetEgressBucket(&rig->platform().egress_bucket());
       index_nodes_.push_back(std::move(rig));
     }
   }

@@ -62,11 +62,6 @@ void Fabric::EnsureRack(int rack) {
   }
 }
 
-void Fabric::SetEgressBucketProvider(int endpoint, Link::EgressBucketFn provider) {
-  endpoints_[static_cast<size_t>(endpoint)]->dev->tx().SetEgressBucketProvider(
-      std::move(provider));
-}
-
 void Fabric::Send(int src, int dst, int64_t bytes, NetClass net_class,
                   Flow::DeliveredFn done, uint64_t trace_ctx) {
   assert(src >= 0 && src < num_endpoints());

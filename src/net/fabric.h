@@ -8,8 +8,7 @@
 // queues + egress shaping), crosses the rack uplinks when A and B sit in
 // different racks, pays the propagation delay, serializes again at B's NIC RX
 // (FIFO — this is where MLA fan-in becomes genuine incast), and then fires
-// its completion callback. Replaces the old closed-form
-// `base_latency + bytes/bandwidth` NetworkSpec term in src/cluster/.
+// its completion callback.
 #ifndef PERFISO_SRC_NET_FABRIC_H_
 #define PERFISO_SRC_NET_FABRIC_H_
 
@@ -28,8 +27,8 @@
 
 namespace perfiso {
 
-// Every tunable of the fabric (absorbs the old cluster NetworkSpec: the RPC
-// payload sizes ride along so cluster code has a single network config).
+// Every tunable of the fabric. The RPC payload sizes ride along so cluster
+// code has a single network config.
 struct FabricConfig {
   double link_rate_bps = 10e9 / 8;       // 10 GbE per machine NIC, in bytes/s
   double uplink_oversubscription = 4.0;  // rack NIC capacity / ToR uplink capacity
@@ -38,7 +37,7 @@ struct FabricConfig {
   int64_t chunk_bytes = 64 * 1024;             // serialization/preemption granularity
   bool tx_priority = true;  // false: NIC TX degrades to FIFO (no priority classes)
 
-  // RPC payload sizes used by the cluster layers (formerly NetworkSpec).
+  // RPC payload sizes used by the cluster layers.
   int64_t request_bytes = 2 * 1024;
   int64_t leaf_response_bytes = 16 * 1024;
   int64_t final_response_bytes = 32 * 1024;
@@ -58,11 +57,6 @@ class Fabric {
   // Attaches one machine; returns its endpoint id (dense, starting at 0).
   // Rack membership is by attach order: ids [k*R, (k+1)*R) share rack k.
   int AttachMachine(const std::string& name);
-
-  // Installs the secondary egress shaper for an endpoint's NIC TX. The
-  // provider is consulted per chunk, so PerfIso can install/clear the cap at
-  // runtime through the platform's token bucket.
-  void SetEgressBucketProvider(int endpoint, Link::EgressBucketFn provider);
 
   // Sends `bytes` from `src` to `dst` and fires `done` when the last byte
   // arrives. src == dst delivers immediately (loopback skips the NIC).

@@ -76,8 +76,8 @@ void Link::Pump() {
   // TX links shape secondary chunks through the machine's egress bucket.
   // Tokens may become available before the wake fires (PerfIso can raise the
   // cap), so re-pump on every enqueue as well.
-  if (queue == 1 && egress_bucket_) {
-    if (TokenBucket* bucket = egress_bucket_()) {
+  if (queue == 1 && egress_bucket_ != nullptr) {
+    if (std::optional<TokenBucket>& bucket = *egress_bucket_) {
       // A bucket whose burst is below the chunk size could never satisfy
       // NextAvailable — serve smaller chunks rather than livelock.
       chunk = std::max<int64_t>(1, std::min(chunk, static_cast<int64_t>(bucket->burst())));

@@ -15,7 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <optional>
 #include <string>
 
 #include "src/net/flow.h"
@@ -43,11 +43,6 @@ class Link {
   // for its time on the link.
   enum class Role { kNicTx, kRackUp, kRackDown, kNicRx };
 
-  // Returns the current secondary egress bucket, or null when uncapped. A
-  // provider (rather than a raw pointer) lets PerfIso install/clear the cap
-  // at runtime; it is consulted before every secondary chunk.
-  using EgressBucketFn = std::function<TokenBucket*()>;
-
   Link(Simulator* sim, Fabric* fabric, Role role, double rate_bps, int64_t chunk_bytes,
        Discipline discipline, std::string name);
 
@@ -60,8 +55,10 @@ class Link {
 
   // Installs the secondary shaper (TX links; independent of the discipline —
   // on a FIFO TX link a token-starved secondary head blocks primary egress
-  // behind it, which is the point of having priority queues).
-  void SetEgressBucketProvider(EgressBucketFn provider) { egress_bucket_ = std::move(provider); }
+  // behind it, which is the point of having priority queues). `bucket` is
+  // the machine's cap, empty while uncapped; it is read before every
+  // secondary chunk, so PerfIso can install or clear the cap at runtime.
+  void SetEgressBucket(std::optional<TokenBucket>* bucket) { egress_bucket_ = bucket; }
 
   // Registers the link as a track of `process` (named after the link);
   // traced flows then report their time on it as a span there.
@@ -109,7 +106,7 @@ class Link {
   int64_t chunk_bytes_;
   Discipline discipline_;
   std::string name_;
-  EgressBucketFn egress_bucket_;
+  std::optional<TokenBucket>* egress_bucket_ = nullptr;
   std::array<std::deque<Flow*>, kNumNetClasses> queues_;
   uint64_t next_arrival_seq_ = 0;
   int64_t queued_bytes_ = 0;

@@ -21,9 +21,9 @@ class SimPlatform : public Platform {
   // operations apply to every registered job.
   void AddSecondaryJob(JobId job);
 
-  // The egress limiter cluster links consult for secondary flows; null until
+  // The egress limiter cluster links consult for secondary flows; empty until
   // SetEgressRateCap installs one.
-  TokenBucket* egress_bucket() { return egress_bucket_ ? &*egress_bucket_ : nullptr; }
+  std::optional<TokenBucket>& egress_bucket() { return egress_bucket_; }
 
   // Platform:
   int NumCores() const override { return machine_->NumCores(); }

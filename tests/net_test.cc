@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
 #include "src/net/netdev.h"
 #include "src/platform/sim_platform.h"
 #include "src/sim/machine.h"
@@ -140,8 +143,8 @@ TEST(NetTest, SecondaryChunksDrainTheEgressBucket) {
   Fabric fabric(&sim, TestConfig());
   fabric.AttachMachine("a");
   fabric.AttachMachine("b");
-  TokenBucket bucket(1e6, 0.25e6);  // 1 MB/s cap, 250 KB burst
-  fabric.SetEgressBucketProvider(0, [&bucket]() { return &bucket; });
+  std::optional<TokenBucket> bucket(std::in_place, 1e6, 0.25e6);  // 1 MB/s cap, 250 KB burst
+  fabric.netdev(0).tx().SetEgressBucket(&bucket);
   SimTime secondary_done = -1;
   SimTime primary_done = -1;
   fabric.Send(0, 1, 500 * 1024, NetClass::kSecondary,
@@ -164,8 +167,8 @@ TEST(NetTest, TinyEgressBurstStillMakesProgress) {
   Fabric fabric(&sim, TestConfig());
   fabric.AttachMachine("a");
   fabric.AttachMachine("b");
-  TokenBucket bucket(200e3, 50e3);
-  fabric.SetEgressBucketProvider(0, [&bucket]() { return &bucket; });
+  std::optional<TokenBucket> bucket(std::in_place, 200e3, 50e3);
+  fabric.netdev(0).tx().SetEgressBucket(&bucket);
   SimTime delivered = -1;
   fabric.Send(0, 1, 128 * 1024, NetClass::kSecondary, [&](SimTime now) { delivered = now; });
   sim.RunUntilEmpty();
@@ -185,7 +188,7 @@ TEST(NetTest, PlatformEgressCapShapesFabricFlows) {
   Fabric fabric(&sim, TestConfig());
   fabric.AttachMachine("m0");
   fabric.AttachMachine("peer");
-  fabric.SetEgressBucketProvider(0, [&platform]() { return platform.egress_bucket(); });
+  fabric.netdev(0).tx().SetEgressBucket(&platform.egress_bucket());
 
   ASSERT_TRUE(platform.SetEgressRateCap(1e6).ok());
   SimTime capped_done = -1;
@@ -268,7 +271,7 @@ TEST(NetTest, NetworkBullyThroughputHeldAtTheEgressCap) {
   fabric.AttachMachine("bully-host");
   fabric.AttachMachine("peer1");
   fabric.AttachMachine("peer2");
-  fabric.SetEgressBucketProvider(0, [&platform]() { return platform.egress_bucket(); });
+  fabric.netdev(0).tx().SetEgressBucket(&platform.egress_bucket());
 
   NetworkBully::Options options;
   options.block_bytes = 256 * 1024;

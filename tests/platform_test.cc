@@ -81,12 +81,12 @@ TEST(SimPlatformTest, IoKnobsUnavailableWithoutScheduler) {
 
 TEST(SimPlatformTest, EgressBucketInstalledAndCleared) {
   SimRig rig;
-  EXPECT_EQ(rig.platform->egress_bucket(), nullptr);
+  EXPECT_FALSE(rig.platform->egress_bucket().has_value());
   ASSERT_TRUE(rig.platform->SetEgressRateCap(1e6).ok());
-  ASSERT_NE(rig.platform->egress_bucket(), nullptr);
+  ASSERT_TRUE(rig.platform->egress_bucket().has_value());
   EXPECT_DOUBLE_EQ(rig.platform->egress_bucket()->rate_per_sec(), 1e6);
   ASSERT_TRUE(rig.platform->SetEgressRateCap(0).ok());
-  EXPECT_EQ(rig.platform->egress_bucket(), nullptr);
+  EXPECT_FALSE(rig.platform->egress_bucket().has_value());
 }
 
 // --- LinuxPlatform ---------------------------------------------------------------
