@@ -4,20 +4,6 @@
 
 namespace perfiso {
 
-struct Cluster::PendingQuery {
-  QueryWork work;
-  IndexServer::QueryDoneFn done;
-  SimTime tla_submit = 0;   // arrival at the TLA
-  SimTime mla_arrival = 0;  // arrival at the MLA
-  int mla_node = 0;
-  int row = 0;
-  int leaves_left = 0;
-  // Leaves that contributed no answer: crashed at fan-out time, refused the
-  // request (crash between send and delivery), or dropped it server-side.
-  int leaves_failed = 0;
-  int tla_machine = 0;
-};
-
 Cluster::Cluster(Simulator* sim, const ClusterOptions& options)
     : sim_(sim), options_(options), rng_(options.seed) {
   const ClusterTopology& topo = options_.topology;
@@ -50,188 +36,179 @@ Cluster::Cluster(Simulator* sim, const ClusterOptions& options)
 
 void Cluster::SubmitQuery(const QueryWork& work, IndexServer::QueryDoneFn done) {
   ++queries_submitted_;
-  auto pending = std::make_shared<PendingQuery>();
-  pending->work = work;
-  pending->done = std::move(done);
-  pending->tla_submit = sim_->Now();
-  pending->tla_machine = static_cast<int>(next_tla_);
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<uint32_t>(queries_.size()));
+    queries_.emplace_back();
+  }
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  PendingQuery& q = queries_[slot];
+  // TLA request processing, then forward to a row (round-robin).
+  q = PendingQuery{.live = true, .work = work, .done = std::move(done),
+                   .tla_submit = sim_->Now(), .tla_machine = static_cast<int>(next_tla_),
+                   .row = next_row_};
   next_tla_ = (next_tla_ + 1) % tla_machines_.size();
-  if (tracer_ != nullptr && pending->work.trace_ctx == 0) {
+  next_row_ = (next_row_ + 1) % options_.topology.rows;
+  if (tracer_ != nullptr && q.work.trace_ctx == 0) {
     // One context for the whole tree: TLA forward, fabric hops, every leaf's
     // stages and I/O, MLA merge, final reply. Leaves adopt it via QueryWork.
-    pending->work.trace_ctx = tracer_->BeginTrace("tla", pending->tla_submit);
+    q.work.trace_ctx = tracer_->BeginTrace("tla", q.tla_submit);
   }
-
-  // TLA request processing, then forward to a row (round-robin).
-  pending->row = next_row_;
-  next_row_ = (next_row_ + 1) % options_.topology.rows;
-  SimMachine* tla = tla_machines_[static_cast<size_t>(pending->tla_machine)].get();
-  tla->SpawnThread(
+  tla_machines_[static_cast<size_t>(q.tla_machine)]->SpawnThread(
       TenantClass::kPrimary, JobId{}, FromMicros(options_.tla_cpu_us),
-      [this, pending](SimTime now) {
-        // Pick the MLA within the row (TLA load balancing), skipping nodes
-        // the health checks know to be crashed. With nothing crashed the
-        // first probe hits the cursor, exactly the pre-fault round-robin.
-        const int cols = options_.topology.columns;
-        auto& cursor = next_mla_in_row_[static_cast<size_t>(pending->row)];
-        int chosen = -1;
-        for (int probe = 0; probe < cols; ++probe) {
-          const int candidate =
-              pending->row * cols +
-              static_cast<int>((cursor + static_cast<size_t>(probe)) % static_cast<size_t>(cols));
-          if (!crashed_[static_cast<size_t>(candidate)]) {
-            chosen = candidate;
-            cursor = (cursor + static_cast<size_t>(probe) + 1) % static_cast<size_t>(cols);
-            break;
-          }
-        }
-        if (chosen < 0) {
-          // The whole row is down: nothing can serve this query.
-          FailAtTla(pending, now);
-          return;
-        }
-        pending->mla_node = chosen;
-        fabric_->Send(tla_endpoint(pending->tla_machine),
-                      index_endpoint(pending->mla_node),
-                      options_.fabric.request_bytes, NetClass::kPrimary,
-                      [this, pending](SimTime) { RunMla(pending); },
-                      pending->work.trace_ctx);
-      },
-      pending->work.trace_ctx);
+      [this, slot](SimTime) { RouteAtTla(slot); }, q.work.trace_ctx);
 }
 
-void Cluster::RunMla(const std::shared_ptr<PendingQuery>& pending) {
-  pending->mla_arrival = sim_->Now();
+void Cluster::RouteAtTla(uint32_t slot) {
+  PendingQuery& q = Live(slot);
+  // Pick the MLA within the row (TLA load balancing), skipping nodes the
+  // health checks know to be crashed. With nothing crashed the first probe
+  // hits the cursor, exactly the pre-fault round-robin.
   const int cols = options_.topology.columns;
-  pending->leaves_left = cols;
-  IndexNodeRig& mla = *index_nodes_[static_cast<size_t>(pending->mla_node)];
+  auto& cursor = next_mla_in_row_[static_cast<size_t>(q.row)];
+  for (int probe = 0; probe < cols; ++probe) {
+    const int candidate =
+        q.row * cols +
+        static_cast<int>((cursor + static_cast<size_t>(probe)) % static_cast<size_t>(cols));
+    if (!crashed_[static_cast<size_t>(candidate)]) {
+      q.mla_node = candidate;
+      cursor = (cursor + static_cast<size_t>(probe) + 1) % static_cast<size_t>(cols);
+      break;
+    }
+  }
+  if (q.mla_node < 0) {
+    // The whole row is down: nothing can serve this query.
+    EndQuery(slot);
+    return;
+  }
+  fabric_->Send(tla_endpoint(q.tla_machine), index_endpoint(q.mla_node),
+                options_.fabric.request_bytes, NetClass::kPrimary,
+                [this, slot](SimTime) { FanOut(slot); }, q.work.trace_ctx);
+}
 
+void Cluster::FanOut(uint32_t slot) {
+  PendingQuery& q = Live(slot);
+  q.mla_arrival = sim_->Now();
+  const int cols = options_.topology.columns;
+  q.leaves_left = cols;
   for (int col = 0; col < cols; ++col) {
-    const int leaf_index = pending->row * cols + col;
-    IndexNodeRig& leaf = *index_nodes_[static_cast<size_t>(leaf_index)];
-    const bool local = leaf_index == pending->mla_node;
-
-    if (crashed_[static_cast<size_t>(leaf_index)]) {
-      // Health checks: no request is sent to a known-dead leaf — no events
-      // are delivered to crashed machines. It counts as failed coverage
-      // immediately.
-      ++pending->leaves_failed;
-      if (--pending->leaves_left == 0) {
-        FinalizeMla(pending);
-      }
-      continue;
-    }
-
-    auto run_leaf = [this, pending, &leaf, &mla, leaf_index, local] {
-      leaf.server().SubmitQuery(pending->work, [this, pending, &mla, leaf_index,
-                                                local](const QueryResult& leaf_result) {
-        // A dropped leaf (timeout, admission, or a crash that raced the
-        // request) answered nothing: failed coverage. The (error) response
-        // still travels back and merges, keeping the event sequence of
-        // no-fault runs untouched.
-        if (leaf_result.dropped) {
-          ++pending->leaves_failed;
-        }
-        auto merge = [this, pending, &mla](SimTime) {
-          // Merge work on the MLA machine for this leaf response.
-          mla.machine().SpawnThread(
-              TenantClass::kPrimary, mla.server().job(), FromMicros(options_.mla_merge_cpu_us),
-              [this, pending](SimTime) {
-                if (--pending->leaves_left == 0) {
-                  FinalizeMla(pending);
-                }
-              },
-              pending->work.trace_ctx);
-        };
-        if (local) {
-          merge(sim_->Now());
-        } else {
-          // Leaf response travels back over the fabric (MLA fan-in: all
-          // columns' responses converge on the MLA's RX link — incast).
-          fabric_->Send(index_endpoint(leaf_index), index_endpoint(pending->mla_node),
-                        options_.fabric.leaf_response_bytes, NetClass::kPrimary,
-                        std::move(merge), pending->work.trace_ctx);
-        }
-      });
-    };
-    if (local) {
-      run_leaf();
+    const int leaf = q.row * cols + col;
+    if (crashed_[static_cast<size_t>(leaf)]) {
+      // Health checks: no request goes to a known-dead leaf (crashed machines
+      // get no events). It counts as failed coverage at once.
+      ++q.leaves_failed;
+      LeafMerged(slot);
+    } else if (leaf == q.mla_node) {
+      StartLeaf(slot, col);
     } else {
-      fabric_->Send(index_endpoint(pending->mla_node), index_endpoint(leaf_index),
+      fabric_->Send(index_endpoint(q.mla_node), index_endpoint(leaf),
                     options_.fabric.request_bytes, NetClass::kPrimary,
-                    [run_leaf](SimTime) { run_leaf(); }, pending->work.trace_ctx);
+                    [this, slot, col](SimTime) { StartLeaf(slot, col); }, q.work.trace_ctx);
     }
   }
 }
 
-void Cluster::FinalizeMla(const std::shared_ptr<PendingQuery>& pending) {
-  // All leaf slots accounted for: finalize on the MLA, reply to the TLA.
-  IndexNodeRig& mla = *index_nodes_[static_cast<size_t>(pending->mla_node)];
-  mla.machine().SpawnThread(
-      TenantClass::kPrimary, mla.server().job(), FromMicros(options_.mla_finalize_cpu_us),
-      [this, pending](SimTime now) {
-        mla_latency_ms_.Add(ToMillis(now - pending->mla_arrival));
-        fabric_->Send(
-            index_endpoint(pending->mla_node), tla_endpoint(pending->tla_machine),
-            options_.fabric.final_response_bytes, NetClass::kPrimary,
-            [this, pending](SimTime) {
-              SimMachine* tla = tla_machines_[static_cast<size_t>(pending->tla_machine)].get();
-              tla->SpawnThread(
-                  TenantClass::kPrimary, JobId{}, FromMicros(options_.tla_cpu_us),
-                  [this, pending](SimTime end) {
-                    const int cols = options_.topology.columns;
-                    const double coverage =
-                        cols == 0 ? 1.0
-                                  : static_cast<double>(cols - pending->leaves_failed) /
-                                        static_cast<double>(cols);
-                    const bool failed = coverage < options_.min_leaf_coverage;
-                    QueryResult result;
-                    result.id = pending->work.id;
-                    result.submit_time = pending->tla_submit;
-                    result.finish_time = end;
-                    result.latency_ms = ToMillis(end - pending->tla_submit);
-                    result.chunks_total = cols;
-                    result.chunks_served = cols - pending->leaves_failed;
-                    result.degraded = pending->leaves_failed > 0;
-                    result.dropped = failed;
-                    if (failed) {
-                      ++queries_failed_;
-                    } else {
-                      ++queries_completed_;
-                      if (pending->leaves_failed > 0) {
-                        ++queries_degraded_;
-                      }
-                      coverage_fraction_.Add(coverage);
-                      tla_latency_ms_.Add(result.latency_ms);
-                    }
-                    if (tracer_ != nullptr && pending->work.trace_ctx != 0) {
-                      tracer_->EndTrace(pending->work.trace_ctx, end, failed);
-                    }
-                    if (pending->done) {
-                      pending->done(result);
-                    }
-                  },
-                  pending->work.trace_ctx);
-            },
-            pending->work.trace_ctx);
-      },
-      pending->work.trace_ctx);
+void Cluster::StartLeaf(uint32_t slot, int col) {
+  PendingQuery& q = Live(slot);
+  index_nodes_[static_cast<size_t>(q.row * options_.topology.columns + col)]
+      ->server()
+      .SubmitQuery(q.work, [this, slot, col](const QueryResult& leaf_result) {
+        LeafAnswered(slot, col, leaf_result.dropped);
+      });
 }
 
-void Cluster::FailAtTla(const std::shared_ptr<PendingQuery>& pending, SimTime now) {
-  ++queries_failed_;
-  if (tracer_ != nullptr && pending->work.trace_ctx != 0) {
-    tracer_->EndTrace(pending->work.trace_ctx, now, /*dropped=*/true);
+void Cluster::LeafAnswered(uint32_t slot, int col, bool dropped) {
+  PendingQuery& q = Live(slot);
+  // A dropped leaf (timeout, admission, or a crash that raced the request)
+  // answered nothing: failed coverage. The (error) response still travels
+  // back and merges, keeping the event sequence of no-fault runs untouched.
+  if (dropped) {
+    ++q.leaves_failed;
   }
-  if (pending->done) {
-    QueryResult result;
-    result.id = pending->work.id;
-    result.submit_time = pending->tla_submit;
-    result.finish_time = now;
-    result.latency_ms = ToMillis(now - pending->tla_submit);
-    result.dropped = true;
-    result.chunks_total = options_.topology.columns;
-    pending->done(result);
+  const int leaf = q.row * options_.topology.columns + col;
+  if (leaf == q.mla_node) {
+    Merge(slot);
+  } else {
+    // Leaf response travels back over the fabric (MLA fan-in: all columns'
+    // responses converge on the MLA's RX link — incast).
+    fabric_->Send(index_endpoint(leaf), index_endpoint(q.mla_node),
+                  options_.fabric.leaf_response_bytes, NetClass::kPrimary,
+                  [this, slot](SimTime) { Merge(slot); }, q.work.trace_ctx);
+  }
+}
+
+void Cluster::Merge(uint32_t slot) {
+  PendingQuery& q = Live(slot);
+  // Merge work on the MLA machine for this leaf response.
+  IndexNodeRig& mla = *index_nodes_[static_cast<size_t>(q.mla_node)];
+  mla.machine().SpawnThread(TenantClass::kPrimary, mla.server().job(),
+                            FromMicros(options_.mla_merge_cpu_us),
+                            [this, slot](SimTime) { LeafMerged(slot); }, q.work.trace_ctx);
+}
+
+void Cluster::LeafMerged(uint32_t slot) {
+  PendingQuery& q = Live(slot);
+  if (--q.leaves_left > 0) {
+    return;
+  }
+  // All leaf slots accounted for: finalize on the MLA, reply to the TLA.
+  IndexNodeRig& mla = *index_nodes_[static_cast<size_t>(q.mla_node)];
+  mla.machine().SpawnThread(TenantClass::kPrimary, mla.server().job(),
+                            FromMicros(options_.mla_finalize_cpu_us),
+                            [this, slot](SimTime) { Finalized(slot); }, q.work.trace_ctx);
+}
+
+void Cluster::Finalized(uint32_t slot) {
+  PendingQuery& q = Live(slot);
+  mla_latency_ms_.Add(ToMillis(sim_->Now() - q.mla_arrival));
+  fabric_->Send(index_endpoint(q.mla_node), tla_endpoint(q.tla_machine),
+                options_.fabric.final_response_bytes, NetClass::kPrimary,
+                [this, slot](SimTime) { RepliedAtTla(slot); }, q.work.trace_ctx);
+}
+
+void Cluster::RepliedAtTla(uint32_t slot) {
+  PendingQuery& q = Live(slot);
+  tla_machines_[static_cast<size_t>(q.tla_machine)]->SpawnThread(
+      TenantClass::kPrimary, JobId{}, FromMicros(options_.tla_cpu_us),
+      [this, slot](SimTime) { EndQuery(slot); }, q.work.trace_ctx);
+}
+
+void Cluster::EndQuery(uint32_t slot) {
+  PendingQuery& q = Live(slot);
+  const SimTime now = sim_->Now();
+  const int cols = options_.topology.columns;
+  // A query that never reached an MLA (its whole row was down) served
+  // nothing, and is a failure rather than a degraded answer.
+  const bool reached_mla = q.mla_node >= 0;
+  const int served = reached_mla ? cols - q.leaves_failed : 0;
+  const double coverage = static_cast<double>(served) / static_cast<double>(cols);
+  const QueryResult result{.id = q.work.id,
+                           .submit_time = q.tla_submit,
+                           .finish_time = now,
+                           .dropped = !reached_mla || coverage < options_.min_leaf_coverage,
+                           .latency_ms = ToMillis(now - q.tla_submit),
+                           .chunks_total = cols,
+                           .chunks_served = served,
+                           .degraded = reached_mla && q.leaves_failed > 0};
+  if (result.dropped) {
+    ++queries_failed_;
+  } else {
+    ++queries_completed_;
+    if (result.degraded) {
+      ++queries_degraded_;
+    }
+    coverage_fraction_.Add(coverage);
+    tla_latency_ms_.Add(result.latency_ms);
+  }
+  if (tracer_ != nullptr && q.work.trace_ctx != 0) {
+    tracer_->EndTrace(q.work.trace_ctx, now, result.dropped);
+  }
+  IndexServer::QueryDoneFn done = std::move(q.done);
+  q.done = nullptr;
+  q.live = false;
+  free_slots_.push_back(slot);
+  if (done) {
+    done(result);
   }
 }
 

@@ -19,6 +19,8 @@
 #ifndef PERFISO_SRC_CLUSTER_CLUSTER_H_
 #define PERFISO_SRC_CLUSTER_CLUSTER_H_
 
+#include <cassert>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -38,7 +40,7 @@ struct ClusterTopology {
 
 struct ClusterOptions {
   ClusterTopology topology;
-  FabricConfig fabric;  // absorbs the old NetworkSpec (rates + RPC sizes)
+  FabricConfig fabric;  // rates and RPC payload sizes
   IndexNodeOptions node;
   // Aggregation CPU costs on MLA/TLA machines.
   double mla_merge_cpu_us = 40;    // per leaf response
@@ -110,6 +112,11 @@ class Cluster {
   int64_t queries_inflight() const {
     return queries_submitted_ + inflight_at_reset_ - queries_completed_ - queries_failed_;
   }
+  // Query slots holding a query: equals queries_inflight() unless a slot
+  // leaked or was freed twice (InvariantChecker asserts it).
+  int64_t occupied_query_slots() const {
+    return static_cast<int64_t>(queries_.size() - free_slots_.size());
+  }
   // Per completed query: fraction of the row's leaves that answered.
   const LatencyRecorder& LeafCoverage() const { return coverage_fraction_; }
   int64_t leaf_drops() const;
@@ -125,14 +132,41 @@ class Cluster {
       const std::vector<IndexNodeRig::UtilizationSnapshot>& snaps) const;
 
  private:
-  struct PendingQuery;
+  // One query from SubmitQuery to EndQuery, owned in the slot table. No
+  // generation guards a slot: every continuation of a query runs before it
+  // ends (DESIGN.md §9 "Cluster-owned queries"); each stage asserts it.
+  struct PendingQuery {
+    bool live = false;
+    QueryWork work;
+    IndexServer::QueryDoneFn done;
+    SimTime tla_submit = 0;   // arrival at the TLA
+    SimTime mla_arrival = 0;  // arrival at the MLA
+    int tla_machine = 0;
+    int row = 0;
+    int mla_node = -1;  // -1 until the TLA finds a live MLA in the row
+    int leaves_left = 0;
+    // Leaves that contributed no answer: crashed at fan-out time, refused the
+    // request (crash between send and delivery), or dropped it server-side.
+    int leaves_failed = 0;
+  };
 
-  void RunMla(const std::shared_ptr<PendingQuery>& pending);
-  // All leaf slots accounted for: finalize on the MLA and reply to the TLA,
-  // completing (possibly degraded) or failing on leaf coverage.
-  void FinalizeMla(const std::shared_ptr<PendingQuery>& pending);
-  // Terminal failure before any MLA was reachable (whole row crashed).
-  void FailAtTla(const std::shared_ptr<PendingQuery>& pending, SimTime now);
+  PendingQuery& Live(uint32_t slot) {
+    assert(queries_[slot].live);
+    return queries_[slot];
+  }
+  // The stages of a query, in order. Each continuation captures only
+  // [this, slot] (plus the column for per-leaf steps): no allocation.
+  void RouteAtTla(uint32_t slot);
+  void FanOut(uint32_t slot);
+  void StartLeaf(uint32_t slot, int col);
+  void LeafAnswered(uint32_t slot, int col, bool dropped);
+  void Merge(uint32_t slot);
+  void LeafMerged(uint32_t slot);
+  void Finalized(uint32_t slot);
+  void RepliedAtTla(uint32_t slot);
+  // The one way a query ends: counts it, ends its trace, frees the slot, then
+  // hands the result to done (which may re-enter SubmitQuery).
+  void EndQuery(uint32_t slot);
 
   Simulator* sim_;
   ClusterOptions options_;
@@ -153,6 +187,8 @@ class Cluster {
   int64_t queries_degraded_ = 0;
   int64_t inflight_at_reset_ = 0;
   std::vector<bool> crashed_;  // routing view, one flag per index node
+  std::deque<PendingQuery> queries_;  // the slot table; a deque keeps refs stable
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace perfiso

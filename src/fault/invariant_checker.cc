@@ -140,6 +140,11 @@ void InvariantChecker::CheckCluster(Cluster& cluster, bool expect_drained,
     report->Violation("cluster inflight negative: " +
                       std::to_string(cluster.queries_inflight()));
   }
+  if (cluster.occupied_query_slots() != cluster.queries_inflight()) {
+    report->Violation("cluster query slots: occupied=" +
+                      std::to_string(cluster.occupied_query_slots()) +
+                      " but inflight=" + std::to_string(cluster.queries_inflight()));
+  }
   if (expect_drained && cluster.queries_inflight() != 0) {
     report->Violation("drained cluster still has inflight=" +
                       std::to_string(cluster.queries_inflight()));

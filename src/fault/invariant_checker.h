@@ -22,6 +22,9 @@
 //     bookkeeping) holds on every checked machine.
 //   * Quiet polls — a quiet PerfIso controller's machine has its idle count
 //     inside the controller's quiet range.
+//   * Query slots (cluster) — the cluster's occupied query slots equal its
+//     queries in flight (a leaked or double-freed slot), and both are 0 once
+//     the simulation drains.
 //   * Routing consistency (cluster) — the cluster's health-check view of a
 //     node agrees with the node's own crashed flag.
 //   * Flow records (cluster) — the fabric's occupied flow records equal its
@@ -60,8 +63,8 @@ class InvariantChecker {
                           InvariantReport* report);
   // Server checks plus the machine's own engine invariants.
   static void CheckRig(IndexNodeRig& rig, bool expect_drained, InvariantReport* report);
-  // Every rig, cluster-level conservation, routing-view consistency, and the
-  // fabric's flow records.
+  // Every rig, cluster-level conservation and query slots, routing-view
+  // consistency, and the fabric's flow records.
   static void CheckCluster(Cluster& cluster, bool expect_drained, InvariantReport* report);
 };
 
