@@ -7,9 +7,9 @@
 #      lifetime rules, tools/lint/), plus clang-tidy when it is installed.
 #   3. Sanitizer build: the same suite under ASan + UBSan (LeakSanitizer is
 #      part of ASan on Linux), so leaks and use-after-free fail the gate
-#      instead of shipping. Leaked IndexServer query slots and Fabric flow
-#      records are caught in every build by InvariantChecker (occupied
-#      slots == inflight, occupied records == flows in flight).
+#      instead of shipping. Leaked IndexServer and Cluster query slots and
+#      Fabric flow records are caught in every build by InvariantChecker
+#      (occupied slots == inflight, occupied records == flows in flight).
 #
 # Usage: scripts/verify.sh [--skip-sanitizers]
 set -euo pipefail
