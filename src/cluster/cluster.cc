@@ -31,7 +31,6 @@ Cluster::Cluster(Simulator* sim, const ClusterOptions& options)
     fabric_->AttachMachine(tla_machines_.back()->name());
   }
   next_mla_in_row_.assign(static_cast<size_t>(topo.rows), 0);
-  crashed_.assign(index_nodes_.size(), false);
 }
 
 void Cluster::SubmitQuery(const QueryWork& work, IndexServer::QueryDoneFn done) {
@@ -70,7 +69,7 @@ void Cluster::RouteAtTla(uint32_t slot) {
     const int candidate =
         q.row * cols +
         static_cast<int>((cursor + static_cast<size_t>(probe)) % static_cast<size_t>(cols));
-    if (!crashed_[static_cast<size_t>(candidate)]) {
+    if (!NodeCrashed(candidate)) {
       q.mla_node = candidate;
       cursor = (cursor + static_cast<size_t>(probe) + 1) % static_cast<size_t>(cols);
       break;
@@ -93,7 +92,7 @@ void Cluster::FanOut(uint32_t slot) {
   q.leaves_left = cols;
   for (int col = 0; col < cols; ++col) {
     const int leaf = q.row * cols + col;
-    if (crashed_[static_cast<size_t>(leaf)]) {
+    if (NodeCrashed(leaf)) {
       // Health checks: no request goes to a known-dead leaf (crashed machines
       // get no events). It counts as failed coverage at once.
       ++q.leaves_failed;

@@ -73,16 +73,10 @@ class Cluster {
   int NumIndexNodes() const { return static_cast<int>(index_nodes_.size()); }
   IndexNodeRig& index_node(int i) { return *index_nodes_[static_cast<size_t>(i)]; }
 
-  // --- Fault injection --------------------------------------------------------
-  // Marks a node dead/alive for routing (the health-check view): TLAs skip
-  // crashed MLAs, and MLAs do not fan out to crashed leaves (the leaf counts
-  // as failed coverage immediately). The FaultInjector keeps this in sync
-  // with IndexNodeRig::Crash()/Restart(); the InvariantChecker asserts the
-  // two views agree.
-  void SetNodeCrashed(int node, bool crashed) {
-    crashed_[static_cast<size_t>(node)] = crashed;
-  }
-  bool NodeCrashed(int node) const { return crashed_[static_cast<size_t>(node)]; }
+  // The routing (health-check) view of a node, read from the node itself:
+  // TLAs skip crashed MLAs, and MLAs do not fan out to crashed leaves (the
+  // leaf counts as failed coverage immediately).
+  bool NodeCrashed(int node) const { return index_nodes_[static_cast<size_t>(node)]->crashed(); }
 
   // The network: index nodes attach first (endpoint i == index node i), TLA
   // machines after.
@@ -186,7 +180,6 @@ class Cluster {
   int64_t queries_failed_ = 0;
   int64_t queries_degraded_ = 0;
   int64_t inflight_at_reset_ = 0;
-  std::vector<bool> crashed_;  // routing view, one flag per index node
   std::deque<PendingQuery> queries_;  // the slot table; a deque keeps refs stable
   std::vector<uint32_t> free_slots_;
 };

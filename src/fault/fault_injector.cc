@@ -29,8 +29,6 @@ IndexNodeRig& FaultInjector::Node(int index) const {
   return cluster_ != nullptr ? cluster_->index_node(index) : *rig_;
 }
 
-bool FaultInjector::NodeCrashed(int node) const { return Node(node).crashed(); }
-
 void FaultInjector::EnableTracing(Tracer* tracer) {
   tracer_ = tracer;
   track_ = tracer->RegisterTrack(tracer->RegisterProcess("faults"), "events");
@@ -67,9 +65,6 @@ void FaultInjector::Inject(size_t event_index) {
   switch (event.kind) {
     case FaultKind::kNodeCrash:
       Node(event.node).Crash();
-      if (cluster_ != nullptr) {
-        cluster_->SetNodeCrashed(event.node, true);
-      }
       if (tracer_ != nullptr) {
         tracer_->Instant("fault.crash", track_, now);
       }
@@ -121,9 +116,6 @@ void FaultInjector::Recover(size_t event_index) {
   switch (event.kind) {
     case FaultKind::kNodeCrash:
       Node(event.node).Restart();
-      if (cluster_ != nullptr) {
-        cluster_->SetNodeCrashed(event.node, false);
-      }
       break;
     case FaultKind::kDiskDegrade: {
       // Overlapping windows on one node are allowed; the last recovery wins

@@ -53,11 +53,6 @@ class FaultInjector {
   };
   const Stats& stats() const { return stats_; }
 
-  // True while `node` sits inside an armed crash window (the serving process
-  // is down). Forwards to the rig's own view so the InvariantChecker can
-  // cross-check it against the cluster's routing view.
-  bool NodeCrashed(int node) const;
-
   const FaultPlan& plan() const { return plan_; }
 
  private:

@@ -25,8 +25,6 @@
 //   * Query slots (cluster) — the cluster's occupied query slots equal its
 //     queries in flight (a leaked or double-freed slot), and both are 0 once
 //     the simulation drains.
-//   * Routing consistency (cluster) — the cluster's health-check view of a
-//     node agrees with the node's own crashed flag.
 //   * Flow records (cluster) — the fabric's occupied flow records equal its
 //     flows in flight (a leaked or double-freed record), and both are 0 once
 //     the simulation drains.
@@ -63,8 +61,8 @@ class InvariantChecker {
                           InvariantReport* report);
   // Server checks plus the machine's own engine invariants.
   static void CheckRig(IndexNodeRig& rig, bool expect_drained, InvariantReport* report);
-  // Every rig, cluster-level conservation and query slots, routing-view
-  // consistency, and the fabric's flow records.
+  // Every rig, cluster-level conservation and query slots, and the fabric's
+  // flow records.
   static void CheckCluster(Cluster& cluster, bool expect_drained, InvariantReport* report);
 };
 

@@ -65,8 +65,9 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
   // Preempt running threads that are now on disallowed cores, and pull queued
   // threads off disallowed cores' queues; both get re-placed afterwards. A
   // queued thread that stays widens its core's `reach` to the new mask.
-  std::vector<int> displaced;
-  std::vector<int> freed_cores;
+  // Nothing called below re-enters this function, so the member scratch
+  // lists are free.
+  assert(displaced_.empty() && freed_cores_.empty());
   for (int tid : job.threads) {
     Thread& t = threads_[static_cast<size_t>(tid)];
     if (t.state == Thread::State::kRunning && !effective.Test(t.core)) {
@@ -75,28 +76,30 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
       ++metrics_.preemptions;
       NoteStopRunning(t);
       cores_[static_cast<size_t>(t.core)].running = -1;
-      freed_cores.push_back(t.core);
+      freed_cores_.push_back(t.core);
       t.state = Thread::State::kReady;
       t.core = -1;
-      displaced.push_back(tid);
+      displaced_.push_back(tid);
     } else if (t.queued && effective.Test(t.core)) {
       cores_[static_cast<size_t>(t.core)].reach |= effective;
     } else if (t.queued) {
       RemoveFromQueue(tid);
-      displaced.push_back(tid);
+      displaced_.push_back(tid);
     }
   }
-  for (int core : freed_cores) {
+  for (int core : freed_cores_) {
     SetCoreIdle(core, true);
   }
-  for (int tid : displaced) {
+  for (int tid : displaced_) {
     MakeReady(tid);
   }
-  for (int core : freed_cores) {
+  for (int core : freed_cores_) {
     if (cores_[static_cast<size_t>(core)].running < 0) {
       DispatchNext(core);
     }
   }
+  displaced_.clear();
+  freed_cores_.clear();
   // If the mask grew, idle cores inside it may now be able to serve queued
   // threads of this job (via stealing in DispatchNext).
   KickIdleCores(effective);
@@ -212,21 +215,31 @@ ThreadId SimMachine::SpawnThread(TenantClass tenant, JobId job, SimDuration work
                                  CompletionFn on_complete, uint64_t trace_ctx) {
   const int tid = AllocThreadSlot();
   Thread& t = threads_[static_cast<size_t>(tid)];
-  t = Thread{};
+  // Every field, reset in place: assigning a fresh Thread would build and
+  // destroy a CompletionFn per spawn.
   t.tenant = tenant;
   t.job = job.valid() ? job.value : -1;
   t.state = Thread::State::kReady;
   t.remaining = std::max<SimDuration>(1, work);
   t.loop = false;
   t.on_complete = std::move(on_complete);
+  t.slice_event = EventHandle();
   t.core = -1;
+  t.queued = false;
+  t.q_prev = -1;
+  t.q_next = -1;
+  t.ready_since = sim_->Now();
+  t.slice_start = 0;
+  t.slice_overhead = 0;
   t.trace_ctx = trace_ctx;
+  t.job_pos = -1;
   if (t.job >= 0) {
-    assert(jobs_[static_cast<size_t>(t.job)].live);
-    jobs_[static_cast<size_t>(t.job)].threads.push_back(tid);
+    Job& owner = jobs_[static_cast<size_t>(t.job)];
+    assert(owner.live);
+    t.job_pos = static_cast<int>(owner.threads.size());
+    owner.threads.push_back(tid);
   }
   ++metrics_.threads_spawned;
-  t.ready_since = sim_->Now();
   NoteReadyBurst(sim_->Now());
   MakeReady(tid);
   return ThreadId{tid};
@@ -515,7 +528,6 @@ SimDuration SimMachine::ChargeRun(Thread& t) {
   metrics_.busy_ns[static_cast<int>(TenantClass::kOs)] += overhead;
   if (work > 0) {
     metrics_.busy_ns[static_cast<int>(t.tenant)] += work;
-    t.cpu_time += work;
     if (!t.loop) {
       t.remaining -= work;
       assert(t.remaining >= 0);
@@ -606,10 +618,11 @@ void SimMachine::DispatchNext(int core) {
   if (chosen < 0) {
     // Work stealing: take the longest-waiting eligible thread from any other
     // core's queue. This keeps the machine approximately work-conserving
-    // while preserving the no-wake-preemption property. A core whose `reach`
-    // lacks this core queues no thread allowed here and is skipped.
+    // while preserving the no-wake-preemption property. Only non-empty queues
+    // are visited, in core order; one whose `reach` lacks this core queues no
+    // thread allowed here and is skipped.
     SimTime oldest = 0;
-    for (int other = 0; other < spec_.num_cores; ++other) {
+    for (int other = queued_cores_.Lowest(); other >= 0; other = queued_cores_.NextAfter(other)) {
       Core& oc = cores_[static_cast<size_t>(other)];
       if (other == core || !oc.reach.Test(core)) {
         continue;
@@ -660,7 +673,9 @@ void SimMachine::Enqueue(int core, int tid) {
     c.head = tid;
   }
   c.tail = tid;
-  ++c.len;
+  if (c.len++ == 0) {
+    queued_cores_.Set(core);
+  }
   c.reach |= Allowed(t);
 }
 
@@ -680,6 +695,7 @@ void SimMachine::RemoveFromQueue(int tid) {
   }
   if (--c.len == 0) {
     c.reach = CpuSet();
+    queued_cores_.Clear(t.core);
   }
   t.q_prev = -1;
   t.q_next = -1;
@@ -787,10 +803,12 @@ void SimMachine::FinishThread(int tid, bool run_callback) {
   Thread& t = threads_[static_cast<size_t>(tid)];
   sim_->CancelOwned(t.slice_event);  // no-op on the completion path (already fired + cleared)
   if (t.job >= 0) {
-    auto& siblings = jobs_[static_cast<size_t>(t.job)].threads;
-    auto it = std::find(siblings.begin(), siblings.end(), tid);
-    assert(it != siblings.end());
-    *it = siblings.back();
+    // O(1) swap-with-back: the job's last thread takes the freed position.
+    std::vector<int>& siblings = jobs_[static_cast<size_t>(t.job)].threads;
+    assert(siblings[static_cast<size_t>(t.job_pos)] == tid);
+    const int last = siblings.back();
+    siblings[static_cast<size_t>(t.job_pos)] = last;
+    threads_[static_cast<size_t>(last)].job_pos = t.job_pos;
     siblings.pop_back();
   }
   CompletionFn callback = std::move(t.on_complete);
@@ -813,8 +831,12 @@ Status SimMachine::CheckInvariants() const {
   }
   // Core / idle-mask agreement, and running threads point back at their core.
   std::vector<int> queue_appearances(threads_.size(), 0);
+  CpuSet queued;  // {c : cores_[c].len > 0}
   for (int core = 0; core < spec_.num_cores; ++core) {
     const Core& c = cores_[static_cast<size_t>(core)];
+    if (c.len > 0) {
+      queued.Set(core);
+    }
     if ((c.running < 0) != idle_mask_.Test(core)) {
       return InternalError("idle mask disagrees with core " + std::to_string(core));
     }
@@ -855,6 +877,10 @@ Status SimMachine::CheckInvariants() const {
       return InternalError("ready FIFO tail/len mismatch on core " + std::to_string(core));
     }
   }
+  if (queued != queued_cores_) {
+    return InternalError("non-empty-queue mask " + queued_cores_.ToString() +
+                         " != cores with queued threads " + queued.ToString());
+  }
   // Every ready+queued thread appears in exactly one queue, an unqueued one
   // has no links, and a running or queued thread's core is one it may use.
   for (size_t tid = 0; tid < threads_.size(); ++tid) {
@@ -880,10 +906,15 @@ Status SimMachine::CheckInvariants() const {
   for (size_t job_id = 0; job_id < jobs_.size(); ++job_id) {
     const Job& job = jobs_[job_id];
     int running = 0;
-    for (int tid : job.threads) {
-      const Thread& t = threads_[static_cast<size_t>(tid)];
+    for (size_t pos = 0; pos < job.threads.size(); ++pos) {
+      const Thread& t = threads_[static_cast<size_t>(job.threads[pos])];
       if (t.job != static_cast<int>(job_id)) {
         return InternalError("job thread list mismatch for job " + job.name);
+      }
+      if (t.job_pos != static_cast<int>(pos)) {
+        return InternalError("thread " + std::to_string(job.threads[pos]) + " of job " +
+                             job.name + " records position " + std::to_string(t.job_pos) +
+                             ", sits at " + std::to_string(pos));
       }
       if (t.state == Thread::State::kRunning) {
         ++running;

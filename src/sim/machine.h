@@ -32,9 +32,11 @@
 // affinity is set per job, never per thread, as with Windows Job Objects.
 // Blind isolation re-pins the secondary every poll, so the run queues are
 // built to cost what the eligible work costs (DESIGN.md §2): ready queues are
-// intrusive FIFOs linked through the threads (O(1) push and unlink), and each
-// core keeps `reach`, a superset of its queued threads' job masks, so a steal
-// scan skips every core whose queue cannot hold a candidate.
+// intrusive FIFOs linked through the threads (O(1) push and unlink), a steal
+// scan visits only the cores whose queue is non-empty, and each core keeps
+// `reach`, a superset of its queued threads' job masks, so the scan skips
+// every queue that cannot hold a candidate. A finished thread leaves its
+// job's list in O(1) through its recorded position there.
 #ifndef PERFISO_SRC_SIM_MACHINE_H_
 #define PERFISO_SRC_SIM_MACHINE_H_
 
@@ -215,8 +217,9 @@ class SimMachine {
   // Verifies internal consistency (idle mask vs. core state, queue
   // membership and FIFO links in both directions, queue lengths, every
   // running or queued thread on a core of its job mask, each core's `reach`
-  // covering its queued threads, job thread lists and running counts,
-  // accounting bounds).
+  // covering its queued threads, the non-empty-queue mask, job thread lists
+  // with each thread's position in them and running counts, accounting
+  // bounds).
   // O(threads + cores); intended for tests and debugging.
   Status CheckInvariants() const;
 
@@ -226,6 +229,8 @@ class SimMachine {
                           TenantClass tenant) const;
 
  private:
+  // SpawnThread resets a recycled slot field by field: a new field needs a
+  // line there too.
   struct Thread {
     TenantClass tenant = TenantClass::kPrimary;
     int job = -1;
@@ -244,8 +249,8 @@ class SimMachine {
     SimTime ready_since = 0;
     SimTime slice_start = 0;
     SimDuration slice_overhead = 0;  // context-switch ns at the head of the slice
-    SimDuration cpu_time = 0;
     uint64_t trace_ctx = 0;  // query trace this thread's scheduling reports to
+    int job_pos = -1;        // index in its job's `threads`
   };
 
   struct Job {
@@ -266,7 +271,7 @@ class SimMachine {
     EventHandle unthrottle_event;  // NOLINT(perfiso-LIFE-001)
     SimDuration cpu_time = 0;
     int64_t memory_bytes = 0;
-    std::vector<int> threads;  // live thread ids (unsorted)
+    std::vector<int> threads;  // live thread ids (unsorted; see Thread::job_pos)
   };
 
   struct Core {
@@ -347,9 +352,13 @@ class SimMachine {
   int32_t first_core_track_ = 0;  // core c's track is first_core_track_ + c
   CpuSet all_cores_;
   std::vector<Core> cores_;
+  CpuSet queued_cores_;  // cores whose ready queue is non-empty
   std::vector<Thread> threads_;
   std::vector<int> free_threads_;
   std::vector<Job> jobs_;
+  // SetJobAffinity's scratch lists; empty between calls.
+  std::vector<int> displaced_;
+  std::vector<int> freed_cores_;
   CpuSet idle_mask_;
   int idle_count_ = 0;
   // The idle watch: [watch_lo_, watch_lo_ + watch_span_] and the flag it

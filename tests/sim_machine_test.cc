@@ -235,6 +235,85 @@ TEST(SimMachineTest, WorkStealingWhenCoreIdles) {
   EXPECT_EQ(machine.metrics().steals, 1);
 }
 
+TEST(SimMachineTest, StealReachesQueuesPastTheFirstMaskWord) {
+  // 130 cores: the queue masks span three 64-bit words. Every core runs a
+  // hog, and the only queued threads sit on cores 64, 128 and 129.
+  Simulator sim;
+  SimMachine machine(&sim, TinySpec(130, kSecond), "m0");
+  std::vector<ThreadId> hogs;
+  for (int i = 0; i < 130; ++i) {
+    hogs.push_back(machine.SpawnLoopThread(TenantClass::kSecondary, JobId{}));
+  }
+  const JobId pinned = machine.CreateJob("pinned");  // never allowed on core 2
+  const JobId a = machine.CreateJob("a");
+  const JobId b = machine.CreateJob("b");
+  ASSERT_TRUE(machine.SetJobAffinity(pinned, CpuSet::Single(129)).ok());
+  ASSERT_TRUE(machine.SetJobAffinity(a, CpuSet::Single(128)).ok());
+  ASSERT_TRUE(machine.SetJobAffinity(b, CpuSet::Single(64)).ok());
+  SimTime a_done = -1;
+  SimTime b_done = -1;
+  machine.SpawnThread(TenantClass::kPrimary, pinned, FromMillis(1), nullptr);  // oldest
+  sim.Schedule(FromMillis(1), [&] {
+    machine.SpawnThread(TenantClass::kPrimary, a, FromMillis(1),
+                        [&](SimTime now) { a_done = now; });
+  });
+  sim.Schedule(FromMillis(2), [&] {
+    machine.SpawnThread(TenantClass::kPrimary, b, FromMillis(1),
+                        [&](SimTime now) { b_done = now; });
+    // Core 2 is busy, so widening the masks steals nothing yet.
+    ASSERT_TRUE(machine.SetJobAffinity(a, CpuSet::Single(2) | CpuSet::Single(128)).ok());
+    ASSERT_TRUE(machine.SetJobAffinity(b, CpuSet::Single(2) | CpuSet::Single(64)).ok());
+    EXPECT_EQ(machine.metrics().steals, 0);
+    EXPECT_TRUE(machine.CheckInvariants().ok()) << machine.CheckInvariants().message();
+  });
+  // Core 2 goes idle at t=3: it steals a's thread from core 128 (older than
+  // b's on core 64), then b's when that finishes; the pinned one stays.
+  sim.Schedule(FromMillis(3), [&] { ASSERT_TRUE(machine.KillThread(hogs[2]).ok()); });
+  sim.RunUntil(FromMillis(10));
+  EXPECT_EQ(a_done, FromMillis(4));
+  EXPECT_EQ(b_done, FromMillis(5));
+  EXPECT_EQ(machine.metrics().steals, 2);
+  EXPECT_EQ(*machine.JobLiveThreads(pinned), 1);
+  EXPECT_TRUE(machine.IdleMask().Test(2));
+  EXPECT_TRUE(machine.CheckInvariants().ok()) << machine.CheckInvariants().message();
+}
+
+TEST(SimMachineTest, ThreadsRetireInAnyOrder) {
+  // One job's ten threads each run on their own core and retire in an order
+  // unrelated to their spawn order, by completion or by kill.
+  Simulator sim;
+  SimMachine machine(&sim, TinySpec(10, kSecond), "m0");
+  const JobId job = machine.CreateJob("job");
+  int live = 10;
+  auto retired = [&] {
+    --live;
+    EXPECT_EQ(*machine.JobLiveThreads(job), live);
+    EXPECT_TRUE(machine.CheckInvariants().ok()) << machine.CheckInvariants().message();
+  };
+  // Work in ms; the threads at 2, 7 and 9 are killed before they finish.
+  const std::vector<int> work_ms = {7, 3, 100, 1, 6, 4, 9, 100, 2, 100};
+  std::vector<ThreadId> tids;
+  for (int ms : work_ms) {
+    tids.push_back(machine.SpawnThread(TenantClass::kPrimary, job, FromMillis(ms),
+                                       [&](SimTime) { retired(); }));
+  }
+  auto kill_at = [&](size_t index, SimTime at) {
+    sim.Schedule(at, [&, index] {
+      ASSERT_TRUE(machine.KillThread(tids[index]).ok());
+      retired();
+    });
+  };
+  kill_at(7, FromMicros(500));
+  kill_at(2, FromMicros(2500));
+  kill_at(9, FromMicros(4500));
+  sim.RunUntilEmpty();
+  EXPECT_EQ(live, 0);
+  // A recycled slot joins the job at the end of its list.
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);
+  EXPECT_EQ(*machine.JobLiveThreads(job), 1);
+  EXPECT_TRUE(machine.CheckInvariants().ok()) << machine.CheckInvariants().message();
+}
+
 TEST(SimMachineTest, KillJobTerminatesAllThreads) {
   Simulator sim;
   SimMachine machine(&sim, TinySpec(4), "m0");
