@@ -622,10 +622,10 @@ void SimMachine::DispatchNext(int core) {
     // are visited, in core order; one whose `reach` lacks this core queues no
     // thread allowed here and is skipped.
     SimTime oldest = 0;
-    for (int other = queued_cores_.Lowest(); other >= 0; other = queued_cores_.NextAfter(other)) {
+    queued_cores_.ForEach([&](int other) {
       Core& oc = cores_[static_cast<size_t>(other)];
       if (other == core || !oc.reach.Test(core)) {
-        continue;
+        return;
       }
       CpuSet walked;  // exact union of the masks passed over
       int found = -1;
@@ -639,14 +639,14 @@ void SimMachine::DispatchNext(int core) {
       }
       if (found < 0) {
         oc.reach = walked;  // the whole queue was walked: tighten to the exact union
-        continue;
+        return;
       }
       const SimTime since = threads_[static_cast<size_t>(found)].ready_since;
       if (chosen < 0 || since < oldest) {
         chosen = found;
         oldest = since;
       }
-    }
+    });
     if (chosen >= 0) {
       RemoveFromQueue(chosen);
       ++metrics_.steals;

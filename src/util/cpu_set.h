@@ -126,6 +126,17 @@ class CpuSet {
     return w * 64 + std::countr_zero(word);
   }
 
+  // Calls fn(cpu) for each CPU in the set, in ascending order, popping the
+  // set bits word by word.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (int w = 0; w < kWords; ++w) {
+      for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        fn(w * 64 + std::countr_zero(bits));
+      }
+    }
+  }
+
   CpuSet operator|(const CpuSet& other) const {
     CpuSet out = *this;
     out |= other;

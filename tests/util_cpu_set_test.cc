@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace perfiso {
 namespace {
 
@@ -71,6 +73,19 @@ TEST(CpuSetTest, NextAfterAtWordBoundaries) {
   EXPECT_EQ(CpuSet().NextAfter(-1), -1);
   EXPECT_EQ(CpuSet::Single(63).NextAfter(63), -1);
   EXPECT_EQ(CpuSet::Single(127).NextAfter(126), 127);
+}
+
+TEST(CpuSetTest, ForEachVisitsEveryWordInAscendingOrder) {
+  CpuSet s;
+  for (int cpu : {0, 63, 64, 128, 200, 255}) {
+    s.Set(cpu);
+  }
+  std::vector<int> seen;
+  s.ForEach([&](int cpu) { seen.push_back(cpu); });
+  EXPECT_EQ(seen, (std::vector<int>{0, 63, 64, 128, 200, 255}));
+  seen.clear();
+  CpuSet().ForEach([&](int cpu) { seen.push_back(cpu); });
+  EXPECT_TRUE(seen.empty());
 }
 
 TEST(CpuSetTest, NextAfterVisitsExactlyTheSetBits) {
