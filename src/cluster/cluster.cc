@@ -202,8 +202,7 @@ void Cluster::EndQuery(uint32_t slot) {
   if (tracer_ != nullptr && q.work.trace_ctx != 0) {
     tracer_->EndTrace(q.work.trace_ctx, now, result.dropped);
   }
-  IndexServer::QueryDoneFn done = std::move(q.done);
-  q.done = nullptr;
+  IndexServer::QueryDoneFn done = std::move(q.done);  // leaves q.done empty
   q.live = false;
   free_slots_.push_back(slot);
   if (done) {

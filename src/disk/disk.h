@@ -16,11 +16,11 @@
 #define PERFISO_SRC_DISK_DISK_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/obs/trace.h"
+#include "src/util/inline_fn.h"
 #include "src/util/sim_time.h"
 #include "src/util/stats.h"
 
@@ -48,11 +48,13 @@ struct DiskSpec {
 // One I/O request. `owner` tags the submitting process for per-tenant
 // accounting and throttling. The completion callback runs in simulation time.
 struct IoRequest {
+  using DoneFn = InlineFn<void(SimTime)>;
+
   int owner = 0;
   IoOp op = IoOp::kRead;
   int64_t bytes = 4096;
   bool sequential = false;
-  std::function<void(SimTime)> on_complete;
+  DoneFn on_complete;
   // Query trace this request belongs to (0 = untraced): its queueing and
   // service become disk-queue/service spans on the scheduler's and the
   // serving drive's tracks.

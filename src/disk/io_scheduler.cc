@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <utility>
@@ -147,7 +146,7 @@ void IoScheduler::Complete(size_t slot) {
   stats.total_latency_us.Add(ToMicros(now - s.queued));
   --outstanding_;
   // Free the slot before the callback runs: it may Submit again.
-  std::function<void(SimTime)> done = std::move(s.request.on_complete);
+  IoRequest::DoneFn done = std::move(s.request.on_complete);
   s = Slot{};
   s.next = free_slot_;
   free_slot_ = slot;

@@ -18,7 +18,14 @@ SimDuration ScaledUs(double us, double size_factor) {
 
 IndexServer::IndexServer(SimMachine* machine, IoScheduler* ssd, IoScheduler* hdd,
                          const IndexServeConfig& config, uint64_t seed)
-    : machine_(machine), ssd_(ssd), hdd_(hdd), config_(config), rng_(seed), seed_(seed) {
+    : machine_(machine),
+      ssd_(ssd),
+      hdd_(hdd),
+      config_(config),
+      log_chunk_cpu_median_(std::log(config.chunk_cpu_median_us)),
+      log_rank_cpu_median_(std::log(config.rank_cpu_median_us)),
+      rng_(seed),
+      seed_(seed) {
   assert(machine_ != nullptr && ssd_ != nullptr);
   job_ = machine_->CreateJob("indexserve");
   (void)machine_->AddJobMemory(job_, config_.working_set_bytes);
@@ -127,8 +134,7 @@ void IndexServer::EndQuery(QueryState& q, const QueryResult& result) {
   if (q.owns_trace) {
     tracer_->EndTrace(q.trace_ctx, result.finish_time, result.dropped);
   }
-  QueryDoneFn done = std::move(q.done);
-  q.done = nullptr;
+  QueryDoneFn done = std::move(q.done);  // leaves q.done empty
   q.chunks.clear();
   q.live = false;
   ++q.gen;
@@ -213,47 +219,12 @@ void IndexServer::MaybeDegrade(QueryState& q) {
 
 void IndexServer::StartChunk(QueryState& q, int chunk, bool is_hedge) {
   const SimDuration cpu = FromMicros(std::max(
-      1.0, q.rng.LogNormal(std::log(config_.chunk_cpu_median_us), config_.chunk_cpu_sigma) *
-               q.work.size_factor));
+      1.0, q.rng.LogNormal(log_chunk_cpu_median_, config_.chunk_cpu_sigma) * q.work.size_factor));
   const bool miss = q.rng.Bernoulli(config_.chunk_miss_rate);
-
   machine_->SpawnThread(
       TenantClass::kPrimary, job_, cpu,
-      [this, ref = q.ref(), chunk, miss](SimTime) {
-        QueryState* live = Find(ref);
-        if (live == nullptr) {
-          return;
-        }
-        if (!miss) {
-          ChunkDone(*live, chunk);
-          return;
-        }
-        IoRequest read;
-        read.owner = kIoOwnerIndexData;
-        read.op = IoOp::kRead;
-        read.bytes = config_.chunk_read_bytes;
-        read.sequential = false;
-        read.trace_ctx = live->trace_ctx;
-        // The post-read burst runs even if the query has ended meanwhile (the
-        // read's CPU work is not abandoned), so its cost and trace context
-        // are captured by value rather than read from the slot.
-        read.on_complete = [this, ref, chunk,
-                            cost = ScaledUs(config_.chunk_post_read_cpu_us,
-                                            live->work.size_factor),
-                            trace_ctx = live->trace_ctx](SimTime) {
-          machine_->SpawnThread(
-              TenantClass::kPrimary, job_, cost,
-              [this, ref, chunk](SimTime) {
-                if (QueryState* still_live = Find(ref)) {
-                  ChunkDone(*still_live, chunk);
-                }
-              },
-              trace_ctx);
-        };
-        ssd_->Submit(std::move(read));
-      },
+      [this, ref = q.ref(), chunk, miss](SimTime) { ChunkCpuDone(ref, chunk, miss); },
       q.trace_ctx);
-
   if (!is_hedge) {
     ++chunks_started_;
     if (config_.chunk_retry.enabled) {
@@ -286,6 +257,44 @@ void IndexServer::StartChunk(QueryState& q, int chunk, bool is_hedge) {
             StartChunk(*live, chunk, /*is_hedge=*/true);
           }
         });
+  }
+}
+
+void IndexServer::ChunkCpuDone(QueryRef ref, int chunk, bool miss) {
+  QueryState* q = Find(ref);
+  if (q == nullptr) {
+    return;
+  }
+  if (!miss) {
+    ChunkDone(*q, chunk);
+    return;
+  }
+  IoRequest read;
+  read.owner = kIoOwnerIndexData;
+  read.op = IoOp::kRead;
+  read.bytes = config_.chunk_read_bytes;
+  read.sequential = false;
+  read.trace_ctx = q->trace_ctx;
+  read.on_complete = [this, ref, chunk,
+                      cost = ScaledUs(config_.chunk_post_read_cpu_us, q->work.size_factor),
+                      trace_ctx = q->trace_ctx](SimTime) {
+    ChunkReadDone(ref, chunk, cost, trace_ctx);
+  };
+  ssd_->Submit(std::move(read));
+}
+
+void IndexServer::ChunkReadDone(QueryRef ref, int chunk, SimDuration cost, uint64_t trace_ctx) {
+  // The post-read burst runs even if the query has ended meanwhile (the
+  // read's CPU work is not abandoned), so its cost and trace context come
+  // from the read rather than from the slot.
+  machine_->SpawnThread(
+      TenantClass::kPrimary, job_, cost,
+      [this, ref, chunk](SimTime) { ChunkPostReadDone(ref, chunk); }, trace_ctx);
+}
+
+void IndexServer::ChunkPostReadDone(QueryRef ref, int chunk) {
+  if (QueryState* q = Find(ref)) {
+    ChunkDone(*q, chunk);
   }
 }
 
@@ -359,8 +368,7 @@ void IndexServer::StartRank(QueryState& q) {
     return;
   }
   const SimDuration cpu = FromMicros(std::max(
-      1.0, q.rng.LogNormal(std::log(config_.rank_cpu_median_us), config_.rank_cpu_sigma) *
-               q.work.size_factor));
+      1.0, q.rng.LogNormal(log_rank_cpu_median_, config_.rank_cpu_sigma) * q.work.size_factor));
   machine_->SpawnThread(
       TenantClass::kPrimary, job_, cpu,
       [this, ref = q.ref()](SimTime) {

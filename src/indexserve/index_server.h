@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,6 +33,7 @@
 #include "src/fault/retry.h"
 #include "src/sim/machine.h"
 #include "src/sim/simulator.h"
+#include "src/util/inline_fn.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/workload/query_trace.h"
@@ -129,7 +129,7 @@ struct QueryResult {
 
 class IndexServer {
  public:
-  using QueryDoneFn = std::function<void(const QueryResult&)>;
+  using QueryDoneFn = InlineFn<void(const QueryResult&)>;
 
   // `ssd` may not be null (index reads). `hdd` may be null, disabling the
   // logging path (useful for CPU-only experiments and unit tests).
@@ -292,7 +292,15 @@ class IndexServer {
   void MaybeDegrade(QueryState& q);
   void StartParse(QueryState& q);
   void StartFanout(QueryState& q);
+  // A chunk lookup runs in named stages, each reached from a callback that
+  // names the query by ref: StartChunk spawns the lookup's CPU burst;
+  // ChunkCpuDone answers a cache hit or submits the index read on a miss;
+  // ChunkReadDone spawns the post-read burst; ChunkPostReadDone answers.
   void StartChunk(QueryState& q, int chunk, bool is_hedge);
+  void ChunkCpuDone(QueryRef ref, int chunk, bool miss);
+  void ChunkReadDone(QueryRef ref, int chunk, SimDuration cost, uint64_t trace_ctx);
+  void ChunkPostReadDone(QueryRef ref, int chunk);
+  // The chunk answered: the first answer counts, and the last one starts rank.
   void ChunkDone(QueryState& q, int chunk);
   void StartRank(QueryState& q);
   void StartSnippets(QueryState& q);
@@ -309,6 +317,10 @@ class IndexServer {
   Tracer* tracer_ = nullptr;
   int32_t track_ = Tracer::kNoTrack;
   IndexServeConfig config_;
+  // std::log of the lognormal medians, taken once: config_ is fixed at
+  // construction.
+  const double log_chunk_cpu_median_;
+  const double log_rank_cpu_median_;
   Rng rng_;
   uint64_t seed_;
   JobId job_;

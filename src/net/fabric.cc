@@ -143,8 +143,7 @@ void Fabric::Deliver(Flow* flow) {
   dst_stats.bytes_received[cls] += flow->bytes;
   flow_latency_ms_[cls].Add(ToMillis(now - flow->submit_time));
   --flows_in_flight_;
-  Flow::DeliveredFn done = std::move(flow->on_delivered);
-  flow->on_delivered = nullptr;
+  Flow::DeliveredFn done = std::move(flow->on_delivered);  // leaves on_delivered empty
   free_flows_.push_back(flow);
   if (done) {
     done(now);

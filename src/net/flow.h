@@ -12,8 +12,8 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 
+#include "src/util/inline_fn.h"
 #include "src/util/sim_time.h"
 
 namespace perfiso {
@@ -30,7 +30,7 @@ class Link;
 // One message in flight. The Fabric owns the record from Send to delivery;
 // links see it by pointer while it sits in their queues.
 struct Flow {
-  using DeliveredFn = std::function<void(SimTime)>;
+  using DeliveredFn = InlineFn<void(SimTime)>;
 
   int dst = -1;  // fabric endpoint id
   int64_t bytes = 0;

@@ -429,11 +429,16 @@ int SimMachine::PickQueueCore(const CpuSet& allowed) const {
 
 void SimMachine::NoteReadyBurst(SimTime now) {
   recent_ready_times_.push_back(now);
-  while (!recent_ready_times_.empty() && recent_ready_times_.front() < now - kBurstWindow) {
-    recent_ready_times_.pop_front();
+  while (recent_ready_times_[ready_head_] < now - kBurstWindow) {
+    ++ready_head_;  // stops at `now` at the latest
   }
-  metrics_.max_ready_burst_5us =
-      std::max(metrics_.max_ready_burst_5us, static_cast<int>(recent_ready_times_.size()));
+  const size_t live = recent_ready_times_.size() - ready_head_;
+  metrics_.max_ready_burst_5us = std::max(metrics_.max_ready_burst_5us, static_cast<int>(live));
+  if (ready_head_ >= live) {
+    recent_ready_times_.erase(recent_ready_times_.begin(),
+                              recent_ready_times_.begin() + static_cast<std::ptrdiff_t>(ready_head_));
+    ready_head_ = 0;
+  }
 }
 
 void SimMachine::MakeReady(int tid) {
@@ -811,8 +816,7 @@ void SimMachine::FinishThread(int tid, bool run_callback) {
     threads_[static_cast<size_t>(last)].job_pos = t.job_pos;
     siblings.pop_back();
   }
-  CompletionFn callback = std::move(t.on_complete);
-  t.on_complete = nullptr;
+  CompletionFn callback = std::move(t.on_complete);  // leaves on_complete empty
   t.state = Thread::State::kFree;
   free_threads_.push_back(tid);
   if (run_callback && callback) {

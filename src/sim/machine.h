@@ -41,14 +41,13 @@
 #define PERFISO_SRC_SIM_MACHINE_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 #include "src/util/cpu_set.h"
+#include "src/util/inline_fn.h"
 #include "src/util/sim_time.h"
 #include "src/util/stats.h"
 #include "src/util/status.h"
@@ -97,7 +96,7 @@ struct ThreadId {
 
 class SimMachine {
  public:
-  using CompletionFn = std::function<void(SimTime)>;
+  using CompletionFn = InlineFn<void(SimTime)>;
 
   SimMachine(Simulator* sim, const MachineSpec& spec, std::string name);
 
@@ -192,8 +191,10 @@ class SimMachine {
     // Largest number of threads that became ready within any 5 us window —
     // the paper's burstiness measurement (§1: "up to 15 threads in 5 us").
     int max_ready_burst_5us = 0;
-    // Wake-to-dispatch delay of primary threads, in microseconds.
-    LatencyRecorder primary_sched_delay_us;
+    // Wake-to-dispatch delay of primary threads, in microseconds. Most waits
+    // are exactly 0 (an idle core took the thread), so only the nonzero ones
+    // are stored.
+    ZeroRunRecorder primary_sched_delay_us;
 
     SimDuration TotalBusy() const { return busy_ns[0] + busy_ns[1] + busy_ns[2]; }
   };
@@ -367,7 +368,11 @@ class SimMachine {
   uint32_t watch_span_ = UINT32_MAX;
   bool* watch_flag_ = nullptr;
   Metrics metrics_;
-  std::deque<SimTime> recent_ready_times_;  // for the 5 us burst metric
+  // Ready times of the last 5 us for the burst metric: the live window is
+  // recent_ready_times_[ready_head_..]; the vector is compacted once the dead
+  // prefix reaches half of it, so it never outgrows twice the largest burst.
+  std::vector<SimTime> recent_ready_times_;
+  size_t ready_head_ = 0;
   int64_t used_memory_bytes_ = 0;
 };
 

@@ -53,13 +53,13 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "src/util/inline_fn.h"
 #include "src/util/sim_time.h"
 
 namespace perfiso {
@@ -539,7 +539,7 @@ class Simulator {
 // on its own task but must not destroy the task object from inside the tick.
 class PeriodicTask {
  public:
-  using TickFn = std::function<void(SimTime)>;
+  using TickFn = InlineFn<void(SimTime)>;
 
   // Starts firing at `start` and then every `period`.
   PeriodicTask(Simulator* sim, SimTime start, SimDuration period, TickFn on_tick);

@@ -7,6 +7,31 @@
 
 namespace perfiso {
 
+namespace {
+
+constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+// One FNV-1a step over the eight bytes of `word`, low byte first.
+uint64_t FnvMix(uint64_t hash, uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xff;
+    hash *= 0x100000001b3ULL;  // FNV prime
+  }
+  return hash;
+}
+
+// Nearest-rank: the 1-based rank of the smallest value with at least
+// ceil(p/100 * n) of n samples <= it. n > 0.
+size_t NearestRank(double p, size_t n) {
+  if (p <= 0) {
+    return 1;
+  }
+  const auto rank = static_cast<size_t>(std::ceil(p / 100.0 * static_cast<double>(n)));
+  return std::clamp<size_t>(rank, 1, n);
+}
+
+}  // namespace
+
 void LatencyRecorder::Add(double sample) {
   samples_.push_back(sample);
   sum_ += sample;
@@ -14,18 +39,11 @@ void LatencyRecorder::Add(double sample) {
 }
 
 uint64_t LatencyRecorder::Digest() const {
-  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV offset basis
-  const auto mix = [&hash](uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xff;
-      hash *= 0x100000001b3ULL;  // FNV prime
-    }
-  };
-  mix(samples_.size());
+  uint64_t hash = FnvMix(kFnvOffsetBasis, samples_.size());
   for (double sample : samples_) {
     uint64_t bits;
     std::memcpy(&bits, &sample, sizeof(bits));
-    mix(bits);
+    hash = FnvMix(hash, bits);
   }
   return hash;
 }
@@ -71,19 +89,12 @@ double LatencyRecorder::Percentile(double p) const {
     return 0;
   }
   assert(p >= 0 && p <= 100);
+  return OrderStatistic(NearestRank(p, samples_.size()));
+}
+
+double LatencyRecorder::OrderStatistic(size_t rank) const {
+  assert(rank >= 1 && rank <= samples_.size());
   EnsureSorted();
-  if (p <= 0) {
-    return sorted_.front();
-  }
-  // Nearest-rank: smallest value with at least ceil(p/100 * N) samples <= it.
-  const size_t n = sorted_.size();
-  size_t rank = static_cast<size_t>(std::ceil(p / 100.0 * static_cast<double>(n)));
-  if (rank == 0) {
-    rank = 1;
-  }
-  if (rank > n) {
-    rank = n;
-  }
   return sorted_[rank - 1];
 }
 
@@ -94,6 +105,25 @@ void LatencyRecorder::EnsureSorted() const {
     sorted_valid_ = true;
   }
 }
+
+double ZeroRunRecorder::Min() const { return zeros_ > 0 ? 0 : nonzero_.Min(); }
+
+double ZeroRunRecorder::Max() const { return nonzero_.Max(); }
+
+double ZeroRunRecorder::Mean() const {
+  return Count() == 0 ? 0 : nonzero_.Sum() / static_cast<double>(Count());
+}
+
+double ZeroRunRecorder::Percentile(double p) const {
+  if (Count() == 0) {
+    return 0;
+  }
+  assert(p >= 0 && p <= 100);
+  const size_t rank = NearestRank(p, Count());
+  return rank <= zeros_ ? 0 : nonzero_.OrderStatistic(rank - zeros_);
+}
+
+uint64_t ZeroRunRecorder::Digest() const { return FnvMix(nonzero_.Digest(), zeros_); }
 
 MovingAverage::MovingAverage(size_t window) : window_(window) { assert(window > 0); }
 

@@ -1,11 +1,14 @@
 // Online statistics used to measure latency distributions and utilization.
 //
 // LatencyRecorder keeps exact samples (simulation runs are bounded) so
-// percentile queries match the paper's reporting exactly. MovingAverage and
-// MeanVar provide the smoothing the PerfIso I/O throttler needs.
+// percentile queries match the paper's reporting exactly. ZeroRunRecorder
+// answers the same queries for a non-negative stream that is mostly zeros
+// while storing only the nonzero samples. MovingAverage and MeanVar provide
+// the smoothing the PerfIso I/O throttler needs.
 #ifndef PERFISO_SRC_UTIL_STATS_H_
 #define PERFISO_SRC_UTIL_STATS_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -32,9 +35,13 @@ class LatencyRecorder {
   double Min() const;
   double Max() const;
   double Mean() const;
+  // Sum of the samples in recorded order (the numerator of Mean()).
+  double Sum() const { return sum_; }
 
   // p in [0, 100]. Uses the nearest-rank method. Returns 0 when empty.
   double Percentile(double p) const;
+  // The rank-th smallest sample, rank in [1, Count()].
+  double OrderStatistic(size_t rank) const;
 
   // Convenience accessors matching the paper's reported metrics.
   double P50() const { return Percentile(50); }
@@ -56,6 +63,44 @@ class LatencyRecorder {
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = true;
   double sum_ = 0;
+};
+
+// Records a stream of non-negative samples as a count of zeros plus a
+// LatencyRecorder of the nonzero samples, so a stream that is mostly zeros
+// (wake-to-dispatch delays on a machine with idle cores) holds memory only for
+// its nonzero part. Count, Min, Max, Mean and Percentile return exactly what a
+// LatencyRecorder fed the same stream returns: the zeros sort first, and
+// adding a zero leaves a sum's bits unchanged.
+class ZeroRunRecorder {
+ public:
+  void Add(double sample) {
+    assert(sample >= 0);
+    if (sample == 0) {
+      ++zeros_;
+    } else {
+      nonzero_.Add(sample);
+    }
+  }
+
+  size_t Count() const { return zeros_ + nonzero_.Count(); }
+  size_t zeros() const { return zeros_; }
+  const LatencyRecorder& nonzero() const { return nonzero_; }
+  double Min() const;
+  double Max() const;
+  double Mean() const;
+
+  // Nearest-rank, as LatencyRecorder::Percentile. Returns 0 when empty.
+  double Percentile(double p) const;
+  double P50() const { return Percentile(50); }
+  double P99() const { return Percentile(99); }
+
+  // Digest of (zero count, nonzero samples in order). Where the zeros fell
+  // between the nonzero samples is not recorded.
+  uint64_t Digest() const;
+
+ private:
+  size_t zeros_ = 0;
+  LatencyRecorder nonzero_;
 };
 
 // Fixed-size sliding-window average (the paper's I/O throttler uses a moving

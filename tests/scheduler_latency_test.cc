@@ -57,7 +57,7 @@ struct DelayRig {
     controller->AttachToSimulator(&sim);
   }
 
-  const LatencyRecorder& Delays() { return machine->metrics().primary_sched_delay_us; }
+  const auto& Delays() { return machine->metrics().primary_sched_delay_us; }
 };
 
 TEST(SchedulerLatencyTest, AloneAllWakesDispatchInstantly) {

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <initializer_list>
+#include <vector>
+
+#include "src/util/rng.h"
+
 namespace perfiso {
 namespace {
 
@@ -162,6 +170,78 @@ TEST(HistogramTest, ApproxPercentileWithinBucketWidth) {
   }
   EXPECT_NEAR(h.ApproxPercentile(50), 50, 2);
   EXPECT_NEAR(h.ApproxPercentile(99), 99, 2);
+}
+
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Feeds a ZeroRunRecorder and a LatencyRecorder the same seeded stream, in
+// which each sample is 0 with probability `zero_fraction` and otherwise a
+// positive delay: half whole microseconds (many ties), half fractional.
+void ExpectSameAnswers(double zero_fraction, int samples, uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "zero fraction " << zero_fraction << ", " << samples
+                                    << " samples");
+  Rng rng(seed);
+  ZeroRunRecorder zero_run;
+  LatencyRecorder plain;
+  for (int i = 0; i < samples; ++i) {
+    double sample = 0;
+    if (!rng.Bernoulli(zero_fraction)) {
+      sample = rng.Exponential(300);
+      if (i % 2 == 0) {
+        sample = std::ceil(sample);
+      }
+    }
+    zero_run.Add(sample);
+    plain.Add(sample);
+  }
+  EXPECT_EQ(zero_run.Count(), plain.Count());
+  EXPECT_EQ(Bits(zero_run.Min()), Bits(plain.Min()));
+  EXPECT_EQ(Bits(zero_run.Max()), Bits(plain.Max()));
+  EXPECT_EQ(Bits(zero_run.Mean()), Bits(plain.Mean()));
+  for (double p : {0.0, 0.1, 50.0, 81.0, 99.0, 100.0}) {
+    EXPECT_EQ(Bits(zero_run.Percentile(p)), Bits(plain.Percentile(p))) << "p" << p;
+  }
+  EXPECT_EQ(Bits(zero_run.P50()), Bits(plain.P50()));
+  EXPECT_EQ(Bits(zero_run.P99()), Bits(plain.P99()));
+}
+
+TEST(ZeroRunRecorderTest, AnswersExactlyAsALatencyRecorderOfTheSameStream) {
+  ExpectSameAnswers(0.0, 0, 1);
+  ExpectSameAnswers(0.0, 5000, 2);
+  ExpectSameAnswers(0.5, 5000, 3);
+  ExpectSameAnswers(0.81, 5000, 4);
+  ExpectSameAnswers(1.0, 5000, 5);
+  ExpectSameAnswers(0.81, 7, 6);
+  ExpectSameAnswers(0.5, 1, 7);
+}
+
+TEST(ZeroRunRecorderTest, StoresOnlyTheNonzeroSamples) {
+  ZeroRunRecorder rec;
+  for (double sample : {0.0, 3.0, 0.0, 0.0, 1.5}) {
+    rec.Add(sample);
+  }
+  EXPECT_EQ(rec.Count(), 5u);
+  EXPECT_EQ(rec.zeros(), 3u);
+  EXPECT_EQ(rec.nonzero().samples(), (std::vector<double>{3.0, 1.5}));
+}
+
+TEST(ZeroRunRecorderTest, DigestCoversZeroCountAndNonzeroOrder) {
+  const auto digest = [](std::initializer_list<double> stream) {
+    ZeroRunRecorder rec;
+    for (double sample : stream) {
+      rec.Add(sample);
+    }
+    return rec.Digest();
+  };
+  EXPECT_EQ(digest({0, 1, 2}), digest({0, 1, 2}));
+  EXPECT_NE(digest({0, 1, 2}), digest({0, 0, 1, 2}));  // zero count
+  EXPECT_NE(digest({0, 1, 2}), digest({0, 2, 1}));     // nonzero order
+  EXPECT_NE(digest({}), digest({0}));
 }
 
 }  // namespace

@@ -469,6 +469,8 @@ std::vector<Finding> LintSource(const std::string& path, const std::string& cont
   const FileCategory category = CategorizeByPath(path);
   const bool det001_allowed = MatchesAny(path, options.det001_allowlist);
   const bool det002_allowed = MatchesAny(path, options.det002_allowlist);
+  const bool perf002_applies =
+      category == FileCategory::kSrc && !MatchesAny(path, options.perf002_allowlist);
   const bool sim_visible = category == FileCategory::kSrc || category == FileCategory::kBench;
 
   std::vector<Finding> findings;
@@ -523,6 +525,14 @@ std::vector<Finding> LintSource(const std::string& path, const std::string& cont
           "'std::" + t.text +
               "' in simulation-visible code — hash-seed iteration order varies "
               "across runs; use std::map/std::set or an index-keyed vector");
+    }
+    // PERF-002: std::function outside the built-once allowlist.
+    if (perf002_applies && t.text == "function" && PrecededByStd(toks, i)) {
+      add(t.line, "perfiso-PERF-002",
+          "'std::function' in src/ — a capture over 16 bytes allocates per "
+          "construction and copy; per-request callbacks use InlineFn "
+          "(src/util/inline_fn.h), and std::function is kept to the built-once "
+          "allowlist");
     }
     // DET-004: ordered containers keyed by raw pointer value.
     if (kOrderedByKey.count(t.text) != 0 && PrecededByStd(toks, i) && i + 1 < toks.size() &&

@@ -37,6 +37,13 @@
 //            stale). Indexed / member targets (one event per distinct owner),
 //            declarations, and lambda bodies merely defined inside a loop
 //            are exempt.
+//   PERF-002 no std::function in src/ outside the built-once allowlist: a
+//            capture wider than libstdc++'s 16-byte buffer costs a heap
+//            allocation per construction and per copy, so per-request
+//            callbacks are InlineFn (src/util/inline_fn.h), which holds its
+//            target in place and never allocates. std::function stays only
+//            where a callable is built once per run: LogSink, AddProbe,
+//            ForEachIndexNode and the load clients' SubmitFn.
 //   LIFE-001 EventHandle members in a class with no destructor and no
 //            Cancel* member: armed events can outlive their owner (heuristic,
 //            suppress when another object owns the lifecycle).
@@ -84,6 +91,14 @@ struct LintOptions {
   std::vector<std::string> det002_allowlist = {
       "src/util/rng.h",  // the one sanctioned randomness implementation
       "src/util/rng.cc",
+  };
+  std::vector<std::string> perf002_allowlist = {
+      "src/util/logging.h",         // LogSink: installed once per process
+      "src/obs/metrics.h",          // AddProbe: registered once per run
+      "src/obs/metrics.cc",
+      "src/cluster/cluster.h",      // ForEachIndexNode: a setup-time visitor
+      "src/cluster/cluster.cc",
+      "src/workload/query_trace.h",  // SubmitFn: one per load client
   };
 };
 

@@ -152,6 +152,29 @@ TEST(LintFixtures, Perf001FlagsLoopReArmsAndHonorsSuppression) {
   EXPECT_EQ(got, want);
 }
 
+TEST(LintFixtures, Perf002FlagsStdFunctionInSrcAndHonorsSuppression) {
+  const RL got = RuleLines(LintFixture("src/bad_std_function.cc"));
+  const RL want = {
+      {"perfiso-PERF-002", 11},  // alias
+      {"perfiso-PERF-002", 15},  // member
+      {"perfiso-PERF-002", 19},  // parameter
+  };
+  // Quiet by design: InlineFn, the string and comment mentions, the #include
+  // and the NOLINT line.
+  EXPECT_EQ(got, want);
+}
+
+TEST(LintSource, Perf002IsScopedToSrcOutsideTheAllowlist) {
+  const std::string code = "using Fn = std::function<void()>;\n";
+  EXPECT_EQ(LintSource("src/sim/machine.h", code).size(), 1u);
+  EXPECT_TRUE(LintSource("tests/machine_test.cc", code).empty());
+  EXPECT_TRUE(LintSource("bench/harness.h", code).empty());
+  EXPECT_TRUE(LintSource("examples/quickstart.cc", code).empty());
+  EXPECT_TRUE(LintSource("src/cluster/cluster.cc", code).empty());
+  // Only std::function: a member or free function named `function` is not it.
+  EXPECT_TRUE(LintSource("src/x.cc", "int function(); int y = obj.function();\n").empty());
+}
+
 TEST(LintSource, Perf001BracelessAndDoWhileBodies) {
   const auto braceless = LintSource(
       "src/x.cc", "void F(S* s, H h) { while (s->Busy()) h = s->sim->Schedule(5, cb); }\n");
@@ -248,6 +271,7 @@ TEST(LintFixtures, DecoyCorpusIsEntirelyClean) {
 TEST(LintFixtures, AllowlistsExemptTheSanctionedFiles) {
   EXPECT_TRUE(LintFixture("bench/micro_overheads.cc").empty());
   EXPECT_TRUE(LintFixture("src/util/rng.h").empty());
+  EXPECT_TRUE(LintFixture("src/workload/query_trace.h").empty());
 }
 
 // --- Direct LintSource coverage of tokenizer / suppression corners --------
