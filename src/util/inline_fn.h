@@ -26,9 +26,9 @@
 
 namespace perfiso {
 
-// The default budget: [this] plus four words, which holds the widest
-// simulation callback (IndexServer's read-done stage: this, query ref, chunk,
-// cost and trace context, 40 bytes).
+// The default budget, [this] plus five words. The widest simulation callback,
+// IndexServer's read-done stage (this, query ref, chunk, cost and trace
+// context), takes 40 bytes.
 inline constexpr size_t kInlineFnBytes = 48;
 
 template <typename Sig, size_t N = kInlineFnBytes>
@@ -38,7 +38,7 @@ namespace inline_fn_internal {
 
 // Callables that can be null: they build an empty InlineFn when they are.
 template <typename F>
-struct Nullable : std::bool_constant<std::is_pointer_v<F> || std::is_member_pointer_v<F>> {};
+struct Nullable : std::is_pointer<F> {};
 // Recognizes an empty std::function argument; no std::function is stored.
 template <typename Sig>
 struct Nullable<std::function<Sig>> : std::true_type {};  // NOLINT(perfiso-PERF-002)

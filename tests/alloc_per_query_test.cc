@@ -1,12 +1,13 @@
 // End-to-end allocation gate: the registry's "diurnal-blind" day (one
 // IndexServe box beside a 48-thread CPU bully under blind isolation, 1 s
 // warmup then the full 24 s diurnal window) run under a counting global
-// operator new. Once the warmup has grown every pool, a query's whole path —
+// operator new. Once the warmup has grown the pools, a query's whole path —
 // client arrival, the receive/parse/fan-out/rank/snippet bursts, index and
 // snippet reads, log appends, hedge timers, the controller's polls — must not
-// touch the allocator. What remains is amortized growth of run-long sample
-// vectors (query latencies, per-owner IO latencies), a few hundred
-// allocations over about 50,000 queries.
+// touch the allocator. What remains is a few hundred allocations over about
+// 50,000 queries, none of them per query: new query slots as the day's peak
+// raises the in-flight high-water mark, the growth of run-long sample
+// vectors, and the controller suspending and resuming the secondary.
 //
 // This file replaces the global allocation functions, so it is its own test
 // binary; micro_overheads_smoke is the per-event and per-IO twin.
