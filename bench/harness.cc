@@ -312,7 +312,7 @@ SingleBoxResult RunSingleBox(const ScenarioSpec& input, const IndexNodeOptions& 
     rig.EnableTracing(&obs_ctx->tracer);
     const int client_pid = obs_ctx->tracer.RegisterProcess("client");
     client_track = obs_ctx->tracer.RegisterTrack(client_pid, "arrivals");
-    latency_hist = obs_ctx->registry.AddHistogram("indexserve.latency_ms", 0, 200, 40);
+    latency_hist = obs_ctx->registry.AddHistogram("indexserve.latency_ms");
     obs_ctx->registry.AddProbe("indexserve.inflight", [&rig] {
       return static_cast<double>(rig.server().inflight());
     });

@@ -45,8 +45,7 @@ Gauge* MetricsRegistry::AddGauge(const std::string& name) {
   return out;
 }
 
-HistogramMetric* MetricsRegistry::AddHistogram(const std::string& name, double lo,
-                                               double hi, size_t buckets) {
+HistogramMetric* MetricsRegistry::AddHistogram(const std::string& name) {
   if (Entry* existing = Find(name)) {
     assert(existing->kind == Kind::kHistogram);
     return existing->histogram.get();
@@ -54,7 +53,7 @@ HistogramMetric* MetricsRegistry::AddHistogram(const std::string& name, double l
   auto entry = std::make_unique<Entry>();
   entry->name = name;
   entry->kind = Kind::kHistogram;
-  entry->histogram = std::make_unique<HistogramMetric>(lo, hi, buckets);
+  entry->histogram = std::make_unique<HistogramMetric>();
   HistogramMetric* out = entry->histogram.get();
   entries_.push_back(std::move(entry));
   return out;

@@ -47,23 +47,14 @@ class Gauge {
   double value_ = 0;
 };
 
-// Fixed-bucket distribution; the sampler snapshots summary stats per tick.
+// A sample distribution; the sampler exports its summary stats per tick.
 class HistogramMetric {
  public:
-  HistogramMetric(double lo, double hi, size_t buckets)
-      : lo_(lo), hi_(hi), buckets_(buckets) {}
-
   void Observe(double sample) { recorder_.Add(sample); }
   const LatencyRecorder& recorder() const { return recorder_; }
-  HistogramSnapshot Snapshot() const {
-    return SnapshotHistogram(recorder_, lo_, hi_, buckets_);
-  }
 
  private:
   LatencyRecorder recorder_;
-  double lo_;
-  double hi_;
-  size_t buckets_;
 };
 
 // Owns all metrics of one simulation run. Registration returns stable
@@ -79,8 +70,7 @@ class MetricsRegistry {
 
   Counter* AddCounter(const std::string& name);
   Gauge* AddGauge(const std::string& name);
-  HistogramMetric* AddHistogram(const std::string& name, double lo, double hi,
-                                size_t buckets);
+  HistogramMetric* AddHistogram(const std::string& name);
   // A probe is evaluated once per sampler tick; use it to expose state the
   // owner already tracks (queue depths, inflight counts) without mirroring
   // writes into a gauge.

@@ -156,66 +156,4 @@ double MeanVar::Variance() const {
 
 double MeanVar::StdDev() const { return std::sqrt(Variance()); }
 
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::Add(double sample) {
-  size_t index;
-  if (sample < lo_) {
-    index = 0;
-  } else if (sample >= hi_) {
-    index = counts_.size() - 1;
-  } else {
-    index = static_cast<size_t>((sample - lo_) / width_);
-    if (index >= counts_.size()) {
-      index = counts_.size() - 1;
-    }
-  }
-  ++counts_[index];
-  ++total_;
-}
-
-double Histogram::BucketLow(size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-double Histogram::ApproxPercentile(double p) const {
-  if (total_ == 0) {
-    return 0;
-  }
-  const auto target = static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(total_)));
-  uint64_t seen = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen >= target) {
-      return BucketLow(i) + width_;  // upper edge of the bucket
-    }
-  }
-  return hi_;
-}
-
-HistogramSnapshot SnapshotHistogram(const LatencyRecorder& recorder, double lo,
-                                    double hi, size_t buckets) {
-  assert(hi > lo && buckets > 0);
-  HistogramSnapshot snap;
-  snap.lo = lo;
-  snap.hi = hi;
-  snap.count = recorder.Count();
-  snap.min = recorder.Min();
-  snap.max = recorder.Max();
-  snap.mean = recorder.Mean();
-  snap.p50 = recorder.P50();
-  snap.p95 = recorder.P95();
-  snap.p99 = recorder.P99();
-  Histogram hist(lo, hi, buckets);
-  for (double sample : recorder.samples()) {
-    hist.Add(sample);
-  }
-  snap.bucket_counts.reserve(buckets);
-  for (size_t i = 0; i < buckets; ++i) {
-    snap.bucket_counts.push_back(hist.BucketCount(i));
-  }
-  return snap;
-}
-
 }  // namespace perfiso

@@ -135,51 +135,6 @@ class MeanVar {
   double m2_ = 0;
 };
 
-// Fixed-bucket histogram for coarse distribution summaries (used by benches
-// to print latency CDFs without shipping full sample vectors).
-class Histogram {
- public:
-  // Buckets span [lo, hi) uniformly; samples outside clamp to the end buckets.
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double sample);
-  size_t Count() const { return total_; }
-  uint64_t BucketCount(size_t i) const { return counts_.at(i); }
-  size_t NumBuckets() const { return counts_.size(); }
-  double BucketLow(size_t i) const;
-
-  // Approximate percentile from bucket boundaries (nearest-rank on buckets).
-  double ApproxPercentile(double p) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<uint64_t> counts_;
-  size_t total_ = 0;
-};
-
-// Point-in-time copy of a recorder's distribution, cheap to store in a
-// metrics timeseries: bucket counts plus the exact summary stats at snapshot
-// time (the recorder itself keeps the raw samples).
-struct HistogramSnapshot {
-  size_t count = 0;
-  double min = 0;
-  double max = 0;
-  double mean = 0;
-  double p50 = 0;
-  double p95 = 0;
-  double p99 = 0;
-  std::vector<uint64_t> bucket_counts;  // uniform over [lo, hi)
-  double lo = 0;
-  double hi = 0;
-};
-
-// Builds a fixed-bucket snapshot of `recorder` over [lo, hi) with `buckets`
-// uniform buckets (out-of-range samples clamp to the end buckets).
-HistogramSnapshot SnapshotHistogram(const LatencyRecorder& recorder, double lo,
-                                    double hi, size_t buckets);
-
 }  // namespace perfiso
 
 #endif  // PERFISO_SRC_UTIL_STATS_H_

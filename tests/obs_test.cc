@@ -25,7 +25,7 @@ TEST(MetricsRegistry, ColumnsFollowRegistrationOrder) {
   Counter* submits = registry.AddCounter("client.submitted");
   Gauge* depth = registry.AddGauge("disk.queue_depth");
   registry.AddProbe("indexserve.inflight", [] { return 7.0; });
-  HistogramMetric* lat = registry.AddHistogram("indexserve.latency_ms", 0, 100, 10);
+  HistogramMetric* lat = registry.AddHistogram("indexserve.latency_ms");
 
   submits->Increment();
   submits->Increment(2);

@@ -98,39 +98,6 @@ TEST(LatencyRecorderTest, MergeInvalidatesPercentileCache) {
   EXPECT_EQ(a.P99(), 20);
 }
 
-TEST(SnapshotHistogramTest, CountsAndSummaryMatchRecorder) {
-  LatencyRecorder rec;
-  for (int i = 1; i <= 100; ++i) {
-    rec.Add(i);
-  }
-  const HistogramSnapshot snap = SnapshotHistogram(rec, 0, 100, 10);
-  EXPECT_EQ(snap.count, 100u);
-  EXPECT_EQ(snap.min, 1);
-  EXPECT_EQ(snap.max, 100);
-  EXPECT_NEAR(snap.mean, 50.5, 1e-9);
-  EXPECT_EQ(snap.p50, rec.P50());
-  EXPECT_EQ(snap.p99, rec.P99());
-  ASSERT_EQ(snap.bucket_counts.size(), 10u);
-  uint64_t total = 0;
-  for (uint64_t c : snap.bucket_counts) {
-    total += c;
-  }
-  EXPECT_EQ(total, 100u);
-  // Samples 1..9 land in [0,10); sample 100 clamps into the last bucket.
-  EXPECT_EQ(snap.bucket_counts[0], 9u);
-  EXPECT_EQ(snap.bucket_counts[9], 11u);
-}
-
-TEST(SnapshotHistogramTest, EmptyRecorder) {
-  LatencyRecorder rec;
-  const HistogramSnapshot snap = SnapshotHistogram(rec, 0, 10, 4);
-  EXPECT_EQ(snap.count, 0u);
-  ASSERT_EQ(snap.bucket_counts.size(), 4u);
-  for (uint64_t c : snap.bucket_counts) {
-    EXPECT_EQ(c, 0u);
-  }
-}
-
 TEST(MovingAverageTest, WindowEviction) {
   MovingAverage ma(3);
   ma.Add(3);
@@ -150,26 +117,6 @@ TEST(MeanVarTest, KnownValues) {
   }
   EXPECT_NEAR(mv.Mean(), 5.0, 1e-9);
   EXPECT_NEAR(mv.Variance(), 32.0 / 7.0, 1e-9);  // sample variance
-}
-
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0, 10, 10);
-  h.Add(-5);   // clamps to first bucket
-  h.Add(0.5);
-  h.Add(9.5);
-  h.Add(100);  // clamps to last bucket
-  EXPECT_EQ(h.Count(), 4u);
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(9), 2u);
-}
-
-TEST(HistogramTest, ApproxPercentileWithinBucketWidth) {
-  Histogram h(0, 100, 100);
-  for (int i = 0; i < 1000; ++i) {
-    h.Add(i % 100);
-  }
-  EXPECT_NEAR(h.ApproxPercentile(50), 50, 2);
-  EXPECT_NEAR(h.ApproxPercentile(99), 99, 2);
 }
 
 
