@@ -35,15 +35,10 @@ Cluster::Cluster(Simulator* sim, const ClusterOptions& options)
 
 void Cluster::SubmitQuery(const QueryWork& work, IndexServer::QueryDoneFn done) {
   ++queries_submitted_;
-  if (free_slots_.empty()) {
-    free_slots_.push_back(static_cast<uint32_t>(queries_.size()));
-    queries_.emplace_back();
-  }
-  const uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
+  const uint32_t slot = queries_.Acquire();
   PendingQuery& q = queries_[slot];
   // TLA request processing, then forward to a row (round-robin).
-  q = PendingQuery{.live = true, .work = work, .done = std::move(done),
+  q = PendingQuery{.work = work, .done = std::move(done),
                    .tla_submit = sim_->Now(), .tla_machine = static_cast<int>(next_tla_),
                    .row = next_row_};
   next_tla_ = (next_tla_ + 1) % tla_machines_.size();
@@ -59,7 +54,7 @@ void Cluster::SubmitQuery(const QueryWork& work, IndexServer::QueryDoneFn done) 
 }
 
 void Cluster::RouteAtTla(uint32_t slot) {
-  PendingQuery& q = Live(slot);
+  PendingQuery& q = queries_[slot];
   // Pick the MLA within the row (TLA load balancing), skipping nodes the
   // health checks know to be crashed. With nothing crashed the first probe
   // hits the cursor, exactly the pre-fault round-robin.
@@ -86,7 +81,7 @@ void Cluster::RouteAtTla(uint32_t slot) {
 }
 
 void Cluster::FanOut(uint32_t slot) {
-  PendingQuery& q = Live(slot);
+  PendingQuery& q = queries_[slot];
   q.mla_arrival = sim_->Now();
   const int cols = options_.topology.columns;
   q.leaves_left = cols;
@@ -108,7 +103,7 @@ void Cluster::FanOut(uint32_t slot) {
 }
 
 void Cluster::StartLeaf(uint32_t slot, int col) {
-  PendingQuery& q = Live(slot);
+  PendingQuery& q = queries_[slot];
   index_nodes_[static_cast<size_t>(q.row * options_.topology.columns + col)]
       ->server()
       .SubmitQuery(q.work, [this, slot, col](const QueryResult& leaf_result) {
@@ -117,7 +112,7 @@ void Cluster::StartLeaf(uint32_t slot, int col) {
 }
 
 void Cluster::LeafAnswered(uint32_t slot, int col, bool dropped) {
-  PendingQuery& q = Live(slot);
+  PendingQuery& q = queries_[slot];
   // A dropped leaf (timeout, admission, or a crash that raced the request)
   // answered nothing: failed coverage. The (error) response still travels
   // back and merges, keeping the event sequence of no-fault runs untouched.
@@ -137,7 +132,7 @@ void Cluster::LeafAnswered(uint32_t slot, int col, bool dropped) {
 }
 
 void Cluster::Merge(uint32_t slot) {
-  PendingQuery& q = Live(slot);
+  PendingQuery& q = queries_[slot];
   // Merge work on the MLA machine for this leaf response.
   IndexNodeRig& mla = *index_nodes_[static_cast<size_t>(q.mla_node)];
   mla.machine().SpawnThread(TenantClass::kPrimary, mla.server().job(),
@@ -146,7 +141,7 @@ void Cluster::Merge(uint32_t slot) {
 }
 
 void Cluster::LeafMerged(uint32_t slot) {
-  PendingQuery& q = Live(slot);
+  PendingQuery& q = queries_[slot];
   if (--q.leaves_left > 0) {
     return;
   }
@@ -158,7 +153,7 @@ void Cluster::LeafMerged(uint32_t slot) {
 }
 
 void Cluster::Finalized(uint32_t slot) {
-  PendingQuery& q = Live(slot);
+  PendingQuery& q = queries_[slot];
   mla_latency_ms_.Add(ToMillis(sim_->Now() - q.mla_arrival));
   fabric_->Send(index_endpoint(q.mla_node), tla_endpoint(q.tla_machine),
                 options_.fabric.final_response_bytes, NetClass::kPrimary,
@@ -166,14 +161,14 @@ void Cluster::Finalized(uint32_t slot) {
 }
 
 void Cluster::RepliedAtTla(uint32_t slot) {
-  PendingQuery& q = Live(slot);
+  PendingQuery& q = queries_[slot];
   tla_machines_[static_cast<size_t>(q.tla_machine)]->SpawnThread(
       TenantClass::kPrimary, JobId{}, FromMicros(options_.tla_cpu_us),
       [this, slot](SimTime) { EndQuery(slot); }, q.work.trace_ctx);
 }
 
 void Cluster::EndQuery(uint32_t slot) {
-  PendingQuery& q = Live(slot);
+  PendingQuery& q = queries_[slot];
   const SimTime now = sim_->Now();
   const int cols = options_.topology.columns;
   // A query that never reached an MLA (its whole row was down) served
@@ -203,8 +198,7 @@ void Cluster::EndQuery(uint32_t slot) {
     tracer_->EndTrace(q.work.trace_ctx, now, result.dropped);
   }
   IndexServer::QueryDoneFn done = std::move(q.done);  // leaves q.done empty
-  q.live = false;
-  free_slots_.push_back(slot);
+  queries_.Release(slot);
   if (done) {
     done(result);
   }

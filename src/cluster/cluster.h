@@ -19,14 +19,13 @@
 #ifndef PERFISO_SRC_CLUSTER_CLUSTER_H_
 #define PERFISO_SRC_CLUSTER_CLUSTER_H_
 
-#include <cassert>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/cluster/index_node.h"
 #include "src/net/fabric.h"
+#include "src/util/slot_pool.h"
 #include "src/util/stats.h"
 #include "src/workload/query_trace.h"
 
@@ -106,11 +105,9 @@ class Cluster {
   int64_t queries_inflight() const {
     return queries_submitted_ + inflight_at_reset_ - queries_completed_ - queries_failed_;
   }
-  // Query slots holding a query: equals queries_inflight() unless a slot
-  // leaked or was freed twice (InvariantChecker asserts it).
-  int64_t occupied_query_slots() const {
-    return static_cast<int64_t>(queries_.size() - free_slots_.size());
-  }
+  // Query slots held: equals queries_inflight() unless a slot leaked or was
+  // freed twice (InvariantChecker asserts it).
+  int64_t occupied_slots() const { return queries_.occupied(); }
   // Per completed query: fraction of the row's leaves that answered.
   const LatencyRecorder& LeafCoverage() const { return coverage_fraction_; }
   int64_t leaf_drops() const;
@@ -126,11 +123,10 @@ class Cluster {
       const std::vector<IndexNodeRig::UtilizationSnapshot>& snaps) const;
 
  private:
-  // One query from SubmitQuery to EndQuery, owned in the slot table. No
-  // generation guards a slot: every continuation of a query runs before it
-  // ends (DESIGN.md §9 "Cluster-owned queries"); each stage asserts it.
+  // One query from SubmitQuery to EndQuery, owned in the slot pool. Every
+  // continuation of a query runs before it ends (DESIGN.md §9 "Slot pools"),
+  // so the stages name it by bare slot id; SimSan checks each is still held.
   struct PendingQuery {
-    bool live = false;
     QueryWork work;
     IndexServer::QueryDoneFn done;
     SimTime tla_submit = 0;   // arrival at the TLA
@@ -144,10 +140,6 @@ class Cluster {
     int leaves_failed = 0;
   };
 
-  PendingQuery& Live(uint32_t slot) {
-    assert(queries_[slot].live);
-    return queries_[slot];
-  }
   // The stages of a query, in order. Each continuation captures only
   // [this, slot] (plus the column for per-leaf steps): no allocation.
   void RouteAtTla(uint32_t slot);
@@ -180,8 +172,7 @@ class Cluster {
   int64_t queries_failed_ = 0;
   int64_t queries_degraded_ = 0;
   int64_t inflight_at_reset_ = 0;
-  std::deque<PendingQuery> queries_;  // the slot table; a deque keeps refs stable
-  std::vector<uint32_t> free_slots_;
+  SlotPool<PendingQuery> queries_;
 };
 
 }  // namespace perfiso

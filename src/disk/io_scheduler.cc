@@ -70,7 +70,7 @@ Status IoScheduler::SetIopsCap(int owner, double iops) {
 void IoScheduler::Submit(IoRequest request) {
   Owner& owner = owners_[request.owner];  // unregistered: the Owner defaults
   ++owner.stats.submitted;
-  const size_t slot = AllocSlot();
+  const uint32_t slot = slots_.Acquire();
   Slot& s = slots_[slot];
   s.request = std::move(request);
   s.owner = &owner;
@@ -80,19 +80,7 @@ void IoScheduler::Submit(IoRequest request) {
   Pump();
 }
 
-size_t IoScheduler::AllocSlot() {
-  ++occupied_;
-  if (free_slot_ == kNoSlot) {
-    slots_.emplace_back();
-    return slots_.size() - 1;
-  }
-  const size_t slot = free_slot_;
-  free_slot_ = slots_[slot].next;
-  slots_[slot].next = kNoSlot;
-  return slot;
-}
-
-void IoScheduler::PushBack(Fifo& fifo, size_t slot) {
+void IoScheduler::PushBack(Fifo& fifo, uint32_t slot) {
   if (fifo.empty()) {
     fifo.head = slot;
   } else {
@@ -101,8 +89,8 @@ void IoScheduler::PushBack(Fifo& fifo, size_t slot) {
   fifo.tail = slot;
 }
 
-size_t IoScheduler::PopFront(Fifo& fifo) {
-  const size_t slot = fifo.head;
+uint32_t IoScheduler::PopFront(Fifo& fifo) {
+  const uint32_t slot = fifo.head;
   Slot& s = slots_[slot];
   fifo.head = s.next;
   s.next = kNoSlot;
@@ -116,7 +104,7 @@ void IoScheduler::StartDrive(size_t d) {
   Drive& drive = drives_[d];
   const DiskDevice& device = volume_->drives_[d];
   while (drive.active < device.spec_.concurrency && !drive.queue.empty()) {
-    const size_t slot = PopFront(drive.queue);
+    const uint32_t slot = PopFront(drive.queue);
     Slot& s = slots_[slot];
     ++drive.active;
     s.started = sim_->Now();
@@ -129,7 +117,7 @@ void IoScheduler::StartDrive(size_t d) {
   }
 }
 
-void IoScheduler::Complete(size_t slot) {
+void IoScheduler::Complete(uint32_t slot) {
   const SimTime now = sim_->Now();
   Slot& s = slots_[slot];
   const size_t d = s.drive;
@@ -148,9 +136,7 @@ void IoScheduler::Complete(size_t slot) {
   // Free the slot before the callback runs: it may Submit again.
   IoRequest::DoneFn done = std::move(s.request.on_complete);
   s = Slot{};
-  s.next = free_slot_;
-  free_slot_ = slot;
-  --occupied_;
+  slots_.Release(slot);
   if (done) {
     done(now);
   }
@@ -159,15 +145,15 @@ void IoScheduler::Complete(size_t slot) {
 }
 
 int IoScheduler::CancelAll() {
-  for (Slot& s : slots_) {
-    sim_->Cancel(s.done_event);
+  for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_.live(slot)) {
+      sim_->Cancel(slots_[slot].done_event);
+    }
   }
-  const int dropped = occupied_;
+  const auto dropped = static_cast<int>(slots_.occupied());
   // Dropping the slots destroys their callbacks unrun; the pool keeps its
-  // capacity for the restart.
-  slots_.clear();
-  free_slot_ = kNoSlot;
-  occupied_ = 0;
+  // slabs for the restart.
+  slots_.Clear();
   queued_ = 0;
   outstanding_ = 0;
   for (auto& entry : owners_) {
@@ -282,7 +268,7 @@ bool IoScheduler::ServeBand(int priority, SimTime now, SimTime* earliest_retry) 
         drained_by_deficit_or_caps = true;
         break;
       }
-      const size_t slot = PopFront(owner.queue);
+      const uint32_t slot = PopFront(owner.queue);
       --queued_;
       Slot& s = slots_[slot];
       owner.deficit_bytes -= static_cast<double>(s.request.bytes);

@@ -25,6 +25,7 @@
 
 #include "src/disk/disk.h"
 #include "src/sim/simulator.h"
+#include "src/util/slot_pool.h"
 #include "src/util/status.h"
 #include "src/util/token_bucket.h"
 
@@ -74,19 +75,19 @@ class IoScheduler {
   int queued() const { return queued_; }            // waiting in owner queues
   // Slots holding a request: queued() + outstanding() unless a slot leaked or
   // was freed twice (InvariantChecker asserts it).
-  int occupied_slots() const { return occupied_; }
+  int64_t occupied_slots() const { return slots_.occupied(); }
 
   // Adds a scheduler track to the volume's tracer process; traced requests
   // then report their scheduler queueing time there.
   void EnableTracing(Tracer* tracer, int process);
 
  private:
-  static constexpr size_t kNoSlot = SIZE_MAX;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
 
   // FIFO of slot indices, linked through Slot::next.
   struct Fifo {
-    size_t head = kNoSlot;
-    size_t tail = kNoSlot;
+    uint32_t head = kNoSlot;
+    uint32_t tail = kNoSlot;
     bool empty() const { return head == kNoSlot; }
   };
 
@@ -102,7 +103,7 @@ class IoScheduler {
 
   // One request from Submit to completion: on its owner's FIFO until
   // dispatch, then on its drive's FIFO until the drive starts it, then in
-  // service until `done_event` fires. Free slots chain through `next`.
+  // service until `done_event` fires.
   struct Slot {
     IoRequest request;
     Owner* owner = nullptr;
@@ -113,7 +114,7 @@ class IoScheduler {
     // cancels every armed event first.
     EventHandle done_event;  // NOLINT(perfiso-LIFE-001)
     size_t drive = 0;
-    size_t next = kNoSlot;
+    uint32_t next = kNoSlot;  // the FIFO successor
   };
 
   // A drive's FIFO and the requests it is serving (bounded by its spec's
@@ -123,9 +124,8 @@ class IoScheduler {
     int active = 0;
   };
 
-  void PushBack(Fifo& fifo, size_t slot);
-  size_t PopFront(Fifo& fifo);
-  size_t AllocSlot();
+  void PushBack(Fifo& fifo, uint32_t slot);
+  uint32_t PopFront(Fifo& fifo);
   // Dispatches as many requests as limits allow; arms a retry timer when
   // progress is blocked only by token buckets.
   void Pump();
@@ -140,7 +140,7 @@ class IoScheduler {
   void StartDrive(size_t d);
   // A drive finished `slot`: counts it, frees the slot, runs the caller's
   // callback, then refills the volume and the drive.
-  void Complete(size_t slot);
+  void Complete(uint32_t slot);
 
   Simulator* sim_;
   StripedVolume* volume_;
@@ -149,9 +149,7 @@ class IoScheduler {
   int max_outstanding_;
   int outstanding_ = 0;
   int queued_ = 0;
-  int occupied_ = 0;
-  std::vector<Slot> slots_;
-  size_t free_slot_ = kNoSlot;
+  SlotPool<Slot> slots_;
   std::vector<Drive> drives_;
   size_t next_drive_ = 0;  // round-robin striping
   std::map<int, Owner> owners_;

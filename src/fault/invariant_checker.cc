@@ -4,6 +4,19 @@
 
 namespace perfiso {
 
+namespace {
+
+// A SlotPool-owned table holds one slot per record its owner counts as live.
+void CheckSlots(const std::string& table, int64_t occupied, int64_t live,
+                InvariantReport* report) {
+  if (occupied != live) {
+    report->Violation(table + " slots: occupied=" + std::to_string(occupied) +
+                      " but live=" + std::to_string(live));
+  }
+}
+
+}  // namespace
+
 std::string InvariantReport::ToString() const {
   if (violations.empty()) {
     return "invariants ok";
@@ -33,12 +46,7 @@ void InvariantChecker::CheckServer(const IndexServer& server, bool expect_draine
   if (server.inflight() < 0) {
     report->Violation("inflight negative: " + std::to_string(server.inflight()));
   }
-  // Every in-flight query holds exactly one slot: a leaked slot (a query that
-  // never ended) or a double free breaks this.
-  if (server.occupied_query_slots() != server.inflight()) {
-    report->Violation("query slots: occupied=" + std::to_string(server.occupied_query_slots()) +
-                      " but inflight=" + std::to_string(server.inflight()));
-  }
+  CheckSlots("query", server.occupied_slots(), server.inflight(), report);
   if (expect_drained && server.inflight() != 0) {
     report->Violation("drained run still has inflight=" + std::to_string(server.inflight()));
   }
@@ -91,18 +99,13 @@ void InvariantChecker::CheckRig(IndexNodeRig& rig, bool expect_drained,
   if (!machine_ok.ok()) {
     report->Violation(rig.machine().name() + ": " + machine_ok.ToString());
   }
-  // Every request the disk stack holds sits in one scheduler slot: queued at
-  // the scheduler or outstanding at a drive. A leaked or double-freed slot
-  // breaks the equality.
+  // Every request the disk stack holds is queued at the scheduler or
+  // outstanding at a drive.
   const std::pair<const char*, const IoScheduler*> schedulers[] = {
       {"ssd", &rig.ssd_scheduler()}, {"hdd", &rig.hdd_scheduler()}};
   for (const auto& [volume, io] : schedulers) {
-    if (io->occupied_slots() != io->queued() + io->outstanding()) {
-      report->Violation(rig.machine().name() + " " + volume +
-                        " io slots: occupied=" + std::to_string(io->occupied_slots()) +
-                        " but queued=" + std::to_string(io->queued()) +
-                        " outstanding=" + std::to_string(io->outstanding()));
-    }
+    CheckSlots(rig.machine().name() + " " + volume + " io", io->occupied_slots(),
+               io->queued() + io->outstanding(), report);
     if (expect_drained && io->queued() + io->outstanding() != 0) {
       report->Violation(rig.machine().name() + " " + volume + " drained run still has io queued=" +
                         std::to_string(io->queued()) +
@@ -132,11 +135,7 @@ void InvariantChecker::CheckCluster(Cluster& cluster, bool expect_drained,
     report->Violation("cluster inflight negative: " +
                       std::to_string(cluster.queries_inflight()));
   }
-  if (cluster.occupied_query_slots() != cluster.queries_inflight()) {
-    report->Violation("cluster query slots: occupied=" +
-                      std::to_string(cluster.occupied_query_slots()) +
-                      " but inflight=" + std::to_string(cluster.queries_inflight()));
-  }
+  CheckSlots("cluster query", cluster.occupied_slots(), cluster.queries_inflight(), report);
   if (expect_drained && cluster.queries_inflight() != 0) {
     report->Violation("drained cluster still has inflight=" +
                       std::to_string(cluster.queries_inflight()));
@@ -149,10 +148,7 @@ void InvariantChecker::CheckCluster(Cluster& cluster, bool expect_drained,
     report->Violation("cluster degraded exceeds completed");
   }
   const Fabric& fabric = cluster.fabric();
-  if (fabric.occupied_flow_records() != fabric.flows_in_flight()) {
-    report->Violation("flow records: occupied=" + std::to_string(fabric.occupied_flow_records()) +
-                      " but flows in flight=" + std::to_string(fabric.flows_in_flight()));
-  }
+  CheckSlots("flow", fabric.occupied_slots(), fabric.flows_in_flight(), report);
   if (expect_drained && fabric.flows_in_flight() != 0) {
     report->Violation("drained fabric still has flows in flight=" +
                       std::to_string(fabric.flows_in_flight()));

@@ -6,12 +6,13 @@
 //     state: submitted + inflight_at_reset ==
 //     completed + dropped_timeout + dropped_admission + dropped_crash +
 //     inflight (and inflight == 0 once the simulation drains).
-//   * Query slots — the server's occupied query slots equal inflight, so a
-//     leaked or double-freed slot fails every checked run.
-//   * IO slots — each of a rig's IoSchedulers has as many occupied request
-//     slots as requests queued at it plus requests outstanding at its drives,
-//     so a leaked or double-freed slot fails every checked run; both counts
-//     are 0 once the simulation drains.
+//   * Slot pools — every SlotPool-owned table holds one slot per record its
+//     owner counts as live: the server's query slots equal its inflight, each
+//     IoScheduler's request slots equal its queued plus outstanding requests,
+//     the cluster's query slots equal its queries in flight, and the fabric's
+//     flow slots equal its flows in flight. A leaked or double-freed slot
+//     fails every checked run.
+//   * Drained — once the simulation drains, nothing is in flight anywhere.
 //   * No completions while crashed — a dead machine delivers nothing
 //     (IndexServer::Stats::completions_while_crashed stays 0).
 //   * Budget caps — hedges never exceed the hedge budget; retries only happen
@@ -22,12 +23,6 @@
 //     bookkeeping) holds on every checked machine.
 //   * Quiet polls — a quiet PerfIso controller's machine has its idle count
 //     inside the controller's quiet range.
-//   * Query slots (cluster) — the cluster's occupied query slots equal its
-//     queries in flight (a leaked or double-freed slot), and both are 0 once
-//     the simulation drains.
-//   * Flow records (cluster) — the fabric's occupied flow records equal its
-//     flows in flight (a leaked or double-freed record), and both are 0 once
-//     the simulation drains.
 //
 // The checker only reads; it never mutates the simulation, so checking is
 // digest-neutral and can run every bench iteration.
@@ -62,7 +57,7 @@ class InvariantChecker {
   // Server checks plus the machine's own engine invariants.
   static void CheckRig(IndexNodeRig& rig, bool expect_drained, InvariantReport* report);
   // Every rig, cluster-level conservation and query slots, and the fabric's
-  // flow records.
+  // flow slots.
   static void CheckCluster(Cluster& cluster, bool expect_drained, InvariantReport* report);
 };
 

@@ -36,7 +36,13 @@ IndexServer::IndexServer(SimMachine* machine, IoScheduler* ssd, IoScheduler* hdd
 }
 
 void IndexServer::ResetStats() {
-  stats_ = Stats{};
+  // Zero the counters but clear the recorders in place: they keep their
+  // capacity, so a measurement window does not regrow them from empty.
+  LatencyRecorder latency_ms = std::move(stats_.latency_ms);
+  LatencyRecorder coverage = std::move(stats_.coverage);
+  latency_ms.Clear();
+  coverage.Clear();
+  stats_ = Stats{.latency_ms = std::move(latency_ms), .coverage = std::move(coverage)};
   inflight_at_reset_ = inflight_;
 }
 
@@ -69,8 +75,8 @@ void IndexServer::SubmitQuery(const QueryWork& work, QueryDoneFn done) {
   // Network receive path runs in kernel context (OS tenant, outside the job).
   machine_->SpawnThread(
       TenantClass::kOs, JobId{}, ScaledUs(config_.receive_cpu_us, 1.0),
-      [this, ref = q.ref()](SimTime) {
-        if (QueryState* live = Find(ref)) {
+      [this, ref = q.ref](SimTime) {
+        if (QueryState* live = queries_.Find(ref)) {
           StartParse(*live);
         }
       },
@@ -78,14 +84,9 @@ void IndexServer::SubmitQuery(const QueryWork& work, QueryDoneFn done) {
 }
 
 IndexServer::QueryState& IndexServer::Acquire(const QueryWork& work, QueryDoneFn done) {
-  if (free_slots_.empty()) {
-    const auto index = static_cast<uint32_t>(queries_.size());
-    queries_.emplace_back().index = index;
-    free_slots_.push_back(index);
-  }
-  QueryState& q = queries_[free_slots_.back()];
-  free_slots_.pop_back();
-  q.live = true;
+  const uint32_t id = queries_.Acquire();
+  QueryState& q = queries_[id];
+  q.ref = queries_.ref(id);
   q.serial = next_serial_++;
   q.work = work;
   q.done = std::move(done);
@@ -98,11 +99,6 @@ IndexServer::QueryState& IndexServer::Acquire(const QueryWork& work, QueryDoneFn
     q.trace_ctx = tracer_->BeginTrace("isq", q.arrival);
   }
   return q;
-}
-
-IndexServer::QueryState* IndexServer::Find(QueryRef ref) {
-  QueryState& q = queries_[ref.index];
-  return q.gen == ref.gen ? &q : nullptr;
 }
 
 QueryResult IndexServer::ResultOf(const QueryState& q, bool dropped) const {
@@ -129,16 +125,13 @@ void IndexServer::QueryState::CancelTimers(Simulator* sim) {
 }
 
 void IndexServer::EndQuery(QueryState& q, const QueryResult& result) {
-  assert(q.live);
   q.CancelTimers(machine_->sim());
   if (q.owns_trace) {
     tracer_->EndTrace(q.trace_ctx, result.finish_time, result.dropped);
   }
   QueryDoneFn done = std::move(q.done);  // leaves q.done empty
   q.chunks.clear();
-  q.live = false;
-  ++q.gen;
-  free_slots_.push_back(q.index);
+  queries_.Release(q.ref.index);
   if (done) {
     done(result);
   }
@@ -166,8 +159,8 @@ void IndexServer::StartParse(QueryState& q) {
   machine_->SpawnThread(
       TenantClass::kPrimary, job_,
       ScaledUs(config_.parse_cpu_us + config_.understand_cpu_us, q.work.size_factor),
-      [this, ref = q.ref()](SimTime) {
-        if (QueryState* live = Find(ref)) {
+      [this, ref = q.ref](SimTime) {
+        if (QueryState* live = queries_.Find(ref)) {
           StartFanout(*live);
         }
       },
@@ -186,8 +179,8 @@ void IndexServer::StartFanout(QueryState& q) {
   if (config_.degrade_deadline > 0) {
     const SimTime deadline = q.arrival + config_.degrade_deadline;
     if (deadline > machine_->sim()->Now()) {
-      q.deadline_event = machine_->sim()->Schedule(deadline, [this, ref = q.ref()] {
-        if (QueryState* live = Find(ref)) {
+      q.deadline_event = machine_->sim()->Schedule(deadline, [this, ref = q.ref] {
+        if (QueryState* live = queries_.Find(ref)) {
           live->deadline_event = EventHandle();
           MaybeDegrade(*live);
         }
@@ -223,7 +216,7 @@ void IndexServer::StartChunk(QueryState& q, int chunk, bool is_hedge) {
   const bool miss = q.rng.Bernoulli(config_.chunk_miss_rate);
   machine_->SpawnThread(
       TenantClass::kPrimary, job_, cpu,
-      [this, ref = q.ref(), chunk, miss](SimTime) { ChunkCpuDone(ref, chunk, miss); },
+      [this, ref = q.ref, chunk, miss](SimTime) { ChunkCpuDone(ref, chunk, miss); },
       q.trace_ctx);
   if (!is_hedge) {
     ++chunks_started_;
@@ -236,8 +229,8 @@ void IndexServer::StartChunk(QueryState& q, int chunk, bool is_hedge) {
   // The hedge budget caps the added load under systemic slowness.
   if (!is_hedge && config_.hedging_enabled) {
     q.chunks[static_cast<size_t>(chunk)].hedge_event =
-        machine_->sim()->ScheduleAfter(config_.hedge_delay, [this, ref = q.ref(), chunk] {
-          QueryState* live = Find(ref);
+        machine_->sim()->ScheduleAfter(config_.hedge_delay, [this, ref = q.ref, chunk] {
+          QueryState* live = queries_.Find(ref);
           if (live == nullptr) {
             return;
           }
@@ -260,8 +253,8 @@ void IndexServer::StartChunk(QueryState& q, int chunk, bool is_hedge) {
   }
 }
 
-void IndexServer::ChunkCpuDone(QueryRef ref, int chunk, bool miss) {
-  QueryState* q = Find(ref);
+void IndexServer::ChunkCpuDone(SlotRef ref, int chunk, bool miss) {
+  QueryState* q = queries_.Find(ref);
   if (q == nullptr) {
     return;
   }
@@ -283,7 +276,7 @@ void IndexServer::ChunkCpuDone(QueryRef ref, int chunk, bool miss) {
   ssd_->Submit(std::move(read));
 }
 
-void IndexServer::ChunkReadDone(QueryRef ref, int chunk, SimDuration cost, uint64_t trace_ctx) {
+void IndexServer::ChunkReadDone(SlotRef ref, int chunk, SimDuration cost, uint64_t trace_ctx) {
   // The post-read burst runs even if the query has ended meanwhile (the
   // read's CPU work is not abandoned), so its cost and trace context come
   // from the read rather than from the slot.
@@ -292,8 +285,8 @@ void IndexServer::ChunkReadDone(QueryRef ref, int chunk, SimDuration cost, uint6
       [this, ref, chunk](SimTime) { ChunkPostReadDone(ref, chunk); }, trace_ctx);
 }
 
-void IndexServer::ChunkPostReadDone(QueryRef ref, int chunk) {
-  if (QueryState* q = Find(ref)) {
+void IndexServer::ChunkPostReadDone(SlotRef ref, int chunk) {
+  if (QueryState* q = queries_.Find(ref)) {
     ChunkDone(*q, chunk);
   }
 }
@@ -316,8 +309,8 @@ void IndexServer::ChunkDone(QueryState& q, int chunk) {
 
 void IndexServer::ArmRetryTimer(QueryState& q, int chunk) {
   q.chunks[static_cast<size_t>(chunk)].retry_event =
-      machine_->sim()->ScheduleAfter(config_.chunk_retry.timeout, [this, ref = q.ref(), chunk] {
-        if (QueryState* live = Find(ref)) {
+      machine_->sim()->ScheduleAfter(config_.chunk_retry.timeout, [this, ref = q.ref, chunk] {
+        if (QueryState* live = queries_.Find(ref)) {
           OnChunkTimeout(*live, chunk);
         }
       });
@@ -341,8 +334,8 @@ void IndexServer::OnChunkTimeout(QueryState& q, int chunk) {
     ++stats_.retries_suppressed_deadline;
     return;
   }
-  slot.retry_event = machine_->sim()->ScheduleAfter(delay, [this, ref = q.ref(), chunk] {
-    QueryState* live = Find(ref);
+  slot.retry_event = machine_->sim()->ScheduleAfter(delay, [this, ref = q.ref, chunk] {
+    QueryState* live = queries_.Find(ref);
     if (live == nullptr) {
       return;
     }
@@ -371,8 +364,8 @@ void IndexServer::StartRank(QueryState& q) {
       1.0, q.rng.LogNormal(log_rank_cpu_median_, config_.rank_cpu_sigma) * q.work.size_factor));
   machine_->SpawnThread(
       TenantClass::kPrimary, job_, cpu,
-      [this, ref = q.ref()](SimTime) {
-        if (QueryState* live = Find(ref)) {
+      [this, ref = q.ref](SimTime) {
+        if (QueryState* live = queries_.Find(ref)) {
           StartSnippets(*live);
         }
       },
@@ -400,8 +393,8 @@ void IndexServer::SubmitSnippetRead(QueryState& q) {
   read.bytes = config_.snippet_read_bytes;
   read.sequential = false;
   read.trace_ctx = q.trace_ctx;
-  read.on_complete = [this, ref = q.ref()](SimTime) {
-    QueryState* live = Find(ref);
+  read.on_complete = [this, ref = q.ref](SimTime) {
+    QueryState* live = queries_.Find(ref);
     if (live == nullptr) {
       return;
     }
@@ -413,7 +406,7 @@ void IndexServer::SubmitSnippetRead(QueryState& q) {
         TenantClass::kPrimary, job_,
         ScaledUs(config_.snippet_cpu_us, live->work.size_factor),
         [this, ref](SimTime) {
-          if (QueryState* still_live = Find(ref)) {
+          if (QueryState* still_live = queries_.Find(ref)) {
             FinishQuery(*still_live);
           }
         },
@@ -431,7 +424,7 @@ void IndexServer::FinishQuery(QueryState& q) {
     if (tracer_ != nullptr) {
       tracer_->Instant("log.stall", track_, machine_->sim()->Now());
     }
-    log_waiters_.push_back(q.ref());
+    log_waiters_.push_back(q.ref);
     return;
   }
   AppendLog(q);
@@ -489,7 +482,7 @@ void IndexServer::MaybeFlushLog() {
       // stalled query has no timer left to end it, so each waiter is live.
       while (!log_waiters_.empty() &&
              log_buffered_bytes_ + log_inflight_bytes_ < config_.log_buffer_cap_bytes) {
-        QueryState* waiter = Find(log_waiters_.front());
+        QueryState* waiter = queries_.Find(log_waiters_.front());
         log_waiters_.pop_front();
         assert(waiter != nullptr);
         AppendLog(*waiter);
@@ -512,17 +505,17 @@ void IndexServer::Crash() {
   // moves each of them to dropped_crash. Collect the refs first — done
   // callbacks may re-enter SubmitQuery (closed-loop clients resubmit), which
   // the crashed server rejects through a slot of its own.
-  std::vector<QueryRef> live;
-  for (const QueryState& q : queries_) {
-    if (q.live) {
-      live.push_back(q.ref());
+  std::vector<SlotRef> live;
+  for (uint32_t id = 0; id < queries_.size(); ++id) {
+    if (queries_.live(id)) {
+      live.push_back(queries_.ref(id));
     }
   }
-  std::sort(live.begin(), live.end(), [this](QueryRef a, QueryRef b) {
+  std::sort(live.begin(), live.end(), [this](SlotRef a, SlotRef b) {
     return queries_[a.index].serial < queries_[b.index].serial;
   });
-  for (const QueryRef ref : live) {
-    if (QueryState* q = Find(ref)) {
+  for (const SlotRef ref : live) {
+    if (QueryState* q = queries_.Find(ref)) {
       --inflight_;
       ++stats_.dropped_crash;
       EndQuery(*q, ResultOf(*q, /*dropped=*/true));

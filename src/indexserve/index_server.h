@@ -35,6 +35,7 @@
 #include "src/sim/simulator.h"
 #include "src/util/inline_fn.h"
 #include "src/util/rng.h"
+#include "src/util/slot_pool.h"
 #include "src/util/stats.h"
 #include "src/workload/query_trace.h"
 
@@ -198,26 +199,15 @@ class IndexServer {
   int64_t inflight_at_reset() const { return inflight_at_reset_; }
   // Cumulative non-hedge chunk attempts; the hedge budget's denominator.
   int64_t chunks_started() const { return chunks_started_; }
-  // Query slots currently holding a query. Every in-flight query holds one
-  // and ending a query frees it, so this equals inflight() at any observation
-  // point; InvariantChecker asserts it (a leaked or double-freed slot).
-  int64_t occupied_query_slots() const {
-    return static_cast<int64_t>(queries_.size() - free_slots_.size());
-  }
+  // Query slots currently held. Every in-flight query holds one and ending a
+  // query frees it, so this equals inflight() at any observation point;
+  // InvariantChecker asserts it (a leaked or double-freed slot).
+  int64_t occupied_slots() const { return queries_.occupied(); }
   JobId job() const { return job_; }
   SimMachine* machine() const { return machine_; }
   const IndexServeConfig& config() const { return config_; }
 
  private:
-  // Names a query by its slot in queries_ and the slot's generation at
-  // admission, like the engine's EventHandle. Ending a query bumps the
-  // generation, so a callback still holding the ref of an ended query finds
-  // a mismatch and returns at once, even after the slot was reused.
-  struct QueryRef {
-    uint32_t index = 0;
-    uint32_t gen = 0;
-  };
-
   // Per-chunk fan-out state: completion/hedge flags, attempt count, and the
   // armed retry/hedge timers, one slot per chunk.
   struct ChunkSlot {
@@ -238,17 +228,16 @@ class IndexServer {
     bool hedged = false;
   };
 
-  // One query in flight. The server owns these outright in a slot table;
-  // callbacks refer to them only through a QueryRef.
+  // One query in flight. The server owns these outright in a slot pool;
+  // callbacks refer to them only through `ref`, its holding of the slot, so a
+  // callback that outlives its query finds nothing, even after the slot was
+  // reused.
   struct QueryState {
-    QueryRef ref() const { return QueryRef{index, gen}; }
     // Cancels every timer the query owns: hedges, then retries, then the
     // degrade deadline.
     void CancelTimers(Simulator* sim);
 
-    uint32_t index = 0;
-    uint32_t gen = 0;
-    bool live = false;
+    SlotRef ref;
     uint64_t serial = 0;  // submission order; Crash() fails queries in it
     QueryWork work;
     QueryDoneFn done;
@@ -269,11 +258,8 @@ class IndexServer {
     bool owns_trace = false;  // minted here (standalone) vs adopted from the TLA
   };
 
-  // Takes a free slot (or grows the table) for a new query and mints its
-  // trace when it has none.
+  // Takes a slot for a new query and mints its trace when it has none.
   QueryState& Acquire(const QueryWork& work, QueryDoneFn done);
-  // The query in `ref`'s slot, or null once that query has ended.
-  QueryState* Find(QueryRef ref);
   QueryResult ResultOf(const QueryState& q, bool dropped) const;
   // The one way a query ends (reject, expiry, completion, crash): cancels its
   // timers, ends the trace it owns, frees the slot, then hands `result` to
@@ -297,9 +283,9 @@ class IndexServer {
   // ChunkCpuDone answers a cache hit or submits the index read on a miss;
   // ChunkReadDone spawns the post-read burst; ChunkPostReadDone answers.
   void StartChunk(QueryState& q, int chunk, bool is_hedge);
-  void ChunkCpuDone(QueryRef ref, int chunk, bool miss);
-  void ChunkReadDone(QueryRef ref, int chunk, SimDuration cost, uint64_t trace_ctx);
-  void ChunkPostReadDone(QueryRef ref, int chunk);
+  void ChunkCpuDone(SlotRef ref, int chunk, bool miss);
+  void ChunkReadDone(SlotRef ref, int chunk, SimDuration cost, uint64_t trace_ctx);
+  void ChunkPostReadDone(SlotRef ref, int chunk);
   // The chunk answered: the first answer counts, and the last one starts rank.
   void ChunkDone(QueryState& q, int chunk);
   void StartRank(QueryState& q);
@@ -329,15 +315,14 @@ class IndexServer {
   int64_t inflight_at_reset_ = 0;
   int64_t chunks_started_ = 0;  // cumulative, for the hedge budget
   bool crashed_ = false;
-  // The slot table: a deque, so a QueryState& stays valid while the table
-  // grows. Ended queries return their slot to free_slots_.
-  std::deque<QueryState> queries_;
-  std::vector<uint32_t> free_slots_;
+  // A QueryState& stays valid while the pool grows, so a done callback may
+  // re-enter SubmitQuery.
+  SlotPool<QueryState> queries_;
   uint64_t next_serial_ = 0;
 
   int64_t log_buffered_bytes_ = 0;   // accumulated, not yet in a flush
   int64_t log_inflight_bytes_ = 0;   // handed to the HDD, not yet durable
-  std::deque<QueryRef> log_waiters_;
+  std::deque<SlotRef> log_waiters_;
 };
 
 }  // namespace perfiso

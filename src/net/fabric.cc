@@ -66,11 +66,9 @@ void Fabric::Send(int src, int dst, int64_t bytes, NetClass net_class,
                   Flow::DeliveredFn done, uint64_t trace_ctx) {
   assert(src >= 0 && src < num_endpoints());
   assert(dst >= 0 && dst < num_endpoints());
-  if (free_flows_.empty()) {
-    free_flows_.push_back(&flows_.emplace_back());
-  }
-  Flow* flow = free_flows_.back();
-  free_flows_.pop_back();
+  const uint32_t id = flows_.Acquire();
+  Flow* flow = &flows_[id];
+  flow->id = id;
   flow->dst = dst;
   flow->bytes = std::max<int64_t>(bytes, 1);
   flow->net_class = net_class;
@@ -144,7 +142,7 @@ void Fabric::Deliver(Flow* flow) {
   flow_latency_ms_[cls].Add(ToMillis(now - flow->submit_time));
   --flows_in_flight_;
   Flow::DeliveredFn done = std::move(flow->on_delivered);  // leaves on_delivered empty
-  free_flows_.push_back(flow);
+  flows_.Release(flow->id);
   if (done) {
     done(now);
   }

@@ -13,7 +13,6 @@
 #define PERFISO_SRC_NET_FABRIC_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "src/net/netdev.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
+#include "src/util/slot_pool.h"
 #include "src/util/stats.h"
 #include "src/util/status.h"
 
@@ -91,11 +91,9 @@ class Fabric {
     return flow_latency_ms_[static_cast<size_t>(net_class)];
   }
   int64_t flows_in_flight() const { return flows_in_flight_; }
-  // Pooled records holding a flow: equal to flows_in_flight() unless a record
-  // leaked or was freed twice (InvariantChecker asserts it).
-  int64_t occupied_flow_records() const {
-    return static_cast<int64_t>(flows_.size() - free_flows_.size());
-  }
+  // Flow slots held: equal to flows_in_flight() unless a slot leaked or was
+  // freed twice (InvariantChecker asserts it).
+  int64_t occupied_slots() const { return flows_.occupied(); }
   void ResetStats();
 
  private:
@@ -124,10 +122,8 @@ class Fabric {
   Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::vector<std::unique_ptr<Rack>> racks_;
-  // The flow pool: a deque, so a Flow* stays valid while the pool grows.
-  // Delivered flows return their record to free_flows_.
-  std::deque<Flow> flows_;
-  std::vector<Flow*> free_flows_;
+  // A Flow* stays valid while the pool grows, so links queue flows by pointer.
+  SlotPool<Flow> flows_;
   int64_t flows_in_flight_ = 0;
   LatencyRecorder flow_latency_ms_[kNumNetClasses];
 };

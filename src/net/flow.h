@@ -32,6 +32,7 @@ class Link;
 struct Flow {
   using DeliveredFn = InlineFn<void(SimTime)>;
 
+  uint32_t id = 0;  // the record's slot in the Fabric's pool
   int dst = -1;  // fabric endpoint id
   int64_t bytes = 0;
   NetClass net_class = NetClass::kPrimary;

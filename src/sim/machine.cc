@@ -65,9 +65,8 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
   // Preempt running threads that are now on disallowed cores, and pull queued
   // threads off disallowed cores' queues; both get re-placed afterwards. A
   // queued thread that stays widens its core's `reach` to the new mask.
-  // Nothing called below re-enters this function, so the member scratch
-  // lists are free.
-  assert(displaced_.empty() && freed_cores_.empty());
+  const size_t displaced_base = displaced_.size();
+  const size_t freed_base = freed_cores_.size();
   for (int tid : job.threads) {
     Thread& t = threads_[static_cast<size_t>(tid)];
     if (t.state == Thread::State::kRunning && !effective.Test(t.core)) {
@@ -87,19 +86,21 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
       displaced_.push_back(tid);
     }
   }
-  for (int core : freed_cores_) {
-    SetCoreIdle(core, true);
+  const size_t freed_end = freed_cores_.size();
+  for (size_t i = freed_base; i < freed_end; ++i) {
+    SetCoreIdle(freed_cores_[i], true);
   }
-  for (int tid : displaced_) {
-    MakeReady(tid);
+  for (size_t i = displaced_base; i < displaced_.size(); ++i) {
+    MakeReady(displaced_[i]);
   }
-  for (int core : freed_cores_) {
+  for (size_t i = freed_base; i < freed_end; ++i) {
+    const int core = freed_cores_[i];
     if (cores_[static_cast<size_t>(core)].running < 0) {
       DispatchNext(core);
     }
   }
-  displaced_.clear();
-  freed_cores_.clear();
+  displaced_.resize(displaced_base);
+  freed_cores_.resize(freed_base);
   // If the mask grew, idle cores inside it may now be able to serve queued
   // threads of this job (via stealing in DispatchNext).
   KickIdleCores(effective);
@@ -215,24 +216,13 @@ ThreadId SimMachine::SpawnThread(TenantClass tenant, JobId job, SimDuration work
                                  CompletionFn on_complete, uint64_t trace_ctx) {
   const int tid = AllocThreadSlot();
   Thread& t = threads_[static_cast<size_t>(tid)];
-  // Every field, reset in place: assigning a fresh Thread would build and
-  // destroy a CompletionFn per spawn.
-  t.tenant = tenant;
-  t.job = job.valid() ? job.value : -1;
-  t.state = Thread::State::kReady;
-  t.remaining = std::max<SimDuration>(1, work);
-  t.loop = false;
-  t.on_complete = std::move(on_complete);
-  t.slice_event = EventHandle();
-  t.core = -1;
-  t.queued = false;
-  t.q_prev = -1;
-  t.q_next = -1;
-  t.ready_since = sim_->Now();
-  t.slice_start = 0;
-  t.slice_overhead = 0;
-  t.trace_ctx = trace_ctx;
-  t.job_pos = -1;
+  t = Thread{.tenant = tenant,
+             .job = job.valid() ? job.value : -1,
+             .state = Thread::State::kReady,
+             .remaining = std::max<SimDuration>(1, work),
+             .ready_since = sim_->Now(),
+             .trace_ctx = trace_ctx};
+  t.on_complete = std::move(on_complete);  // one move, not two through the temporary
   if (t.job >= 0) {
     Job& owner = jobs_[static_cast<size_t>(t.job)];
     assert(owner.live);
@@ -277,8 +267,7 @@ bool SimMachine::ThreadLive(ThreadId tid) const {
   if (!tid.valid() || tid.value >= static_cast<int>(threads_.size())) {
     return false;
   }
-  const Thread::State state = threads_[static_cast<size_t>(tid.value)].state;
-  return state == Thread::State::kReady || state == Thread::State::kRunning;
+  return threads_[static_cast<size_t>(tid.value)].state != Thread::State::kFree;
 }
 
 // --- Scheduling core ----------------------------------------------------------
@@ -318,7 +307,7 @@ Status SimMachine::SetJobSuspended(JobId job_id, bool suspended) {
   job.suspended = suspended;
   if (suspended) {
     // Preempt running threads; they stay queued until resume.
-    std::vector<int> freed_cores;
+    const size_t freed_base = freed_cores_.size();
     for (int tid : job.threads) {
       Thread& t = threads_[static_cast<size_t>(tid)];
       if (t.state != Thread::State::kRunning) {
@@ -330,33 +319,14 @@ Status SimMachine::SetJobSuspended(JobId job_id, bool suspended) {
       NoteStopRunning(t);
       const int core = t.core;
       cores_[static_cast<size_t>(core)].running = -1;
-      freed_cores.push_back(core);
+      freed_cores_.push_back(core);
       t.state = Thread::State::kReady;
       t.ready_since = sim_->Now();
       Enqueue(core, tid);
     }
-    for (int core : freed_cores) {
-      if (cores_[static_cast<size_t>(core)].running < 0) {
-        SetCoreIdle(core, true);
-        DispatchNext(core);
-      }
-    }
+    DispatchFreedCores(freed_base);
   } else {
-    // Re-place ready threads onto idle cores inside the job's mask.
-    for (int tid : std::vector<int>(job.threads)) {
-      Thread& t = threads_[static_cast<size_t>(tid)];
-      if (t.state != Thread::State::kReady || !JobDispatchable(t)) {
-        continue;
-      }
-      const int idle_core = PickIdleCore(Allowed(t), -1);
-      if (idle_core < 0) {
-        continue;
-      }
-      if (t.queued) {
-        RemoveFromQueue(tid);
-      }
-      Dispatch(idle_core, tid, /*context_switch=*/true);
-    }
+    ReplaceReadyThreads(job);
   }
   return OkStatus();
 }
@@ -715,7 +685,7 @@ void SimMachine::ThrottleJob(int job_id) {
   }
   job.throttled = true;
   sim_->CancelOwned(job.exhaust_event);  // budget checks are moot while throttled
-  std::vector<int> freed_cores;
+  const size_t freed_base = freed_cores_.size();
   for (int tid : job.threads) {
     Thread& t = threads_[static_cast<size_t>(tid)];
     if (t.state != Thread::State::kRunning) {
@@ -727,7 +697,7 @@ void SimMachine::ThrottleJob(int job_id) {
     NoteStopRunning(t);
     const int core = t.core;
     cores_[static_cast<size_t>(core)].running = -1;
-    freed_cores.push_back(core);
+    freed_cores_.push_back(core);
     t.state = Thread::State::kReady;
     t.ready_since = sim_->Now();
     Enqueue(core, tid);
@@ -737,12 +707,18 @@ void SimMachine::ThrottleJob(int job_id) {
         (sim_->Now() / spec_.throttle_interval + 1) * spec_.throttle_interval;
     job.unthrottle_event = sim_->Schedule(boundary, [this, job_id] { UnthrottleJob(job_id); });
   }
-  for (int core : freed_cores) {
+  DispatchFreedCores(freed_base);
+}
+
+void SimMachine::DispatchFreedCores(size_t base) {
+  for (size_t i = base; i < freed_cores_.size(); ++i) {
+    const int core = freed_cores_[i];
     if (cores_[static_cast<size_t>(core)].running < 0) {
       SetCoreIdle(core, true);
       DispatchNext(core);
     }
   }
+  freed_cores_.resize(base);
 }
 
 void SimMachine::UnthrottleJob(int job_id) {
@@ -756,9 +732,15 @@ void SimMachine::UnthrottleJob(int job_id) {
   if (!job.live) {
     return;
   }
-  // Budget resets lazily via RateBudgetLeft. Re-place ready threads onto idle
-  // cores; threads queued behind busy cores keep waiting there.
-  for (int tid : std::vector<int>(job.threads)) {
+  // Budget resets lazily via RateBudgetLeft.
+  ReplaceReadyThreads(job);
+}
+
+void SimMachine::ReplaceReadyThreads(const Job& job) {
+  const size_t base = displaced_.size();
+  displaced_.insert(displaced_.end(), job.threads.begin(), job.threads.end());
+  for (size_t i = base; i < displaced_.size(); ++i) {
+    const int tid = displaced_[i];
     Thread& t = threads_[static_cast<size_t>(tid)];
     if (t.state != Thread::State::kReady || !JobDispatchable(t)) {
       continue;
@@ -772,6 +754,7 @@ void SimMachine::UnthrottleJob(int job_id) {
     }
     Dispatch(idle_core, tid, /*context_switch=*/true);
   }
+  displaced_.resize(base);
 }
 
 bool SimMachine::ArmIdleWatch(int lo, int hi, bool* flag) {

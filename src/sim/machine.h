@@ -230,19 +230,17 @@ class SimMachine {
                           TenantClass tenant) const;
 
  private:
-  // SpawnThread resets a recycled slot field by field: a new field needs a
-  // line there too.
   struct Thread {
     TenantClass tenant = TenantClass::kPrimary;
     int job = -1;
     enum class State { kFree, kReady, kRunning } state = State::kFree;
     SimDuration remaining = 0;
     bool loop = false;  // unbounded work
-    CompletionFn on_complete;
+    CompletionFn on_complete{};
     // The pending end-of-slice event while kRunning. Preemption and kill
     // cancel it eagerly, so a stale slice event never sits in the queue.
     // Lifecycle owned by SimMachine (CancelOwned on every transition).
-    EventHandle slice_event;  // NOLINT(perfiso-LIFE-001)
+    EventHandle slice_event{};  // NOLINT(perfiso-LIFE-001)
     int core = -1;         // running core, or queued-on core when kReady in a queue
     bool queued = false;   // kReady and sitting in a core's ready queue
     int q_prev = -1;       // neighbours in that queue's FIFO (-1: none)
@@ -312,6 +310,13 @@ class SimMachine {
   void RemoveFromQueue(int tid);
   void ThrottleJob(int job_id);
   void UnthrottleJob(int job_id);
+  // Idles and refills each core in freed_cores_[base..] that is still free,
+  // then truncates the list to `base`.
+  void DispatchFreedCores(size_t base);
+  // Moves the job's ready threads onto idle cores of their mask; threads
+  // queued behind busy cores keep waiting there. Walks a copy of the job's
+  // thread list kept on displaced_.
+  void ReplaceReadyThreads(const Job& job);
   // Rate-cap machinery: usage is consumed at `running_count` ns of budget per
   // ns of real time, so exhaustion is predictable exactly. These maintain a
   // single pending "budget exhausted" event per capped job.
@@ -357,7 +362,11 @@ class SimMachine {
   std::vector<Thread> threads_;
   std::vector<int> free_threads_;
   std::vector<Job> jobs_;
-  // SetJobAffinity's scratch lists; empty between calls.
+  // Scratch lists, empty between public calls. They are used as stacks:
+  // each user appends after the size it found and truncates back to it before
+  // returning, so a nested user (ThrottleJob, reached from Dispatch through
+  // the rate-cap check) can share them. Walk them by index: a nested user may
+  // grow them.
   std::vector<int> displaced_;
   std::vector<int> freed_cores_;
   CpuSet idle_mask_;

@@ -4,10 +4,10 @@
 // operator new. Once the warmup has grown the pools, a query's whole path —
 // client arrival, the receive/parse/fan-out/rank/snippet bursts, index and
 // snippet reads, log appends, hedge timers, the controller's polls — must not
-// touch the allocator. What remains is a few hundred allocations over about
-// 50,000 queries, none of them per query: new query slots as the day's peak
-// raises the in-flight high-water mark, the growth of run-long sample
-// vectors, and the controller suspending and resuming the secondary.
+// touch the allocator. What remains is about 130 allocations over about
+// 50,000 queries, none of them per query: new query slots (their chunk
+// vectors and the pool's slabs) as the day's peak raises the in-flight
+// high-water mark, and the growth of run-long sample vectors.
 //
 // This file replaces the global allocation functions, so it is its own test
 // binary; micro_overheads_smoke is the per-event and per-IO twin.
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/cluster/cluster.h"
 #include "src/cluster/index_node.h"
 #include "src/workload/query_trace.h"
 
@@ -58,6 +59,11 @@ namespace {
 
 // At most one allocation per 100 queries in the window.
 constexpr double kMaxAllocsPerQuery = 0.01;
+// The small-cluster window's bound, per TLA query: it read 265 allocations
+// over 976 queries (0.27) when set, about 240 of them the fabric's link
+// queues taking deque blocks; replacing each leaf's Stats at the reset instead
+// of clearing its recorders reads 425 (0.44).
+constexpr double kMaxClusterAllocsPerQuery = 0.3;
 
 TEST(AllocPerQueryTest, DiurnalBlindDayAllocatesNothingPerQuery) {
   const ScenarioSpec spec = bench::MustFindScenario("diurnal-blind");
@@ -85,6 +91,38 @@ TEST(AllocPerQueryTest, DiurnalBlindDayAllocatesNothingPerQuery) {
               static_cast<unsigned long long>(allocs), static_cast<long long>(queries),
               per_query);
   EXPECT_LE(per_query, kMaxAllocsPerQuery);
+}
+
+// A small cluster's window, opened by Cluster::ResetStats as cluster_day
+// opens its own: every leaf's IndexServer clears its recorders then, and
+// must keep their capacity instead of regrowing them from empty. The warmup
+// and the window carry the same load, so whatever the warmup grew suffices.
+TEST(AllocPerQueryTest, SmallClusterWindowKeepsRecorderCapacity) {
+  Simulator sim;
+  ClusterOptions options;
+  options.topology = ClusterTopology{4, 2, 2};
+  Cluster cluster(&sim, options);
+  Rng trace_rng(7);
+  std::vector<QueryWork> trace = GenerateTrace(TraceSpec{}, 2000, &trace_rng);
+  Cluster* target = &cluster;
+  OpenLoopClient client(&sim, std::move(trace), /*queries_per_sec=*/500.0, Rng(11),
+                        [target](const QueryWork& work, SimTime) { target->SubmitQuery(work); });
+  constexpr SimDuration kPhase = 2 * kSecond;
+  client.Run(0, 2 * kPhase);
+  sim.RunUntil(kPhase);
+  cluster.ResetStats();
+
+  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  sim.RunUntil(2 * kPhase);
+  const uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+
+  const int64_t queries = cluster.queries_submitted();
+  ASSERT_GT(queries, 900);  // the whole window ran
+  const double per_query = static_cast<double>(allocs) / static_cast<double>(queries);
+  std::printf("cluster window: %llu allocations over %lld queries (%.4f per query)\n",
+              static_cast<unsigned long long>(allocs), static_cast<long long>(queries),
+              per_query);
+  EXPECT_LE(per_query, kMaxClusterAllocsPerQuery);
 }
 
 }  // namespace

@@ -141,7 +141,7 @@ TEST(ClusterTest, RpcsTravelTheFabric) {
   }
   EXPECT_EQ(delivered, 8);
   EXPECT_EQ(fabric.flows_in_flight(), 0);
-  EXPECT_EQ(fabric.occupied_flow_records(), 0);
+  EXPECT_EQ(fabric.occupied_slots(), 0);
   InvariantReport report;
   InvariantChecker::CheckCluster(cluster, /*expect_drained=*/true, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();

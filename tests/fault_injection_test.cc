@@ -255,7 +255,7 @@ TEST(FaultInjectionTest, CrashMidQueryLeavesNoLiveStates) {
   InvariantReport report;
   InvariantChecker::CheckRig(rig, /*expect_drained=*/true, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_EQ(rig.server().occupied_query_slots(), 0);
+  EXPECT_EQ(rig.server().occupied_slots(), 0);
   sim.CheckEngineInvariants();  // aborts on a corrupt event queue
 }
 

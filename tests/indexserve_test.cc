@@ -226,13 +226,13 @@ TEST(IndexServerTest, AllQueryStateDestroyedAfterDrain) {
   for (int i = 0; i < 200; ++i) {
     rig.server().SubmitQuery(MakeQuery(static_cast<uint64_t>(i)));
   }
-  EXPECT_GT(rig.server().occupied_query_slots(), 0);
+  EXPECT_GT(rig.server().occupied_slots(), 0);
   sim.RunUntilEmpty();
   EXPECT_EQ(rig.server().stats().completed + rig.server().stats().TotalDropped(), 200);
   InvariantReport report;
   InvariantChecker::CheckRig(rig, /*expect_drained=*/true, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_EQ(rig.server().occupied_query_slots(), 0);
+  EXPECT_EQ(rig.server().occupied_slots(), 0);
 }
 
 // Same invariant on the expiry path: queries abandoned mid-pipeline (including
@@ -250,7 +250,7 @@ TEST(IndexServerTest, ExpiredQueryStateDestroyedAfterDrain) {
   InvariantReport report;
   InvariantChecker::CheckRig(rig, /*expect_drained=*/true, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_EQ(rig.server().occupied_query_slots(), 0);
+  EXPECT_EQ(rig.server().occupied_slots(), 0);
 }
 
 // Slot reuse: with a 2 ms timeout, queries expire while duplicate (hedged)
