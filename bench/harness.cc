@@ -348,11 +348,8 @@ SingleBoxResult RunSingleBox(const ScenarioSpec& input, const IndexNodeOptions& 
 
   const SimDuration measure = scenario.measure;  // already scaled
 
-  // Both clients live on the stack; the simulator drains inside this scope.
-  std::optional<OpenLoopClient> open_client;
-  std::optional<ClosedLoopClient> closed_client;
-  if (scenario.client == ClientKind::kOpenLoop) {
-    open_client.emplace(&sim, std::move(trace), scenario.load, Rng(scenario.client_seed),
+  // The client lives on the stack; the simulator drains inside this scope.
+  OpenLoopClient client(&sim, std::move(trace), scenario.load, Rng(scenario.client_seed),
                         [&rig, latency_hist](const QueryWork& work, SimTime) {
                           if (latency_hist == nullptr) {
                             rig.server().SubmitQuery(work);
@@ -364,27 +361,10 @@ SingleBoxResult RunSingleBox(const ScenarioSpec& input, const IndexNodeOptions& 
                             }
                           });
                         });
-    if (obs_ctx != nullptr) {
-      open_client->SetTracer(&obs_ctx->tracer, client_track);
-    }
-    open_client->Run(0, scenario.warmup + measure);
-  } else {
-    closed_client.emplace(&sim, std::move(trace), scenario.closed.outstanding,
-                          scenario.closed.think_time, Rng(scenario.client_seed),
-                          [&rig, &closed_client, latency_hist](const QueryWork& work, SimTime) {
-                            rig.server().SubmitQuery(
-                                work, [&closed_client, latency_hist](const QueryResult& r) {
-                                  if (latency_hist != nullptr && !r.dropped) {
-                                    latency_hist->Observe(r.latency_ms);
-                                  }
-                                  closed_client->OnComplete();
-                                });
-                          });
-    if (obs_ctx != nullptr) {
-      closed_client->SetTracer(&obs_ctx->tracer, client_track);
-    }
-    closed_client->Run(0, scenario.warmup + measure);
+  if (obs_ctx != nullptr) {
+    client.SetTracer(&obs_ctx->tracer, client_track);
   }
+  client.Run(0, scenario.warmup + measure);
 
   sim.RunUntil(scenario.warmup);
   rig.server().ResetStats();
@@ -531,18 +511,6 @@ std::vector<ScenarioSpec> BuildRegistry() {
     spec.load.kind = LoadShapeKind::kRamp;
     spec.load.ramp_end_qps = 4000;
     spec.load.ramp_duration_sec = 8;
-    spec.tenants.cpu_bully_threads = 48;
-    spec.perfiso = BlindConfig();
-    registry.push_back(spec);
-  }
-
-  // Closed-loop saturation study: 64 users, 1 ms think time — offered load is
-  // completion-limited instead of a fixed rate.
-  {
-    ScenarioSpec spec = BaseScenario("closed-loop-saturation", ConstantLoad(2000));
-    spec.client = ClientKind::kClosedLoop;
-    spec.closed.outstanding = 64;
-    spec.closed.think_time = FromMillis(1);
     spec.tenants.cpu_bully_threads = 48;
     spec.perfiso = BlindConfig();
     registry.push_back(spec);
@@ -703,24 +671,9 @@ ClusterRunResult RunClusterScenario(const ScenarioSpec& input) {
   auto trace = GenerateTrace(TraceSpec{}, scenario.trace_count, &trace_rng);
   const SimDuration measure = scenario.measure;  // already scaled
 
-  std::optional<OpenLoopClient> open_client;
-  std::optional<ClosedLoopClient> closed_client;
-  if (scenario.client == ClientKind::kOpenLoop) {
-    open_client.emplace(&sim, std::move(trace), scenario.load, Rng(scenario.client_seed),
-                        [&cluster](const QueryWork& work, SimTime) {
-                          cluster.SubmitQuery(work);
-                        });
-    open_client->Run(0, scenario.warmup + measure);
-  } else {
-    closed_client.emplace(&sim, std::move(trace), scenario.closed.outstanding,
-                          scenario.closed.think_time, Rng(scenario.client_seed),
-                          [&cluster, &closed_client](const QueryWork& work, SimTime) {
-                            cluster.SubmitQuery(work, [&closed_client](const QueryResult&) {
-                              closed_client->OnComplete();
-                            });
-                          });
-    closed_client->Run(0, scenario.warmup + measure);
-  }
+  OpenLoopClient client(&sim, std::move(trace), scenario.load, Rng(scenario.client_seed),
+                        [&cluster](const QueryWork& work, SimTime) { cluster.SubmitQuery(work); });
+  client.Run(0, scenario.warmup + measure);
 
   sim.RunUntil(scenario.warmup);
   cluster.ResetStats();

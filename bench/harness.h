@@ -135,8 +135,8 @@ IndexNodeOptions ResilientNodeOptions();
 //
 // Canonical named scenarios: the figure settings (standalone, bully tiers,
 // each isolation technique) plus the load-shape library (diurnal day, flash
-// crowd, burst train, ramp, closed-loop saturation). Keyed by name;
-// FindScenario returns NotFound for unknown names.
+// crowd, burst train, ramp). Keyed by name; FindScenario returns NotFound
+// for unknown names.
 
 std::vector<std::string> ScenarioNames();
 StatusOr<ScenarioSpec> FindScenario(const std::string& name);

@@ -39,7 +39,6 @@ workload.qps = 1000
 workload.square.burst_qps = 4000
 workload.square.period_sec = 2
 workload.square.duty = 0.25
-workload.client = open_loop
 workload.tenants.cpu_bully_threads = 48
 workload.measure_ns = 6000000000
 workload.isolation = perfiso

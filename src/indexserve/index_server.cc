@@ -502,8 +502,8 @@ void IndexServer::Crash() {
     tracer_->Instant("server.crash", track_, machine_->sim()->Now());
   }
   // Fail every live query exactly once, in submission order: conservation
-  // moves each of them to dropped_crash. Collect the refs first — done
-  // callbacks may re-enter SubmitQuery (closed-loop clients resubmit), which
+  // moves each of them to dropped_crash. Collect the refs first — a done
+  // callback may re-enter SubmitQuery (a caller that retries at once), which
   // the crashed server rejects through a slot of its own.
   std::vector<SlotRef> live;
   for (uint32_t id = 0; id < queries_.size(); ++id) {

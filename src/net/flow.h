@@ -53,6 +53,8 @@ struct Flow {
   SimTime hop_enter = 0;
   int64_t remaining_on_link = 0;
   uint64_t arrival_seq = 0;  // FIFO order within a link
+  // The flow behind this one in its link queue; a flow sits in at most one.
+  Flow* next = nullptr;
 };
 
 }  // namespace perfiso

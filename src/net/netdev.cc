@@ -44,7 +44,7 @@ void Link::Enqueue(Flow* flow) {
   queued_bytes_ += flow->bytes;
   stats_.max_queued_bytes = std::max(stats_.max_queued_bytes, queued_bytes_);
   const auto qi = static_cast<size_t>(flow->net_class);
-  queues_[qi].push_back(flow);
+  queues_[qi].Push(flow);
   Pump();
 }
 
@@ -57,7 +57,7 @@ int Link::PickQueue() const {
   if (p && s && discipline_ == Discipline::kFifo) {
     // Arrival order across classes; a partially-serialized flow keeps its
     // original seq and therefore stays in front.
-    return queues_[0].front()->arrival_seq < queues_[1].front()->arrival_seq ? 0 : 1;
+    return queues_[0].head->arrival_seq < queues_[1].head->arrival_seq ? 0 : 1;
   }
   return p ? 0 : 1;  // strict priority (or only one queue occupied)
 }
@@ -70,7 +70,7 @@ void Link::Pump() {
   if (queue < 0) {
     return;
   }
-  Flow* flow = queues_[static_cast<size_t>(queue)].front();
+  Flow* flow = queues_[static_cast<size_t>(queue)].head;
   int64_t chunk = std::min(chunk_bytes_, flow->remaining_on_link);
   const SimTime now = sim_->Now();
   // TX links shape secondary chunks through the machine's egress bucket.
@@ -107,8 +107,8 @@ void Link::Pump() {
 
 void Link::OnChunkDone(int queue, int64_t chunk) {
   busy_ = false;
-  auto& q = queues_[static_cast<size_t>(queue)];
-  Flow* flow = q.front();
+  FlowQueue& q = queues_[static_cast<size_t>(queue)];
+  Flow* flow = q.head;
   flow->remaining_on_link -= chunk;
   queued_bytes_ -= chunk;
   ++stats_.chunks;
@@ -117,7 +117,7 @@ void Link::OnChunkDone(int queue, int64_t chunk) {
                                              static_cast<double>(kSecond));
   if (flow->remaining_on_link == 0) {
     ++stats_.flows_completed[queue];
-    q.pop_front();
+    q.Pop();
     Pump();
     const SimTime now = sim_->Now();
     if (tracer_ != nullptr && flow->trace_ctx != 0 && now > flow->hop_enter) {

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 
@@ -107,7 +106,26 @@ class Link {
   Discipline discipline_;
   std::string name_;
   std::optional<TokenBucket>* egress_bucket_ = nullptr;
-  std::array<std::deque<Flow*>, kNumNetClasses> queues_;
+  // One FIFO per class, linked through Flow::next, so queueing never
+  // allocates.
+  struct FlowQueue {
+    Flow* head = nullptr;
+    Flow* tail = nullptr;
+
+    bool empty() const { return head == nullptr; }
+    void Push(Flow* flow) {
+      flow->next = nullptr;
+      (tail == nullptr ? head : tail->next) = flow;
+      tail = flow;
+    }
+    void Pop() {
+      head = head->next;
+      if (head == nullptr) {
+        tail = nullptr;
+      }
+    }
+  };
+  std::array<FlowQueue, kNumNetClasses> queues_;
   uint64_t next_arrival_seq_ = 0;
   int64_t queued_bytes_ = 0;
   bool busy_ = false;

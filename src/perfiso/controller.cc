@@ -13,12 +13,15 @@ PerfIsoController::PerfIsoController(Platform* platform, const PerfIsoConfig& co
   assert(platform_ != nullptr);
 }
 
-PerfIsoController::~PerfIsoController() { LeaveQuiet(); }
+PerfIsoController::~PerfIsoController() {
+  if (quiet_) {
+    platform_->DisarmIdleWatch();
+  }
+}
 
 Status PerfIsoController::Initialize() {
   PERFISO_RETURN_IF_ERROR(config_.Validate(platform_->NumCores()));
-  initialized_ = true;
-  ResetMemoryCountdown();
+  memory_countdown_ = config_.memory_check_every_n_polls;
   if (!config_.io_limits.empty()) {
     io_throttler_ = std::make_unique<IoThrottler>(
         platform_, config_.io_limits,
@@ -26,78 +29,13 @@ Status PerfIsoController::Initialize() {
     if (tracer_ != nullptr) {
       io_throttler_->EnableTracing(tracer_, track_);
     }
-    // Static I/O limits apply even when CPU isolation is switched off — they
-    // are configuration, not dynamic control.
+    // Static I/O limits are configuration, not dynamic control: a platform
+    // that cannot apply them logs a warning and CPU isolation still comes up.
     Status io_status = io_throttler_->ApplyStaticLimits();
     if (!io_status.ok()) {
       PERFISO_LOG(kWarning) << "perfiso: static I/O limits not applied: "
                             << io_status.ToString();
     }
-  }
-  return SetActive(config_.enabled);
-}
-
-Status PerfIsoController::ApplyCpuMode() {
-  LeaveQuiet();  // the policy below is rebuilt
-  const int cores = platform_->NumCores();
-  switch (config_.cpu_mode) {
-    case CpuIsolationMode::kNone:
-      blind_policy_.reset();
-      return OkStatus();
-    case CpuIsolationMode::kBlindIsolation: {
-      blind_policy_.emplace(config_.blind, cores);
-      const CpuSet mask = BuildPlacementMask(config_.blind.placement,
-                                             blind_policy_->secondary_cores(), cores);
-      ++stats_.affinity_updates;
-      return platform_->SetSecondaryAffinity(mask);
-    }
-    case CpuIsolationMode::kStaticCores: {
-      blind_policy_.reset();
-      const CpuSet mask = BuildPlacementMask(config_.blind.placement,
-                                             config_.static_secondary_cores, cores);
-      ++stats_.affinity_updates;
-      return platform_->SetSecondaryAffinity(mask);
-    }
-    case CpuIsolationMode::kCpuRateCap: {
-      blind_policy_.reset();
-      ++stats_.rate_updates;
-      return platform_->SetSecondaryCpuRateCap(config_.cpu_rate_cap);
-    }
-  }
-  return InternalError("unreachable cpu mode");
-}
-
-Status PerfIsoController::RestoreDefaults() {
-  // OS defaults: the secondary may use every core at full rate.
-  PERFISO_RETURN_IF_ERROR(platform_->SetSecondaryAffinity(CpuSet::FirstN(platform_->NumCores())));
-  PERFISO_RETURN_IF_ERROR(platform_->SetSecondaryCpuRateCap(0));
-  if (config_.egress_rate_cap_bps > 0) {
-    Status egress = platform_->SetEgressRateCap(0);
-    if (!egress.ok()) {
-      PERFISO_LOG(kWarning) << "perfiso: egress cap not cleared: " << egress.ToString();
-    }
-  }
-  return OkStatus();
-}
-
-Status PerfIsoController::SetActive(bool active) {
-  if (!initialized_) {
-    return FailedPreconditionError("Initialize() not called");
-  }
-  if (active == active_) {
-    return OkStatus();
-  }
-  if (!active) {
-    active_ = false;
-    PERFISO_LOG(kInfo) << "perfiso: kill switch engaged, restoring OS defaults";
-    if (tracer_ != nullptr) {
-      tracer_->Instant("perfiso.deactivate", track_, platform_->NowNs());
-    }
-    return RestoreDefaults();
-  }
-  active_ = true;
-  if (tracer_ != nullptr) {
-    tracer_->Instant("perfiso.activate", track_, platform_->NowNs());
   }
   if (config_.egress_rate_cap_bps > 0) {
     // Like the static I/O limits above: platforms without an egress shaper
@@ -111,26 +49,33 @@ Status PerfIsoController::SetActive(bool active) {
   return ApplyCpuMode();
 }
 
-Status PerfIsoController::ApplyConfig(const PerfIsoConfig& config) {
-  PERFISO_RETURN_IF_ERROR(config.Validate(platform_->NumCores()));
-  const bool was_active = active_;
-  config_ = config;
-  ResetMemoryCountdown();
-  if (!initialized_) {
-    return OkStatus();
+Status PerfIsoController::ApplyCpuMode() {
+  const int cores = platform_->NumCores();
+  switch (config_.cpu_mode) {
+    case CpuIsolationMode::kNone:
+      return OkStatus();
+    case CpuIsolationMode::kBlindIsolation: {
+      blind_policy_.emplace(config_.blind, cores);
+      const CpuSet mask = BuildPlacementMask(config_.blind.placement,
+                                             blind_policy_->secondary_cores(), cores);
+      ++stats_.affinity_updates;
+      return platform_->SetSecondaryAffinity(mask);
+    }
+    case CpuIsolationMode::kStaticCores: {
+      const CpuSet mask = BuildPlacementMask(config_.blind.placement,
+                                             config_.static_secondary_cores, cores);
+      ++stats_.affinity_updates;
+      return platform_->SetSecondaryAffinity(mask);
+    }
+    case CpuIsolationMode::kCpuRateCap:
+      ++stats_.rate_updates;
+      return platform_->SetSecondaryCpuRateCap(config_.cpu_rate_cap);
   }
-  // Reapply from scratch: cheap, and runtime reconfigurations are rare.
-  active_ = false;
-  if (!config_.enabled) {
-    return was_active ? RestoreDefaults() : OkStatus();
-  }
-  return SetActive(true);
+  return InternalError("unreachable cpu mode");
 }
 
 void PerfIsoController::Poll() {
-  if (!active_) {
-    return;
-  }
+  assert(memory_countdown_ > 0 && "Poll() before Initialize()");
   ++stats_.polls;
   if (quiet_) {
     SimSanCheckQuiet();
@@ -160,20 +105,6 @@ void PerfIsoController::EnterQuiet() {
   if (!range.Empty()) {
     quiet_ = platform_->ArmIdleWatch(range.lo, range.hi, &quiet_);
   }
-}
-
-void PerfIsoController::LeaveQuiet() {
-  if (quiet_) {
-    platform_->DisarmIdleWatch();
-    quiet_ = false;
-  }
-}
-
-void PerfIsoController::ResetMemoryCountdown() {
-  // Keeps the check on every poll whose count is a multiple of n.
-  const int n = config_.memory_check_every_n_polls;
-  assert(n > 0);
-  memory_countdown_ = n - static_cast<int>(stats_.polls % n);
 }
 
 // A quiet poll skips a decision that the idle watch guarantees is a no-op.
@@ -227,7 +158,7 @@ void PerfIsoController::EnableTracing(Tracer* tracer, int process) {
 }
 
 void PerfIsoController::PollIo() {
-  if (!active_ || io_throttler_ == nullptr) {
+  if (io_throttler_ == nullptr) {
     return;
   }
   ++stats_.io_polls;
@@ -241,21 +172,6 @@ void PerfIsoController::AttachToSimulator(Simulator* sim) {
   io_task_ = std::make_unique<PeriodicTask>(sim, sim->Now() + config_.io_poll_interval,
                                             config_.io_poll_interval,
                                             [this](SimTime) { PollIo(); });
-}
-
-void PerfIsoController::DetachFromSimulator() {
-  LeaveQuiet();
-  cpu_task_.reset();
-  io_task_.reset();
-}
-
-StatusOr<std::unique_ptr<PerfIsoController>> PerfIsoController::Recover(
-    Platform* platform, const ConfigMap& state) {
-  auto config = PerfIsoConfig::FromConfigMap(state);
-  PERFISO_RETURN_IF_ERROR(config.status());
-  auto controller = std::make_unique<PerfIsoController>(platform, *config);
-  PERFISO_RETURN_IF_ERROR(controller->Initialize());
-  return controller;
 }
 
 BlindIsolationPolicy::IdleRange PerfIsoController::QuietRange() const {

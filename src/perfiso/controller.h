@@ -52,28 +52,11 @@ class PerfIsoController {
 
   // Convenience: arms periodic tasks on a simulator for both loops.
   void AttachToSimulator(Simulator* sim);
-  void DetachFromSimulator();
 
   // Registers a "perfiso" track under `process` (the machine the controller
   // manages); control decisions — affinity updates, throttler promotions and
-  // demotions, memory kills, kill-switch flips — appear there as instants.
+  // demotions, memory kills — appear there as instants.
   void EnableTracing(Tracer* tracer, int process);
-
-  // Kill switch (§4.2): deactivate restores OS defaults immediately; PerfIso
-  // can later be re-activated and resumes from its configuration.
-  Status SetActive(bool active);
-  bool active() const { return active_; }
-
-  // Runtime reconfiguration (§4: "resource limits can be altered
-  // independently at runtime by issuing a command to PerfIso").
-  Status ApplyConfig(const PerfIsoConfig& config);
-  const PerfIsoConfig& config() const { return config_; }
-
-  // Crash-recovery support (§4.2): the controller's durable state is its
-  // config; recovery = construct + Initialize from the loaded map.
-  ConfigMap SaveState() const { return config_.ToConfigMap(); }
-  static StatusOr<std::unique_ptr<PerfIsoController>> Recover(Platform* platform,
-                                                              const ConfigMap& state);
 
   struct Stats {
     int64_t polls = 0;
@@ -94,29 +77,22 @@ class PerfIsoController {
 
  private:
   Status ApplyCpuMode();
-  Status RestoreDefaults();
   void CheckMemory();
   // Arms the idle watch on the policy's quiet range after a no-op decision.
   void EnterQuiet();
-  // Disarms the watch; the next poll decides in full.
-  void LeaveQuiet();
-  // Re-derives the memory-check countdown from stats_.polls and the config.
-  void ResetMemoryCountdown();
   void SimSanCheckQuiet();
 
   Platform* platform_;
   PerfIsoConfig config_;
   Tracer* tracer_ = nullptr;
   int32_t track_ = Tracer::kNoTrack;
-  // What a quiet Poll() touches, kept together: active_, quiet_ (cleared by
-  // the platform's idle watch), the polls left until the next memory check
-  // (1..memory_check_every_n_polls; replaces a modulo of stats_.polls), and
+  // What a quiet Poll() touches, kept together: quiet_ (cleared by the
+  // platform's idle watch), the polls left until the next memory check
+  // (1..memory_check_every_n_polls once initialized; 0 before), and
   // stats_.polls.
-  bool active_ = false;
   bool quiet_ = false;
   int memory_countdown_ = 0;
   Stats stats_;
-  bool initialized_ = false;
   std::optional<BlindIsolationPolicy> blind_policy_;
   std::unique_ptr<IoThrottler> io_throttler_;
   bool secondary_killed_ = false;

@@ -8,7 +8,6 @@ namespace perfiso {
 
 template <class V>
 void PerfIsoConfig::Fields(V& v) {
-  v.Field("enabled", enabled);
   v.Field("cpu.mode", cpu_mode);
   v.Field("cpu.buffer_cores", blind.buffer_cores);
   v.Field("cpu.proportional_step", blind.proportional_step);

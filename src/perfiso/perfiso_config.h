@@ -53,11 +53,6 @@ struct IoOwnerLimit {
 };
 
 struct PerfIsoConfig {
-  // Kill switch (§4.2): when false the controller restores OS defaults and
-  // stops intervening, so PerfIso can be excluded while debugging livesite
-  // issues.
-  bool enabled = true;
-
   CpuIsolationMode cpu_mode = CpuIsolationMode::kBlindIsolation;
   BlindIsolationSettings blind;
   int static_secondary_cores = 8;   // for kStaticCores
@@ -85,8 +80,6 @@ struct PerfIsoConfig {
 
   // Serialization to/from the key=value config format. FromConfigMap is
   // strict: a bad value or any key the table does not consume is an error.
-  // Crash recovery reads back ToConfigMap()'s output (PerfIsoController::
-  // Recover).
   ConfigMap ToConfigMap() const;
   static StatusOr<PerfIsoConfig> FromConfigMap(const ConfigMap& map);
 

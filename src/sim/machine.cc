@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
+#include <new>
 #include <utility>
 
 namespace perfiso {
@@ -216,13 +218,14 @@ ThreadId SimMachine::SpawnThread(TenantClass tenant, JobId job, SimDuration work
                                  CompletionFn on_complete, uint64_t trace_ctx) {
   const int tid = AllocThreadSlot();
   Thread& t = threads_[static_cast<size_t>(tid)];
-  t = Thread{.tenant = tenant,
-             .job = job.valid() ? job.value : -1,
-             .state = Thread::State::kReady,
-             .remaining = std::max<SimDuration>(1, work),
-             .ready_since = sim_->Now(),
-             .trace_ctx = trace_ctx};
-  t.on_complete = std::move(on_complete);  // one move, not two through the temporary
+  std::destroy_at(&t);
+  new (&t) Thread{.tenant = tenant,
+                  .job = job.valid() ? job.value : -1,
+                  .state = Thread::State::kReady,
+                  .remaining = std::max<SimDuration>(1, work),
+                  .on_complete = std::move(on_complete),
+                  .ready_since = sim_->Now(),
+                  .trace_ctx = trace_ctx};
   if (t.job >= 0) {
     Job& owner = jobs_[static_cast<size_t>(t.job)];
     assert(owner.live);

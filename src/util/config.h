@@ -40,9 +40,9 @@ std::string FormatDouble(double value);
 // One entry of an enum's name table. Each config enum E has exactly one
 // table, returned by an overload `EnumNames(E)` that argument-dependent
 // lookup finds next to the enum:
-//   inline const auto& EnumNames(ClientKind) {
-//     static constexpr EnumName<ClientKind> kNames[] = {
-//         {ClientKind::kOpenLoop, "open_loop"}, ...};
+//   inline const auto& EnumNames(CpuIsolationMode) {
+//     static constexpr EnumName<CpuIsolationMode> kNames[] = {
+//         {CpuIsolationMode::kNone, "none"}, ...};
 //     return kNames;
 //   }
 template <class E>

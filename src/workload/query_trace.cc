@@ -97,56 +97,4 @@ void OpenLoopClient::SetTracer(Tracer* tracer, int32_t track) {
   track_ = track;
 }
 
-ClosedLoopClient::ClosedLoopClient(Simulator* sim, std::vector<QueryWork> trace,
-                                   int outstanding, SimDuration think_time, Rng rng,
-                                   SubmitFn submit)
-    : sim_(sim), trace_(std::move(trace)), outstanding_(outstanding),
-      think_time_(think_time), rng_(rng), submit_(std::move(submit)) {
-  assert(!trace_.empty());
-  assert(outstanding_ > 0);
-  assert(think_time_ >= 0);
-}
-
-void ClosedLoopClient::Run(SimTime start, SimDuration duration) {
-  end_time_ = start + duration;
-  sim_->Schedule(start, [this] {
-    for (int user = 0; user < outstanding_; ++user) {
-      SubmitAfterThink();
-    }
-  });
-}
-
-void ClosedLoopClient::SubmitAfterThink() {
-  const double think_ns =
-      think_time_ > 0 ? rng_.Exponential(static_cast<double>(think_time_)) : 0;
-  const SimTime at =
-      sim_->Now() + std::max<SimDuration>(1, static_cast<SimDuration>(std::llround(think_ns)));
-  if (at >= end_time_) {
-    return;
-  }
-  sim_->Schedule(at, [this, at] {
-    ++in_flight_;
-    ++submitted_;
-    const QueryWork& work = trace_[cursor_];
-    cursor_ = (cursor_ + 1) % trace_.size();
-    if (tracer_ != nullptr) {
-      tracer_->Instant("client.arrival", track_, at);
-    }
-    submit_(work, at);
-  });
-}
-
-void ClosedLoopClient::SetTracer(Tracer* tracer, int32_t track) {
-  tracer_ = tracer;
-  track_ = track;
-}
-
-void ClosedLoopClient::OnComplete() {
-  assert(in_flight_ > 0);
-  --in_flight_;
-  if (sim_->Now() < end_time_) {
-    SubmitAfterThink();
-  }
-}
-
 }  // namespace perfiso

@@ -1,18 +1,14 @@
-// Synthetic query-trace generation and trace-replay clients.
+// Synthetic query-trace generation and the open-loop trace-replay client.
 //
 // The paper replays a trace of 500k real Bing queries through an open-loop
 // client whose inter-arrival times follow a Poisson process (§5.3). Real
 // traces are proprietary, so we generate synthetic ones whose per-query
 // complexity distributions are the calibration knobs of the IndexServe model.
 //
-// Two clients replay a trace:
-//  - OpenLoopClient: arrivals follow a (possibly non-homogeneous) Poisson
-//    process described by a LoadShapeSpec, independent of completions. This
-//    is the paper's load model and the one every figure bench uses.
-//  - ClosedLoopClient: a fixed population of logical users, each submitting,
-//    waiting for its completion, thinking, and submitting again — the
-//    saturation-study model (throughput is completion-limited, latency
-//    feedback caps the offered load).
+// OpenLoopClient replays a trace: arrivals follow a (possibly
+// non-homogeneous) Poisson process described by a LoadShapeSpec, independent
+// of completions. This is the paper's load model and the one every figure
+// bench uses.
 #ifndef PERFISO_SRC_WORKLOAD_QUERY_TRACE_H_
 #define PERFISO_SRC_WORKLOAD_QUERY_TRACE_H_
 
@@ -97,50 +93,6 @@ class OpenLoopClient {
   SimTime start_time_ = 0;
   SimTime end_time_ = 0;
   uint64_t submitted_ = 0;
-  size_t cursor_ = 0;
-};
-
-// Replays a trace in a closed loop: `outstanding` logical users each submit a
-// query, wait for the caller to signal its completion via OnComplete(), think
-// for an exponential time with mean `think_time`, and submit again. The
-// offered load self-limits to outstanding / (response_time + think_time) —
-// the saturation-study companion to the open-loop client.
-class ClosedLoopClient {
- public:
-  using SubmitFn = std::function<void(const QueryWork&, SimTime)>;
-
-  ClosedLoopClient(Simulator* sim, std::vector<QueryWork> trace, int outstanding,
-                   SimDuration think_time, Rng rng, SubmitFn submit);
-
-  // Starts the user population at `start` (each user's first submission is
-  // preceded by one think time, desynchronizing the population), stopping new
-  // submissions after `duration`.
-  void Run(SimTime start, SimDuration duration);
-
-  // Must be called once per completed (or dropped) query; resubmits the
-  // user after its think time unless the run window has ended.
-  void OnComplete();
-
-  // Marks each submission as a "client.arrival" instant on `track`.
-  void SetTracer(Tracer* tracer, int32_t track);
-
-  uint64_t submitted() const { return submitted_; }
-  int in_flight() const { return in_flight_; }
-
- private:
-  void SubmitAfterThink();
-
-  Simulator* sim_;
-  std::vector<QueryWork> trace_;
-  int outstanding_;
-  SimDuration think_time_;
-  Rng rng_;
-  SubmitFn submit_;
-  Tracer* tracer_ = nullptr;
-  int32_t track_ = Tracer::kNoTrack;
-  SimTime end_time_ = 0;
-  uint64_t submitted_ = 0;
-  int in_flight_ = 0;
   size_t cursor_ = 0;
 };
 

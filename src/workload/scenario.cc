@@ -54,12 +54,6 @@ void ScenarioSpec::Fields(V& v) {
       break;
   }
 
-  v.Field("workload.client", client);
-  if (client == ClientKind::kClosedLoop) {
-    v.Field("workload.closed.outstanding", closed.outstanding);
-    v.Field("workload.closed.think_time_ns", closed.think_time);
-  }
-
   v.Field("workload.tenants.cpu_bully_threads", tenants.cpu_bully_threads);
   v.Field("workload.tenants.disk_bully", tenants.disk_bully);
   v.Field("workload.tenants.hdfs_client", tenants.hdfs_client);
@@ -106,12 +100,6 @@ StatusOr<ScenarioSpec> ScenarioSpec::FromConfigMap(const ConfigMap& map) {
 
 Status ScenarioSpec::Validate() const {
   PERFISO_RETURN_IF_ERROR(load.Validate());
-  if (closed.outstanding <= 0) {
-    return InvalidArgumentError("closed.outstanding must be positive");
-  }
-  if (closed.think_time < 0) {
-    return InvalidArgumentError("closed.think_time must be >= 0");
-  }
   if (tenants.cpu_bully_threads < 0) {
     return InvalidArgumentError("tenants.cpu_bully_threads must be >= 0");
   }

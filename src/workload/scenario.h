@@ -1,8 +1,8 @@
 // Declarative scenario specifications.
 //
-// A ScenarioSpec names everything one experiment needs — a load shape, the
-// replay client (open- or closed-loop), a secondary-tenant mix, a topology,
-// and an optional PerfIso configuration — and serializes to the same flat
+// A ScenarioSpec names everything one experiment needs — a load shape for
+// the open-loop replay client, a secondary-tenant mix, a topology, and an
+// optional PerfIso configuration — and serializes to the same flat
 // key=value format as PerfIsoConfig (§4). Benches and tests enumerate
 // scenarios from the registry in bench/harness.h by name instead of
 // hand-rolling structs; a spec parsed from a config file runs the exact same
@@ -32,18 +32,6 @@
 
 namespace perfiso {
 
-// Which replay client drives the load (src/workload/query_trace.h).
-enum class ClientKind {
-  kOpenLoop,    // Poisson arrivals at the load shape's intensity
-  kClosedLoop,  // fixed user population with think time (saturation studies)
-};
-
-inline const auto& EnumNames(ClientKind) {
-  static constexpr EnumName<ClientKind> kNames[] = {{ClientKind::kOpenLoop, "open_loop"},
-                                                     {ClientKind::kClosedLoop, "closed_loop"}};
-  return kNames;
-}
-
 // The secondary tenants colocated with the index server. All run inside the
 // machine's unified secondary job object (§4).
 struct TenantMixSpec {
@@ -67,18 +55,10 @@ struct TopologySpec {
 // size; 2^22 queries is about 200x the 20,000 the registry and benches use.
 inline constexpr size_t kMaxTraceCount = size_t{1} << 22;
 
-// Closed-loop client parameters (ignored for kOpenLoop).
-struct ClosedLoopSpec {
-  int outstanding = 32;
-  SimDuration think_time = FromMillis(1);
-};
-
 struct ScenarioSpec {
   std::string name;  // registry key; informational in serialized form
 
   LoadShapeSpec load;
-  ClientKind client = ClientKind::kOpenLoop;
-  ClosedLoopSpec closed;
   TenantMixSpec tenants;
   TopologySpec topology;
 
@@ -103,7 +83,7 @@ struct ScenarioSpec {
   SimDuration warmup = kSecond;
   SimDuration measure = 8 * kSecond;  // benches scale this by BenchScale()
 
-  // Trace replay determinism: the synthetic trace and both clients draw from
+  // Trace replay determinism: the synthetic trace and the client draw from
   // fixed seeds, so a spec's result is a pure function of its fields (the
   // parallel-runner contract, DESIGN.md §4).
   size_t trace_count = 20000;  // at most kMaxTraceCount
@@ -114,7 +94,7 @@ struct ScenarioSpec {
   uint64_t node_seed = 77;
 
   // The field table (src/util/config.h). It visits only the keys relevant to
-  // the active shape/client/isolation, so a round trip preserves exactly the
+  // the active shape, topology and isolation, so a round trip preserves the
   // knobs that matter and the parser rejects the rest.
   template <class V>
   void Fields(V& v);
@@ -125,7 +105,7 @@ struct ScenarioSpec {
   static StatusOr<ScenarioSpec> FromConfigMap(const ConfigMap& map);
 
   // Rejects invalid shapes (negative rates, empty piecewise tables), bad
-  // client/topology parameters, non-positive windows, and invalid obs knobs
+  // tenant/topology parameters, non-positive windows, and invalid obs knobs
   // or fault plans.
   Status Validate() const;
 };

@@ -155,14 +155,12 @@ ClusterDigest RunFig09Style() {
 }
 
 // The load-shape engine rides the same contract: shaped (thinned) arrival
-// streams and the closed-loop client are pure functions of the spec, so
-// registry scenarios run bit-identically on worker threads too. Run at a
-// reduced bench scale so ScaleScenarioForBench's timeline compression (the
-// spike, the bursts, the full diurnal period — all inside a ~1 s window) is
-// on the tested path.
+// streams are pure functions of the spec, so registry scenarios run
+// bit-identically on worker threads too. Run at a reduced bench scale so
+// ScaleScenarioForBench's timeline compression (the spike, the bursts, the
+// full diurnal period — all inside a ~1 s window) is on the tested path.
 TEST(BenchDeterminismTest, ShapedScenariosParallelMatchesSequential) {
-  const char* kNames[] = {"diurnal-blind", "flash-crowd-no-isolation",
-                          "burst-train-blind", "closed-loop-saturation"};
+  const char* kNames[] = {"diurnal-blind", "flash-crowd-no-isolation", "burst-train-blind"};
   std::vector<SingleBoxScenario> scenarios;
   for (const char* name : kNames) {
     auto spec = bench::FindScenario(name);

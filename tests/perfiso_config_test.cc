@@ -12,7 +12,6 @@ namespace {
 
 TEST(PerfIsoConfigTest, RoundTripsThroughConfigMap) {
   PerfIsoConfig config;
-  config.enabled = false;
   config.cpu_mode = CpuIsolationMode::kStaticCores;
   config.blind.buffer_cores = 6;
   config.blind.proportional_step = false;
@@ -33,7 +32,6 @@ TEST(PerfIsoConfigTest, RoundTripsThroughConfigMap) {
   auto parsed = PerfIsoConfig::FromConfigMap(config.ToConfigMap());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const PerfIsoConfig& back = *parsed;
-  EXPECT_EQ(back.enabled, config.enabled);
   EXPECT_EQ(back.cpu_mode, config.cpu_mode);
   EXPECT_EQ(back.blind.buffer_cores, config.blind.buffer_cores);
   EXPECT_EQ(back.blind.proportional_step, config.blind.proportional_step);
@@ -60,7 +58,6 @@ TEST(PerfIsoConfigTest, RoundTripsThroughConfigMap) {
 TEST(PerfIsoConfigTest, DefaultsFromEmptyMap) {
   auto config = PerfIsoConfig::FromConfigMap(ConfigMap());
   ASSERT_TRUE(config.ok());
-  EXPECT_TRUE(config->enabled);
   EXPECT_EQ(config->cpu_mode, CpuIsolationMode::kBlindIsolation);
   EXPECT_EQ(config->blind.buffer_cores, 8);  // the paper's value for IndexServe
 }

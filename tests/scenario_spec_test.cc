@@ -20,7 +20,6 @@ TEST(ScenarioSpecTest, OpenLoopDiurnalRoundTripsThroughConfigMap) {
   ScenarioSpec spec;
   spec.name = "unit-diurnal";
   spec.load = DiurnalLoad(/*peak_qps=*/3500, /*period_sec=*/30, /*trough_fraction=*/0.25);
-  spec.client = ClientKind::kOpenLoop;
   spec.tenants.cpu_bully_threads = 24;
   spec.tenants.disk_bully = true;
   spec.tenants.hdfs_client = true;
@@ -47,7 +46,6 @@ TEST(ScenarioSpecTest, OpenLoopDiurnalRoundTripsThroughConfigMap) {
   EXPECT_DOUBLE_EQ(back.load.qps, spec.load.qps);
   EXPECT_DOUBLE_EQ(back.load.diurnal_period_sec, spec.load.diurnal_period_sec);
   EXPECT_DOUBLE_EQ(back.load.diurnal_trough_fraction, spec.load.diurnal_trough_fraction);
-  EXPECT_EQ(back.client, ClientKind::kOpenLoop);
   EXPECT_EQ(back.tenants.cpu_bully_threads, spec.tenants.cpu_bully_threads);
   EXPECT_EQ(back.tenants.disk_bully, spec.tenants.disk_bully);
   EXPECT_EQ(back.tenants.hdfs_client, spec.tenants.hdfs_client);
@@ -70,20 +68,14 @@ TEST(ScenarioSpecTest, OpenLoopDiurnalRoundTripsThroughConfigMap) {
   EXPECT_DOUBLE_EQ(back.perfiso->io_limits[0].bandwidth_bps, 100e6);
 }
 
-TEST(ScenarioSpecTest, ClosedLoopPiecewiseRoundTripsThroughConfigMap) {
+TEST(ScenarioSpecTest, PiecewiseRoundTripsThroughConfigMap) {
   ScenarioSpec spec;
-  spec.name = "unit-closed";
+  spec.name = "unit-piecewise";
   spec.load.kind = LoadShapeKind::kPiecewise;
   spec.load.piecewise = {{0, 1000}, {5, 2500}, {10, 500}};
-  spec.client = ClientKind::kClosedLoop;
-  spec.closed.outstanding = 96;
-  spec.closed.think_time = FromMillis(2);
 
   auto parsed = ScenarioSpec::FromConfigMap(spec.ToConfigMap());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->client, ClientKind::kClosedLoop);
-  EXPECT_EQ(parsed->closed.outstanding, 96);
-  EXPECT_EQ(parsed->closed.think_time, FromMillis(2));
   ASSERT_EQ(parsed->load.piecewise.size(), 3u);
   EXPECT_DOUBLE_EQ(parsed->load.piecewise[1].at_sec, 5);
   EXPECT_DOUBLE_EQ(parsed->load.piecewise[1].qps, 2500);
@@ -122,7 +114,6 @@ TEST(ScenarioSpecTest, DefaultsFromEmptyMap) {
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->load.kind, LoadShapeKind::kConstant);
   EXPECT_DOUBLE_EQ(spec->load.qps, 2000);
-  EXPECT_EQ(spec->client, ClientKind::kOpenLoop);
   EXPECT_EQ(spec->topology.columns, 0);  // single box
   EXPECT_FALSE(spec->perfiso.has_value());
 }
@@ -152,6 +143,16 @@ TEST(ScenarioSpecTest, UnknownKeysRejected) {
     map.Set("perfiso.net.link_rate_bps", 3.125e9);
     EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
   }
+  // Keys of the removed kill switch and closed-loop client: an old config
+  // file that still sets one fails loudly.
+  for (const char* key : {"perfiso.enabled", "workload.client",
+                          "workload.closed.outstanding", "workload.closed.think_time_ns"}) {
+    ConfigMap map;
+    map.Set("workload.isolation", "perfiso");
+    EXPECT_TRUE(ScenarioSpec::FromConfigMap(map).ok());
+    map.Set(key, "1");
+    EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok()) << key;
+  }
 }
 
 TEST(ScenarioSpecTest, InapplicableKeysRejected) {
@@ -160,11 +161,6 @@ TEST(ScenarioSpecTest, InapplicableKeysRejected) {
   map.Set("workload.shape", "constant");
   map.Set("workload.ramp.end_qps", 4000);
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
-
-  // Closed-loop knobs on an open-loop scenario likewise.
-  ConfigMap closed;
-  closed.Set("workload.closed.outstanding", 8);
-  EXPECT_FALSE(ScenarioSpec::FromConfigMap(closed).ok());
 
   // Piecewise rates come only from the table, so a qps knob is inapplicable
   // (it would be silently ignored otherwise).
@@ -234,13 +230,9 @@ TEST(ScenarioSpecTest, InvalidShapesReturnStatusErrors) {
   }
 }
 
-TEST(ScenarioSpecTest, ValidateChecksClientAndTopology) {
+TEST(ScenarioSpecTest, ValidateChecksTenantsAndTopology) {
   ScenarioSpec spec;
   EXPECT_TRUE(spec.Validate().ok());
-
-  spec.closed.outstanding = 0;
-  EXPECT_FALSE(spec.Validate().ok());
-  spec.closed.outstanding = 16;
 
   spec.topology.columns = 4;
   spec.topology.rows = 0;
@@ -306,15 +298,6 @@ TEST(ScenarioSpecTest, ValidateRejectsTraceCountAboveTheBound) {
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
 }
 
-TEST(ScenarioSpecTest, ClientKindNamesRoundTrip) {
-  for (ClientKind kind : {ClientKind::kOpenLoop, ClientKind::kClosedLoop}) {
-    auto parsed = ParseEnum<ClientKind>(NameOf(kind));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(ParseEnum<ClientKind>("half_open").ok());
-}
-
 // The serialized form is a plain key=value config file: text round trip too.
 TEST(ScenarioSpecTest, SurvivesTextSerialization) {
   ScenarioSpec spec;
@@ -375,10 +358,10 @@ TEST(ScenarioSpecTest, StrayFaultKeysRejected) {
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(empty_events).ok());
 }
 
-TEST(ScenarioSpecTest, RejectsClosedLoopOutstandingOutsideInt) {
+TEST(ScenarioSpecTest, RejectsIntKeyOutsideInt) {
   ConfigMap map;
-  map.Set("workload.client", "closed_loop");
-  map.Set("workload.closed.outstanding", "4294967297");  // used to become 1
+  map.Set("workload.isolation", "perfiso");
+  map.Set("perfiso.memory.check_every_n_polls", "4294967297");  // would truncate to 1
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
 }
 

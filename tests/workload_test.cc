@@ -213,58 +213,6 @@ TEST(OpenLoopClientTest, RealizedRateIsUnbiasedAtHighRate) {
   EXPECT_NEAR(static_cast<double>(submitted), 1e6, 4e3);
 }
 
-TEST(ClosedLoopClientTest, KeepsAtMostOutstandingInFlight) {
-  Simulator sim;
-  Rng rng(14);
-  auto trace = GenerateTrace(TraceSpec{}, 16, &rng);
-  ClosedLoopClient* client_ptr = nullptr;
-  std::vector<SimTime> completions;
-  int in_flight = 0;
-  int max_in_flight = 0;
-  ClosedLoopClient client(&sim, std::move(trace), /*outstanding=*/4,
-                          /*think_time=*/FromMillis(1), Rng(15),
-                          [&](const QueryWork&, SimTime now) {
-                            ++in_flight;
-                            max_in_flight = std::max(max_in_flight, in_flight);
-                            // Serve each query 500 us later.
-                            sim.Schedule(now + 500 * kMicrosecond, [&] {
-                              --in_flight;
-                              completions.push_back(sim.Now());
-                              client_ptr->OnComplete();
-                            });
-                          });
-  client_ptr = &client;
-  client.Run(0, kSecond);
-  sim.RunUntilEmpty();
-  EXPECT_LE(max_in_flight, 4);
-  EXPECT_GT(client.submitted(), 100u);
-  // Per-user cycle = think (1 ms mean) + service (0.5 ms): ~2,667 completions
-  // from 4 users in one second; generous bounds to stay seed-robust.
-  EXPECT_GT(completions.size(), 1500u);
-  EXPECT_LT(completions.size(), 4000u);
-  EXPECT_EQ(client.in_flight(), 0);
-}
-
-TEST(ClosedLoopClientTest, StopsSubmittingAfterWindowEnds) {
-  Simulator sim;
-  Rng rng(16);
-  auto trace = GenerateTrace(TraceSpec{}, 16, &rng);
-  ClosedLoopClient* client_ptr = nullptr;
-  ClosedLoopClient client(&sim, std::move(trace), /*outstanding=*/2,
-                          /*think_time=*/FromMillis(1), Rng(17),
-                          [&](const QueryWork&, SimTime now) {
-                            sim.Schedule(now + 100 * kMicrosecond,
-                                         [&] { client_ptr->OnComplete(); });
-                          });
-  client_ptr = &client;
-  client.Run(0, 100 * kMillisecond);
-  sim.RunUntil(100 * kMillisecond);
-  const uint64_t at_window_end = client.submitted();
-  sim.RunUntilEmpty();
-  // In-flight queries may still complete, but no new submissions start.
-  EXPECT_EQ(client.submitted(), at_window_end);
-}
-
 TEST(CpuBullyTest, ProgressTracksCpuTime) {
   Simulator sim;
   MachineSpec spec;
